@@ -1,11 +1,23 @@
 """Exact arithmetic for polynomial mappings of one complex variable.
 
-A mapping f(z) = sum c_ij * z^i * zbar^j is stored sparsely as a map from
-exponent pairs (i, j) to GaussianRational coefficients, with z and zbar
-treated as independent formal variables.  Zero coefficients are never
-stored, so two mappings are equal exactly when their term maps are equal.
-|z|^(2k) is the term (k, k) with coefficient 1; the zero mapping is the
-empty map, and its degrees are 0 by convention.
+A mapping f(z) = sum c_ij * z^i * zbar^j, with z and zbar treated as
+independent formal variables, is stored sparsely as Gaussian-integer
+numerators over one common positive denominator: a map from exponent pairs
+(i, j) to int pairs (re, im) together with an int den, where
+c_ij = (re + im*i) / den.  This is the layout of FLINT's fmpq_poly built
+from plain Python ints: the ring operations multiply and add ints and
+reduce each result by one gcd, instead of reducing a Fraction at every
+scalar step.
+
+In normal form no zero numerator is stored and the gcd of every numerator
+part and the denominator is 1; the zero mapping is the empty map over 1.
+Two mappings are therefore equal exactly when their numerator maps and
+denominators are equal.  |z|^(2k) is the term (k, k) with coefficient 1;
+the degrees of the zero mapping are 0 by convention.
+
+GaussianRational, the exact scalar with Fraction parts, appears only at
+the edges: coefficients given to BiPoly(...) and to scalar products, the
+``terms`` and ``coefficient`` views, ``eval_exact`` and printing.
 
 Every value is immutable after construction and every operation is a pure
 function, so objects can be shared freely across workers.
@@ -13,6 +25,7 @@ function, so objects can be shared freely across workers.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
@@ -96,16 +109,7 @@ class GaussianRational:
         return self * other.conjugate() * GaussianRational(Fraction(1, 1) / norm)
 
     def __pow__(self, n: int) -> "GaussianRational":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = GR_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, GR_ONE)
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
@@ -115,6 +119,20 @@ class GaussianRational:
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+def _power(base, n: int, one):
+    """base**n by binary powering; one is the identity of base's ring."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
 
 
 def _as_scalar(value) -> "GaussianRational | None":
@@ -142,36 +160,34 @@ def unit_circle_point(t: Rationalish) -> GaussianRational:
 
 
 class BiPoly:
-    """Sparse polynomial in z and zbar over GaussianRational coefficients."""
+    """Sparse polynomial in z and zbar: Gaussian-integer numerators over one denominator."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_num", "_den", "_terms", "_hash")
 
     def __init__(self, terms: Mapping | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[tuple[int, int], GaussianRational] = {}
+        parts = []
         for key, coeff in items:
             i, j = key
             if not (isinstance(i, int) and isinstance(j, int)) or i < 0 or j < 0:
                 raise ValueError(f"exponents must be nonnegative integers, got {key!r}")
-            c = _as_scalar(coeff)
+            c = _scalar_parts(coeff)
             if c is None:
                 raise TypeError(f"coefficient must be rational-like, got {coeff!r}")
-            prev = acc.get((i, j))
-            c = c if prev is None else prev + c
-            if c.is_zero:
-                acc.pop((i, j), None)
-            else:
-                acc[(i, j)] = c
-        self._terms = acc
+            parts.append(((i, j), c))
+        f = _from_parts(parts)
+        self._num = f._num
+        self._den = f._den
+        self._terms = None
         self._hash = None
 
     @classmethod
     def zero(cls) -> "BiPoly":
-        return cls()
+        return _make({}, 1)
 
     @classmethod
     def one(cls) -> "BiPoly":
-        return cls({(0, 0): GR_ONE})
+        return _make({(0, 0): (1, 0)}, 1)
 
     @classmethod
     def constant(cls, c) -> "BiPoly":
@@ -179,11 +195,11 @@ class BiPoly:
 
     @classmethod
     def z(cls) -> "BiPoly":
-        return cls({(1, 0): GR_ONE})
+        return _make({(1, 0): (1, 0)}, 1)
 
     @classmethod
     def zbar(cls) -> "BiPoly":
-        return cls({(0, 1): GR_ONE})
+        return _make({(0, 1): (1, 0)}, 1)
 
     @classmethod
     def monomial(cls, i: int, j: int, coeff=1) -> "BiPoly":
@@ -191,48 +207,62 @@ class BiPoly:
 
     @property
     def terms(self) -> Mapping[tuple[int, int], GaussianRational]:
-        return MappingProxyType(self._terms)
+        """The coefficients as GaussianRational values, built on first use."""
+        if self._terms is None:
+            den = self._den
+            self._terms = MappingProxyType(
+                {key: _gaussian(re, im, den) for key, (re, im) in self._num.items()}
+            )
+        return self._terms
+
+    @property
+    def numerators(self) -> Mapping[tuple[int, int], tuple[int, int]]:
+        """Exponent pair -> Gaussian-integer numerator (re, im) over ``denominator``."""
+        return MappingProxyType(self._num)
+
+    @property
+    def denominator(self) -> int:
+        """The common positive denominator of every coefficient."""
+        return self._den
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     @property
     def deg_z(self) -> int:
-        return max((i for i, _ in self._terms), default=0)
+        return max((i for i, _ in self._num), default=0)
 
     @property
     def deg_zbar(self) -> int:
-        return max((j for _, j in self._terms), default=0)
+        return max((j for _, j in self._num), default=0)
 
     def coefficient(self, i: int, j: int) -> GaussianRational:
-        return self._terms.get((i, j), GR_ZERO)
+        c = self._num.get((i, j))
+        return GR_ZERO if c is None else _gaussian(*c, self._den)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, BiPoly):
-            return self._terms == other._terms
+            return self._den == other._den and self._num == other._num
         return NotImplemented
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash((self._den, frozenset(self._num.items())))
         return self._hash
 
     def __add__(self, other) -> "BiPoly":
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            s = out.get(key, GR_ZERO) + c
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return _raw(out)
+        den = lcm(self._den, other._den)
+        out: dict = {}
+        _accumulate(out, self._num.items(), den // self._den)
+        _accumulate(out, other._num.items(), den // other._den)
+        return _collect(out, den)
 
     __radd__ = __add__
 
@@ -249,35 +279,24 @@ class BiPoly:
         return other - self
 
     def __neg__(self) -> "BiPoly":
-        return _raw({key: -c for key, c in self._terms.items()})
+        return _make({key: (-re, -im) for key, (re, im) in self._num.items()}, self._den)
 
     def __mul__(self, other) -> "BiPoly":
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            c = _as_scalar(other)
-            if c.is_zero:
-                return BiPoly.zero()
-            return _raw({key: coeff * c for key, coeff in self._terms.items()})
-        if not isinstance(other, BiPoly):
+        if isinstance(other, BiPoly):
+            return mul(self, other)
+        c = _scalar_parts(other)
+        if c is None:
             return NotImplemented
-        return mul(self, other)
+        return _scale(self, *c)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "BiPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = BiPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, BiPoly.one())
 
     def conjugate(self) -> "BiPoly":
         """Swap z and zbar and conjugate every coefficient (an involution)."""
-        return _raw({(j, i): c.conjugate() for (i, j), c in self._terms.items()})
+        return _make({(j, i): (re, -im) for (i, j), (re, im) in self._num.items()}, self._den)
 
     def compose(self, inner: "BiPoly") -> "BiPoly":
         """Substitute z -> inner and zbar -> conjugate(inner).
@@ -296,38 +315,105 @@ class BiPoly:
         return f"BiPoly({canonical_print(self)!r})"
 
 
-def _raw(terms: dict) -> BiPoly:
-    # Internal constructor for already-canonical term maps.
+def _make(num: dict, den: int) -> BiPoly:
+    # Internal constructor for a numerator map and denominator already in normal form.
     p = BiPoly.__new__(BiPoly)
-    p._terms = terms
+    p._num = num
+    p._den = den
+    p._terms = None
     p._hash = None
     return p
+
+
+def _reduced(num: dict, den: int) -> BiPoly:
+    """BiPoly of the zero-free numerators num over den > 0, brought to normal form."""
+    g = den
+    for re, im in num.values():
+        if g == 1:
+            break
+        g = gcd(g, re, im)
+    if g > 1:
+        num = {key: (re // g, im // g) for key, (re, im) in num.items()}
+        den //= g
+    return _make(num, den)
+
+
+def _accumulate(out: dict, items, scale: int) -> None:
+    # Add scale * (re, im) for each (key, (re, im)) in items into out, whose
+    # values are mutable [re, im] sums.
+    for key, (re, im) in items:
+        acc = out.get(key)
+        if acc is None:
+            out[key] = [re * scale, im * scale]
+        else:
+            acc[0] += re * scale
+            acc[1] += im * scale
+
+
+def _collect(out: dict, den: int) -> BiPoly:
+    # Normal form of [re, im] sums over den, dropping the sums that cancelled.
+    return _reduced({key: (re, im) for key, (re, im) in out.items() if re or im}, den)
+
+
+def _from_parts(parts) -> BiPoly:
+    """Sum of (re + im*i)/den * z^i * zbar^j over ((i, j), (re, im, den)) entries."""
+    parts = list(parts)
+    den = lcm(*(d for _, (_, _, d) in parts))
+    out: dict = {}
+    _accumulate(out, ((key, (re * (den // d), im * (den // d))) for key, (re, im, d) in parts), 1)
+    return _collect(out, den)
+
+
+def _scalar_parts(value) -> "tuple[int, int, int] | None":
+    """(re, im, den) with value == (re + im*i)/den and den > 0, or None for a non-scalar."""
+    if isinstance(value, int):
+        return value, 0, 1
+    if isinstance(value, Fraction):
+        return value.numerator, 0, value.denominator
+    if isinstance(value, GaussianRational):
+        re, im = value.re, value.im
+        return re.numerator * im.denominator, im.numerator * re.denominator, re.denominator * im.denominator
+    return None
+
+
+def _gaussian(re: int, im: int, den: int) -> GaussianRational:
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
+
+
+def _scale(f: BiPoly, re: int, im: int, den: int) -> BiPoly:
+    """f * (re + im*i)/den for den > 0."""
+    if not (re or im):
+        return BiPoly.zero()
+    if im:
+        num = {key: (a * re - b * im, a * im + b * re) for key, (a, b) in f._num.items()}
+    else:
+        num = {key: (a * re, b * re) for key, (a, b) in f._num.items()}
+    return _reduced(num, f._den * den)
 
 
 def _as_poly(value) -> "BiPoly | None":
     if isinstance(value, BiPoly):
         return value
-    c = _as_scalar(value)
-    if c is None:
+    if _scalar_parts(value) is None:
         return None
-    return BiPoly.constant(c)
+    return BiPoly.constant(value)
 
 
 def mul(a: BiPoly, b: BiPoly) -> BiPoly:
-    """Exact product; the result is in canonical sparse form."""
-    if a.is_zero or b.is_zero:
-        return BiPoly.zero()
-    out: dict[tuple[int, int], GaussianRational] = {}
-    for (i1, j1), c1 in a._terms.items():
-        for (i2, j2), c2 in b._terms.items():
+    """Exact product; the result is in normal form."""
+    out: dict = {}
+    get = out.get
+    b_items = list(b._num.items())
+    for (i1, j1), (r1, m1) in a._num.items():
+        for (i2, j2), (r2, m2) in b_items:
             key = (i1 + i2, j1 + j2)
-            c = out.get(key)
-            c = c1 * c2 if c is None else c + c1 * c2
-            if c.is_zero:
-                out.pop(key, None)
+            acc = get(key)
+            if acc is None:
+                out[key] = [r1 * r2 - m1 * m2, r1 * m2 + m1 * r2]
             else:
-                out[key] = c
-    return _raw(out)
+                acc[0] += r1 * r2 - m1 * m2
+                acc[1] += r1 * m2 + m1 * r2
+    return _collect(out, a._den * b._den)
 
 
 def conjugate(f: BiPoly) -> BiPoly:
@@ -336,15 +422,12 @@ def conjugate(f: BiPoly) -> BiPoly:
 
 def compose(f: BiPoly, inner: BiPoly) -> BiPoly:
     """Exact substitution z -> inner, zbar -> conjugate(inner) in f."""
-    if f.is_zero:
-        return BiPoly.zero()
-    inner_bar = inner.conjugate()
     pow_z = _powers(inner, f.deg_z)
-    pow_zbar = _powers(inner_bar, f.deg_zbar)
+    pow_zbar = _powers(inner.conjugate(), f.deg_zbar)
     out = BiPoly.zero()
-    for (i, j), c in f._terms.items():
-        out = out + mul(pow_z[i], pow_zbar[j]) * c
-    return out
+    for (i, j), (re, im) in f._num.items():
+        out = out + _scale(mul(pow_z[i], pow_zbar[j]), re, im, 1)
+    return _scale(out, 1, 0, f._den)
 
 
 def _powers(base: BiPoly, upto: int) -> list[BiPoly]:
@@ -354,22 +437,33 @@ def _powers(base: BiPoly, upto: int) -> list[BiPoly]:
     return powers
 
 
-def eval_exact(f: BiPoly, point: GaussianRational) -> GaussianRational:
-    """Evaluate with z = point and zbar = conjugate(point), exactly."""
-    zbar = point.conjugate()
-    pow_z = _scalar_powers(point, f.deg_z)
-    pow_zbar = _scalar_powers(zbar, f.deg_zbar)
-    total = GR_ZERO
-    for (i, j), c in f._terms.items():
-        total = total + c * pow_z[i] * pow_zbar[j]
+def _horner(f: BiPoly, z, zbar, coeff):
+    """Value of f at (z, zbar): sum_i z^i * (sum_j c_ij * zbar^j), both sums by Horner's rule.
+
+    coeff(re, im, den) turns the numerators of one coefficient into a scalar
+    of the type of z and zbar; the zero mapping evaluates to coeff(0, 0, 1).
+    """
+    zero = coeff(0, 0, 1)
+    if f.is_zero:
+        return zero
+    den = f._den
+    rows: dict[int, dict] = {}
+    for (i, j), (re, im) in f._num.items():
+        rows.setdefault(i, {})[j] = coeff(re, im, den)
+    total = zero
+    for i in range(f.deg_z, -1, -1):
+        row = rows.get(i)
+        row_value = zero
+        if row:
+            for j in range(max(row), -1, -1):
+                row_value = row_value * zbar + row.get(j, zero)
+        total = total * z + row_value
     return total
 
 
-def _scalar_powers(base: GaussianRational, upto: int) -> list[GaussianRational]:
-    powers = [GR_ONE]
-    for _ in range(upto):
-        powers.append(powers[-1] * base)
-    return powers
+def eval_exact(f: BiPoly, point: GaussianRational) -> GaussianRational:
+    """Evaluate with z = point and zbar = conjugate(point), exactly."""
+    return _horner(f, point, point.conjugate(), _gaussian)
 
 
 @dataclass(frozen=True)

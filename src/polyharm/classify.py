@@ -2,7 +2,7 @@
 
 from dataclasses import asdict, dataclass
 
-from .bipoly import BiPoly
+from .bipoly import BiPoly, _reduced
 from .wirtinger import polyharmonic_order
 
 _AFFINE_SUPPORT = {(0, 0), (1, 0), (0, 1)}
@@ -32,7 +32,7 @@ def classify(f: BiPoly) -> ClassReport:
     max(deg_z, deg_zbar).
     """
     order = polyharmonic_order(f)
-    support = f.terms.keys()
+    support = f.numerators.keys()
     analytic = all(j == 0 for _, j in support)
     antianalytic = all(i == 0 for i, _ in support)
     harmonic = order <= 1
@@ -63,9 +63,9 @@ def harmonic_parts(f: BiPoly) -> tuple[BiPoly, BiPoly]:
         raise ValueError("harmonic_parts requires a harmonic mapping")
     h = {}
     g = {}
-    for (i, j), c in f.terms.items():
+    for (i, j), (re, im) in f.numerators.items():
         if j == 0:
-            h[(i, 0)] = c
+            h[(i, 0)] = (re, im)
         else:
-            g[(j, 0)] = c.conjugate()
-    return BiPoly(h), BiPoly(g)
+            g[(j, 0)] = (re, -im)
+    return _reduced(h, f.denominator), _reduced(g, f.denominator)

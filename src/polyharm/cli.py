@@ -51,6 +51,20 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError("must be a positive number")
+    return value
+
+
+def _exp_multiplier(text: str) -> int:
+    value = int(text)
+    if value == 0 or abs(value) > 3:
+        raise argparse.ArgumentTypeError("must be a nonzero integer with |m| <= 3")
+    return value
+
+
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -153,11 +167,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("expr")
     p.add_argument("--points", type=_positive_int, default=5)
-    p.add_argument("--h", type=float, default=None)
+    p.add_argument("--h", type=_positive_float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument(
         "--m",
-        type=int,
+        type=_exp_multiplier,
         default=None,
         help="check the exp(m*f) identity instead (exact for biharmonic mappings)",
     )
@@ -424,7 +438,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (_UsageError, ValueError) as exc:
+    except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,7 @@ re-verified through the classify/wirtinger oracles at the point of use.
 
 from fractions import Fraction
 
-from .bipoly import BiPoly, GaussianRational
+from .bipoly import BiPoly, GaussianRational, _from_parts
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -57,12 +57,23 @@ class SplitMix64:
                 return value
 
     def coeff(self, limit: int = COEFF_LIMIT, nonzero: bool = False) -> GaussianRational:
+        re, im, den = self.coeff_parts(limit, nonzero)
+        return GaussianRational(Fraction(re, den), Fraction(im, den))
+
+    def coeff_parts(self, limit: int = COEFF_LIMIT, nonzero: bool = False) -> tuple[int, int, int]:
+        """The draws of coeff() as integers (re, im, den), meaning (re + im*i)/den.
+
+        Real and imaginary parts are two fraction() draws, the second one
+        skipped with chance 1/2; no Fraction is built.
+        """
         while True:
-            re = self.fraction(limit)
-            im = self.fraction(limit) if self.chance(1, 2) else Fraction(0)
-            c = GaussianRational(re, im)
-            if c or not nonzero:
-                return c
+            re, re_den = self.between(-limit, limit), self.between(1, limit)
+            if self.chance(1, 2):
+                im, im_den = self.between(-limit, limit), self.between(1, limit)
+            else:
+                im, im_den = 0, 1
+            if re or im or not nonzero:
+                return re * im_den, im * re_den, re_den * im_den
 
     def unit(self) -> float:
         return self.next_u64() / float(1 << 64)
@@ -74,8 +85,8 @@ def gen_bipoly(seed: int, max_degree: int) -> BiPoly:
     terms = {}
     for _ in range(rng.between(1, 8)):
         key = (rng.between(0, max_degree), rng.between(0, max_degree))
-        terms[key] = rng.coeff(nonzero=True)
-    return BiPoly(terms)
+        terms[key] = rng.coeff_parts(nonzero=True)
+    return _from_parts(terms.items())
 
 
 def gen_analytic(seed: int, max_degree: int, *, exact_degree: bool = False) -> BiPoly:
@@ -87,9 +98,9 @@ def gen_analytic(seed: int, max_degree: int, *, exact_degree: bool = False) -> B
     terms = {}
     for n in range(degree):
         if rng.chance(5, 8):
-            terms[(n, 0)] = rng.coeff()
-    terms[(degree, 0)] = rng.coeff(nonzero=True)
-    return BiPoly(terms)
+            terms[(n, 0)] = rng.coeff_parts()
+    terms[(degree, 0)] = rng.coeff_parts(nonzero=True)
+    return _from_parts(terms.items())
 
 
 def gen_harmonic(

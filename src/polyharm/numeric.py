@@ -10,7 +10,7 @@ Points are sampled inside the unit disk to keep conditioning sane.
 import cmath
 from dataclasses import dataclass
 
-from .bipoly import BiPoly
+from .bipoly import BiPoly, _horner
 from .gen import SplitMix64
 from .theorems import a_m
 from .wirtinger import laplacian
@@ -32,23 +32,13 @@ class FdReport:
 
 
 def eval_float(f: BiPoly, point: complex) -> complex:
-    """Horner-style evaluation in z and conj(point) with double precision."""
+    """Horner-style evaluation in z and conj(point) with double precision.
+
+    Each coefficient part is the correctly rounded quotient of its numerator
+    and the common denominator, as float(Fraction) would give.
+    """
     z = complex(point)
-    zbar = z.conjugate()
-    if f.is_zero:
-        return 0j
-    rows: dict[int, dict[int, complex]] = {}
-    for (i, j), c in f.terms.items():
-        rows.setdefault(i, {})[j] = complex(c)
-    total = 0j
-    for i in range(f.deg_z, -1, -1):
-        row = rows.get(i)
-        row_value = 0j
-        if row:
-            for j in range(max(row), -1, -1):
-                row_value = row_value * zbar + row.get(j, 0j)
-        total = total * z + row_value
-    return total
+    return _horner(f, z, z.conjugate(), lambda re, im, den: complex(re / den, im / den))
 
 
 def _stencil(fn, point: complex, h: float) -> complex:

@@ -6,22 +6,23 @@ laplacian(f, p) == 0 therefore has the closed form 1 + max(min(i, j))
 over the support, which makes order detection exact and decidable.
 """
 
-from .bipoly import AlmansiForm, BiPoly
-from .bipoly import _raw as _raw_poly
+from .bipoly import AlmansiForm, BiPoly, _from_parts, _reduced
 from .errors import NonHarmonicComponent
 
 
 def d_dz(f: BiPoly) -> BiPoly:
     """Formal d/dz: c * z^i * zbar^j -> c*i * z^(i-1) * zbar^j."""
-    return _raw_poly(
-        {(i - 1, j): c * i for (i, j), c in f.terms.items() if i >= 1}
+    return _reduced(
+        {(i - 1, j): (re * i, im * i) for (i, j), (re, im) in f.numerators.items() if i >= 1},
+        f.denominator,
     )
 
 
 def d_dzbar(f: BiPoly) -> BiPoly:
     """Formal d/dzbar: c * z^i * zbar^j -> c*j * z^i * zbar^(j-1)."""
-    return _raw_poly(
-        {(i, j - 1): c * j for (i, j), c in f.terms.items() if j >= 1}
+    return _reduced(
+        {(i, j - 1): (re * j, im * j) for (i, j), (re, im) in f.numerators.items() if j >= 1},
+        f.denominator,
     )
 
 
@@ -31,12 +32,13 @@ def laplacian(f: BiPoly, times: int = 1) -> BiPoly:
         raise ValueError("times must be a positive integer")
     out = f
     for _ in range(times):
-        out = _raw_poly(
+        out = _reduced(
             {
-                (i - 1, j - 1): c * (4 * i * j)
-                for (i, j), c in out.terms.items()
+                (i - 1, j - 1): (re * (4 * i * j), im * (4 * i * j))
+                for (i, j), (re, im) in out.numerators.items()
                 if i >= 1 and j >= 1
-            }
+            },
+            out.denominator,
         )
     return out
 
@@ -45,7 +47,7 @@ def polyharmonic_order(f: BiPoly) -> int:
     """Least p with laplacian(f, p) == 0; the zero mapping has order 0."""
     if f.is_zero:
         return 0
-    return 1 + max(min(i, j) for i, j in f.terms)
+    return 1 + max(min(i, j) for i, j in f.numerators)
 
 
 def is_harmonic(f: BiPoly) -> bool:
@@ -61,11 +63,11 @@ def almansi_decompose(f: BiPoly) -> AlmansiForm:
     """
     order = polyharmonic_order(f)
     buckets: list[dict] = [{} for _ in range(order)]
-    for (i, j), c in f.terms.items():
+    for (i, j), c in f.numerators.items():
         m = min(i, j)
         key = (i - m, 0) if i >= j else (0, j - m)
         buckets[m][key] = c
-    return AlmansiForm(tuple(_raw_poly(b) for b in buckets))
+    return AlmansiForm(tuple(_reduced(b, f.denominator) for b in buckets))
 
 
 def almansi_recompose(form: AlmansiForm) -> BiPoly:
@@ -73,12 +75,12 @@ def almansi_recompose(form: AlmansiForm) -> BiPoly:
 
     Raises NonHarmonicComponent if any component has a mixed monomial.
     """
-    out: dict = {}
+    parts = []
     for k, g in enumerate(form.components):
-        for (i, j), c in g.terms.items():
+        for (i, j), (re, im) in g.numerators.items():
             if min(i, j) >= 1:
                 raise NonHarmonicComponent(
                     f"component {k + 1} contains the mixed monomial z^{i}*zbar^{j}"
                 )
-            out[(i + k, j + k)] = out.get((i + k, j + k), 0) + c
-    return BiPoly(out)
+            parts.append(((i + k, j + k), (re, im, g.denominator)))
+    return _from_parts(parts)

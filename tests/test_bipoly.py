@@ -15,6 +15,7 @@ from polyharm.bipoly import (
     mul,
     unit_circle_point,
 )
+from polyharm.wirtinger import almansi_decompose, d_dz, laplacian
 from strategies import bipoly_any, bipoly_small, scalars
 
 Z = BiPoly.z()
@@ -236,7 +237,26 @@ def test_format_scalar():
 # --- hashing / equality --------------------------------------------------------
 
 
-@given(bipoly_any)
-def test_hash_consistent_with_equality(f):
-    g = BiPoly(dict(f.terms))
-    assert f == g and hash(f) == hash(g)
+def assert_normal_form(r: BiPoly) -> None:
+    rebuilt = BiPoly(dict(r.terms))
+    assert rebuilt == r and hash(rebuilt) == hash(r)
+
+
+@given(bipoly_any, bipoly_any, scalars)
+def test_hash_consistent_with_equality(f, g, c):
+    results = [f, f - g, f * c, f * 2, mul(f, g), d_dz(f), laplacian(f), *almansi_decompose(f)]
+    for r in results:
+        assert_normal_form(r)
+
+
+def test_common_factor_removed():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    cases = [
+        (laplacian(Z * ZBAR * Fraction(1, 4)), BiPoly.one(), 1),
+        ((Z * half + third) - Z * half, BiPoly.constant(third), 3),
+        ((Z * 2) * half, Z, 1),
+    ]
+    for result, expected, denominator in cases:
+        assert result == expected and hash(result) == hash(expected)
+        assert result.denominator == denominator
+        assert_normal_form(result)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from polyharm.cli import main
 
 
@@ -193,3 +195,22 @@ def test_json_single_object_on_violation_exit(capsys):
     payload = json.loads(out)
     assert payload["witness"] == "zbar^2 + z^2"
     assert payload["composition_order"] == 3
+
+
+def test_fdcheck_flags_validated_by_argparse(capsys):
+    for flags in (["--h", "0"], ["--h", "-1e-4"], ["--m", "5"], ["--m", "0"], ["--m", "-4"]):
+        code, out, err = run_cli(capsys, "fdcheck", "z*zbar", *flags)
+        assert code == 2 and out == ""
+        assert f"argument {flags[0]}" in err
+
+
+def test_internal_value_error_is_not_reported_as_usage_error(capsys, monkeypatch):
+    import polyharm.cli as cli
+
+    def broken(args):
+        raise ValueError("fault inside the library")
+
+    monkeypatch.setattr(cli, "_cmd_order", broken)
+    with pytest.raises(ValueError, match="fault inside the library"):
+        main(["order", "z"])
+    assert "usage error" not in capsys.readouterr().err
