@@ -9,6 +9,7 @@ so it computes OUTER after INNER.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -17,7 +18,7 @@ from fractions import Fraction
 from . import numeric, theorems
 from .bipoly import GaussianRational, format_scalar
 from .classify import classify
-from .errors import ParseError
+from .errors import NotAnalytic, ParseError
 from .parser import parse, unparse
 from .wirtinger import almansi_decompose, d_dz, d_dzbar, laplacian, polyharmonic_order
 
@@ -86,24 +87,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("order", parents=[common], help="polyharmonic order of a mapping")
     p.add_argument("expr")
-    p.set_defaults(handler=_cmd_order)
 
     p = sub.add_parser("dz", parents=[common], help="formal d/dz")
     p.add_argument("expr")
-    p.set_defaults(handler=_cmd_dz)
 
     p = sub.add_parser("dzbar", parents=[common], help="formal d/dzbar")
     p.add_argument("expr")
-    p.set_defaults(handler=_cmd_dzbar)
 
     p = sub.add_parser("laplacian", parents=[common], help="iterated Laplacian 4 d/dz d/dzbar")
     p.add_argument("--times", type=_positive_int, default=1)
     p.add_argument("expr")
-    p.set_defaults(handler=_cmd_laplacian)
 
     p = sub.add_parser("almansi", parents=[common], help="harmonic components G_1..G_p")
     p.add_argument("expr")
-    p.set_defaults(handler=_cmd_almansi)
 
     p = sub.add_parser(
         "compose",
@@ -112,11 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("outer")
     p.add_argument("inner")
-    p.set_defaults(handler=_cmd_compose)
 
     p = sub.add_parser("classify", parents=[common], help="structural classification flags")
     p.add_argument("expr")
-    p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser(
         "witness",
@@ -127,13 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=_positive_int, default=None)
     p.add_argument("--q", type=_nonnegative_int, default=None)
     p.add_argument("expr")
-    p.set_defaults(handler=_cmd_witness)
 
     p = sub.add_parser("verify", parents=[common], help="run a named sampled suite")
     p.add_argument("--suite", required=True, choices=theorems.SUITE_NAMES)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--cases", type=_positive_int, default=200)
-    p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser(
         "conjecture",
@@ -143,7 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--cases", type=_positive_int, default=1000)
     p.add_argument("--l", type=_positive_int, default=None, help="fix l (default: alternate 3 and 4)")
-    p.set_defaults(handler=_cmd_conjecture)
 
     p = sub.add_parser(
         "reich",
@@ -153,12 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True, help="constant expression, e.g. '1/2 + 3/4*i'")
     p.add_argument("--c", required=True, type=_fraction, help="real rational constant")
     p.add_argument("expr", help="analytic mapping G")
-    p.set_defaults(handler=_cmd_reich)
 
     p = sub.add_parser("eval", parents=[common], help="exact evaluation at a rational point")
     p.add_argument("expr")
     p.add_argument("--at", required=True, metavar="X,Y", help="point x + y*i with rational x, y")
-    p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser(
         "fdcheck",
@@ -177,9 +166,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--tol-abs", type=float, default=None)
     p.add_argument("--tol-rel", type=float, default=None)
-    p.set_defaults(handler=_cmd_fdcheck)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first main() call, not at import, and reused by every
+    # later call: building it costs far more than a small command.  It
+    # binds no handler, which it would keep from its first build; main
+    # looks _cmd_<command> up when it is called.
+    return build_parser()
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -376,7 +373,11 @@ def _parse_constant(text: str, flag: str) -> GaussianRational:
 
 def _cmd_reich(args) -> int:
     alpha = _parse_constant(args.alpha, "--alpha")
-    holds = theorems.reich_condition_check(parse(args.expr), alpha, args.c)
+    g = parse(args.expr)
+    try:
+        holds = theorems.reich_condition_check(g, alpha, args.c)
+    except NotAnalytic as exc:
+        raise _UsageError(str(exc))
     _emit(args, {"holds": holds}, f"holds: {_bool_text(holds)}")
     return 0 if holds else 1
 
@@ -427,14 +428,14 @@ def _cmd_fdcheck(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0
+    handler = globals()[f"_cmd_{args.command}"]
     try:
-        return args.handler(args)
+        return handler(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

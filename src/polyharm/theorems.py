@@ -15,6 +15,7 @@ effective surfaces are exposed instead:
   the structural propositions, and the open-question counterexample hunt.
 """
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -104,11 +105,13 @@ def allowed_form_post(f: BiPoly, q: int, l: int) -> bool:
     return rep.is_harmonic and rep.harmonic_degree <= bound
 
 
-def _circle_points(count: int) -> list[GaussianRational]:
+@functools.cache
+def _circle_points(count: int) -> tuple[GaussianRational, ...]:
     # t = 0, 1 give the torsion points 1 and i, whose powers can collide;
     # the points for t >= 2 have infinite multiplicative order, which is
     # what the distinct-powers (Vandermonde-style) arguments need.
-    return [unit_circle_point(t) for t in range(count)]
+    # Cached: the points depend only on t, and every witness search needs them.
+    return tuple(unit_circle_point(t) for t in range(count))
 
 
 def _post_candidates(f: BiPoly, q: int, l: int):

@@ -214,3 +214,43 @@ def test_internal_value_error_is_not_reported_as_usage_error(capsys, monkeypatch
     with pytest.raises(ValueError, match="fault inside the library"):
         main(["order", "z"])
     assert "usage error" not in capsys.readouterr().err
+
+
+def test_reich_non_analytic_g_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "reich", "--alpha", "1", "--c", "0", "zbar")
+    assert code == 2 and out == ""
+    assert err == "usage error: G has a zbar term\n"
+
+
+# main reuses one parser for every call in a process; nothing of one call
+# may carry over into the next.
+
+
+def test_reused_parser_restores_defaults(capsys):
+    code, out, _ = run_cli(capsys, "laplacian", "--times", "3", "z^3*zbar^3")
+    assert code == 0 and out == "2304\n"
+    code, out, _ = run_cli(capsys, "laplacian", "z^3*zbar^3")
+    assert code == 0 and out == "36*z^2*zbar^2\n"
+
+
+def test_reused_parser_seed_falls_back_to_env(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "prop21", "--cases", "3", "--seed", "5", "--json")
+    assert code == 0 and json.loads(out)["seed"] == 5
+    monkeypatch.setenv("POLYHARM_SEED", "41")
+    code, out, _ = run_cli(capsys, "verify", "--suite", "prop21", "--cases", "3", "--json")
+    assert code == 0 and json.loads(out)["seed"] == 41
+
+
+def test_reused_parser_after_argparse_error(capsys):
+    code, out, err = run_cli(capsys, "laplacian", "--times", "0", "--json", "z")
+    assert code == 2 and out == "" and "argument --times" in err
+    code, out, err = run_cli(capsys, "laplacian", "z*zbar")
+    assert (code, out, err) == (0, "4\n", "")
+
+
+def test_help_output_is_repeatable(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    first = run_cli(capsys, "--help")
+    second = run_cli(capsys, "--help")
+    assert first[0] == 0 and first[1].startswith("usage: polyharm")
+    assert first == second

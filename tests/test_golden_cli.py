@@ -1,0 +1,84 @@
+"""Golden transcript of the CLI: stdout, stderr and exit code per call.
+
+The calls are every README CLI example, in text form and with --json
+(the verify and conjecture case counts cut to 20), plus one call down
+each error path: a parse error with its offset, a usage error raised by a
+handler, an argparse error, and --help.  The whole list is replayed twice
+in one process, forward and then reversed, so that state carried from one
+call to the next through the shared parser would show up as a mismatch.
+
+argparse wraps usage and help text to the terminal width, so every call
+runs with COLUMNS=80, also when recording, and without POLYHARM_SEED.
+To record the transcript again, from the root of the source tree:
+
+    PYTHONPATH=src python tests/test_golden_cli.py --record
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+from polyharm.cli import main
+
+GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "golden_cli.json"
+
+README_CALLS = [
+    ["order", "z*zbar"],
+    ["laplacian", "--times", "2", "z^2*zbar^3"],
+    ["almansi", "z^2*zbar^3 + z"],
+    ["compose", "z^2", "z + zbar"],
+    ["classify", "3*z + 2*zbar + 1"],
+    ["eval", "z^2*zbar^3 + z", "--at", "1,1"],
+    ["witness", "--theorem", "1b", "--l", "1", "z^2"],
+    ["verify", "--suite", "thm2_suff", "--seed", "7", "--cases", "20"],
+    ["verify", "--suite", "prop22", "--seed", "1", "--cases", "20"],
+    ["conjecture", "--seed", "3", "--cases", "20"],
+    ["reich", "--alpha", "1", "--c", "-1", "1"],
+    ["fdcheck", "z^2*zbar^3", "--points", "5", "--h", "1e-4"],
+    ["fdcheck", "z*zbar", "--m", "1"],
+]
+
+ERROR_CALLS = [
+    ["order", "z^"],
+    ["witness", "--theorem", "1a", "z"],
+    ["fdcheck", "z*zbar", "--h", "0"],
+    ["--help"],
+]
+
+CALLS = (
+    [argv for call in README_CALLS for argv in (call, call + ["--json"])]
+    + ERROR_CALLS
+)
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return {"argv": list(argv), "stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
+
+
+def test_golden_covers_every_call():
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert [entry["argv"] for entry in golden] == CALLS
+
+
+def test_transcript_forward_then_reversed(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("POLYHARM_SEED", raising=False)
+    golden = json.loads(GOLDEN_PATH.read_text())
+    for entry in golden + golden[::-1]:
+        assert run(entry["argv"]) == entry
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(__doc__)
+    os.environ["COLUMNS"] = "80"
+    os.environ.pop("POLYHARM_SEED", None)
+    transcript = [run(argv) for argv in CALLS]
+    GOLDEN_PATH.parent.mkdir(exist_ok=True)
+    GOLDEN_PATH.write_text(json.dumps(transcript, indent=1, ensure_ascii=False) + "\n")

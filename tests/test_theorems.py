@@ -12,6 +12,8 @@ from polyharm.theorems import (
     CONJECTURE_ONLY,
     VIOLATION,
     ConjectureOnly,
+    WitnessResult,
+    _check_violation,
     a_m,
     allowed_form_post,
     allowed_form_pre,
@@ -128,6 +130,21 @@ def test_find_witness_post_torsion_resistant_circle_points():
     f = Z**2 - ZBAR**2
     result = find_witness_post(f, 2, 2)
     _assert_verified_post(f, 2, 2, result)
+
+
+def test_check_violation_error_triples():
+    f = Z**2
+    context = "q=1 l=1 f=z^2"
+    forged = WitnessResult(COMPLIANT, None, None, 1, "")
+    assert _check_violation(forged, f, 1, 1, post=True) == (context, "verdict Violation", COMPLIANT)
+    real = find_witness_post(f, 1, 1)
+    assert _check_violation(real, f, 1, 1, post=True) is None
+    wrong = WitnessResult(VIOLATION, real.witness, real.composition_order + 1, 1, real.family_tag)
+    assert _check_violation(wrong, f, 1, 1, post=True) == (
+        context,
+        "recomputed composition order > 1",
+        str(real.composition_order),
+    )
 
 
 def test_find_witness_post_not_applicable():
