@@ -15,9 +15,12 @@ Two mappings are therefore equal exactly when their numerator maps and
 denominators are equal.  |z|^(2k) is the term (k, k) with coefficient 1;
 the degrees of the zero mapping are 0 by convention.
 
-GaussianRational, the exact scalar with Fraction parts, appears only at
-the edges: coefficients given to BiPoly(...) and to scalar products, the
-``terms`` and ``coefficient`` views, ``eval_exact`` and printing.
+Printing and ``eval_exact`` read the numerators directly: the printer
+reduces each coefficient part with one gcd, and ``eval_exact`` runs
+Horner's rule on Gaussian integers.  GaussianRational, the exact scalar
+with Fraction parts, appears only at the edges: coefficients given to
+BiPoly(...) and to scalar products, the ``terms`` and ``coefficient``
+views, and the value ``eval_exact`` returns.
 
 Every value is immutable after construction and every operation is a pure
 function, so objects can be shared freely across workers.
@@ -437,33 +440,44 @@ def _powers(base: BiPoly, upto: int) -> list[BiPoly]:
     return powers
 
 
-def _horner(f: BiPoly, z, zbar, coeff):
-    """Value of f at (z, zbar): sum_i z^i * (sum_j c_ij * zbar^j), both sums by Horner's rule.
-
-    coeff(re, im, den) turns the numerators of one coefficient into a scalar
-    of the type of z and zbar; the zero mapping evaluates to coeff(0, 0, 1).
-    """
-    zero = coeff(0, 0, 1)
-    if f.is_zero:
-        return zero
-    den = f._den
-    rows: dict[int, dict] = {}
-    for (i, j), (re, im) in f._num.items():
-        rows.setdefault(i, {})[j] = coeff(re, im, den)
-    total = zero
-    for i in range(f.deg_z, -1, -1):
-        row = rows.get(i)
-        row_value = zero
-        if row:
-            for j in range(max(row), -1, -1):
-                row_value = row_value * zbar + row.get(j, zero)
-        total = total * z + row_value
-    return total
-
-
 def eval_exact(f: BiPoly, point: GaussianRational) -> GaussianRational:
-    """Evaluate with z = point and zbar = conjugate(point), exactly."""
-    return _horner(f, point, point.conjugate(), _gaussian)
+    """Evaluate with z = point and zbar = conjugate(point), exactly.
+
+    With point = p/d for a Gaussian integer p, I = deg_z and J = deg_zbar,
+    the value is sum n_ij * p^i * conj(p)^j * d^(I-i) * d^(J-j) over
+    den * d^(I+J), computed by Horner's rule on Gaussian integers.
+    """
+    re, im = point.re, point.im
+    d = lcm(re.denominator, im.denominator)
+    a = re.numerator * (d // re.denominator)
+    b = im.numerator * (d // im.denominator)
+    deg_z, deg_zbar = f.deg_z, f.deg_zbar
+    d_pow = [1]
+    for _ in range(deg_z + deg_zbar):
+        d_pow.append(d_pow[-1] * d)
+    rows: dict[int, dict] = {}
+    for (i, j), c in f._num.items():
+        rows.setdefault(i, {})[j] = c
+    # Both sums are homogeneous Horner passes: each step multiplies by
+    # p (or conj(p) = a - b*i) and scales the next coefficient by a power of d.
+    total_re = total_im = 0
+    for i in range(deg_z, -1, -1):
+        row_re = row_im = 0
+        row = rows.get(i)
+        if row:
+            top = max(row)
+            for j in range(top, -1, -1):
+                row_re, row_im = row_re * a + row_im * b, row_im * a - row_re * b
+                c = row.get(j)
+                if c is not None:
+                    scale = d_pow[top - j]
+                    row_re += c[0] * scale
+                    row_im += c[1] * scale
+            scale = d_pow[deg_zbar - top + deg_z - i]
+            row_re *= scale
+            row_im *= scale
+        total_re, total_im = total_re * a - total_im * b + row_re, total_re * b + total_im * a + row_im
+    return _gaussian(total_re, total_im, f._den * d_pow[deg_z + deg_zbar])
 
 
 @dataclass(frozen=True)
@@ -491,21 +505,25 @@ class AlmansiForm:
 # ---------------------------------------------------------------------------
 
 
-def format_fraction(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _fraction_text(n: int, d: int) -> str:
+    """Text of n/d in lowest terms, for d > 0."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
+def _scalar_text(re: int, im: int, den: int) -> str:
+    """Standalone text of (re + im*i)/den for den > 0, e.g. "1/2 + 3/4*i"."""
+    if not im:
+        return _fraction_text(re, den)
+    imag = "i" if abs(im) == den else f"{_fraction_text(abs(im), den)}*i"
+    if not re:
+        return imag if im > 0 else f"-{imag}"
+    return _fraction_text(re, den) + (" + " if im > 0 else " - ") + imag
 
 
 def format_scalar(c: GaussianRational) -> str:
     """Standalone text for an exact complex scalar, e.g. "1/2 + 3/4*i"."""
-    if c.is_zero:
-        return "0"
-    if not c.im:
-        return format_fraction(c.re)
-    imag = "i" if abs(c.im) == 1 else f"{format_fraction(abs(c.im))}*i"
-    if not c.re:
-        return imag if c.im > 0 else f"-{imag}"
-    sep = " + " if c.im > 0 else " - "
-    return format_fraction(c.re) + sep + imag
+    return _scalar_text(*_scalar_parts(c))
 
 
 def _monomial_text(i: int, j: int) -> str:
@@ -521,34 +539,32 @@ def _monomial_text(i: int, j: int) -> str:
     return "*".join(parts)
 
 
-def _term_text(i: int, j: int, c: GaussianRational) -> tuple[bool, str]:
-    """Return (negative, magnitude_text) for one term."""
+def _term_text(i: int, j: int, re: int, im: int, den: int) -> tuple[bool, str]:
+    """Return (negative, magnitude_text) for the term (re + im*i)/den * z^i * zbar^j."""
     mono = _monomial_text(i, j)
     if not mono:
-        # Constant term: print the scalar as-is; a mixed scalar keeps its
-        # own internal signs and always joins with " + ".
-        if c.is_real or not c.re:
-            negative = (c.re or c.im) < 0
-            return negative, format_scalar(-c if negative else c)
-        return False, format_scalar(c)
-    if c.is_real:
-        mag = abs(c.re)
-        coeff = "" if mag == 1 else f"{format_fraction(mag)}*"
-        return c.re < 0, coeff + mono
-    if not c.re:
-        mag = abs(c.im)
-        coeff = "i*" if mag == 1 else f"{format_fraction(mag)}*i*"
-        return c.im < 0, coeff + mono
-    return False, f"({format_scalar(c)})*{mono}"
+        # The constant term always sorts first, so it prints as the
+        # standalone scalar with its own signs.
+        return False, _scalar_text(re, im, den)
+    if not im:
+        mag = abs(re)
+        coeff = "" if mag == den else f"{_fraction_text(mag, den)}*"
+        return re < 0, coeff + mono
+    if not re:
+        mag = abs(im)
+        coeff = "i*" if mag == den else f"{_fraction_text(mag, den)}*i*"
+        return im < 0, coeff + mono
+    return False, f"({_scalar_text(re, im, den)})*{mono}"
 
 
 def canonical_print(f: BiPoly) -> str:
     """Deterministic text for f; the zero mapping prints as "0"."""
     if f.is_zero:
         return "0"
+    num, den = f._num, f._den
     pieces = []
-    for (i, j) in sorted(f.terms, key=lambda key: (key[0] + key[1], key[0])):
-        negative, text = _term_text(i, j, f.terms[(i, j)])
+    for (i, j) in sorted(num, key=lambda key: (key[0] + key[1], key[0])):
+        negative, text = _term_text(i, j, *num[(i, j)], den)
         if not pieces:
             pieces.append(("-" if negative else "") + text)
         else:

@@ -402,14 +402,14 @@ def _cmd_fdcheck(args) -> int:
     if args.m is not None:
         h = args.h if args.h is not None else numeric.DEFAULT_EXP_H
         rel = args.tol_rel if args.tol_rel is not None else numeric.EXP_REL_TOL
-        reports = [numeric.exp_identity_check(f, args.m, pt, h) for pt in points]
+        reports = numeric.exp_identity_check(f, args.m, points, h)
         ok = all(numeric.exp_within_tolerance(r, f, args.m, rel) for r in reports)
         mode_payload = {"m": args.m}
     else:
         h = args.h if args.h is not None else numeric.DEFAULT_H
         abs_tol = args.tol_abs if args.tol_abs is not None else numeric.FD_ABS_TOL
         rel = args.tol_rel if args.tol_rel is not None else numeric.FD_REL_TOL
-        reports = [numeric.fd_laplacian(f, pt, h) for pt in points]
+        reports = numeric.fd_laplacian(f, points, h)
         ok = all(numeric.fd_within_tolerance(r, abs_tol, rel) for r in reports)
         mode_payload = {}
     max_error = max(r.abs_error for r in reports)

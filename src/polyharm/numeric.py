@@ -5,12 +5,17 @@ stencil (the formal operator equals the plain 2-D Laplacian), and the
 exponential identity behind the order-2 obstruction polynomial is checked
 numerically since exp(m*f) itself lives outside the polynomial ring.
 Points are sampled inside the unit disk to keep conditioning sane.
+
+Both checks take a sequence of points and return one report per point;
+the symbolic side and every mapping's float coefficients are computed
+once per call, not once per point.
 """
 
 import cmath
 from dataclasses import dataclass
+from typing import Sequence
 
-from .bipoly import BiPoly, _horner
+from .bipoly import BiPoly
 from .gen import SplitMix64
 from .theorems import a_m
 from .wirtinger import laplacian
@@ -31,14 +36,42 @@ class FdReport:
     abs_error: float
 
 
-def eval_float(f: BiPoly, point: complex) -> complex:
-    """Horner-style evaluation in z and conj(point) with double precision.
+def _float_rows(f: BiPoly) -> list:
+    """f's coefficients as complex floats, one row per power of z from deg_z down.
 
-    Each coefficient part is the correctly rounded quotient of its numerator
-    and the common denominator, as float(Fraction) would give.
+    Row i lists c_ij for j from its largest exponent down to 0, with 0j for
+    absent terms; an empty row stands for a power of z with no terms.  Each
+    part is the correctly rounded quotient of its numerator and the common
+    denominator, as float(Fraction) would give.
     """
+    if f.is_zero:
+        return []
+    den = f.denominator
+    rows: dict[int, dict] = {}
+    for (i, j), (re, im) in f.numerators.items():
+        rows.setdefault(i, {})[j] = complex(re / den, im / den)
+    return [
+        [row.get(j, 0j) for j in range(max(row), -1, -1)] if (row := rows.get(i)) else []
+        for i in range(f.deg_z, -1, -1)
+    ]
+
+
+def _eval_rows(rows: list, point: complex) -> complex:
+    """Horner's rule in z = point and zbar = conj(point) over _float_rows."""
     z = complex(point)
-    return _horner(f, z, z.conjugate(), lambda re, im, den: complex(re / den, im / den))
+    zbar = z.conjugate()
+    total = 0j
+    for row in rows:
+        row_value = 0j
+        for c in row:
+            row_value = row_value * zbar + c
+        total = total * z + row_value
+    return total
+
+
+def eval_float(f: BiPoly, point: complex) -> complex:
+    """Horner-style evaluation in z and conj(point) with double precision."""
+    return _eval_rows(_float_rows(f), point)
 
 
 def _stencil(fn, point: complex, h: float) -> complex:
@@ -47,21 +80,28 @@ def _stencil(fn, point: complex, h: float) -> complex:
     ) / (h * h)
 
 
-def fd_laplacian(f: BiPoly, point: complex, h: float = DEFAULT_H) -> FdReport:
-    """Compare the symbolic Laplacian with the 5-point stencil at one point."""
+def fd_laplacian(f: BiPoly, points: Sequence[complex], h: float = DEFAULT_H) -> list[FdReport]:
+    """Compare the symbolic Laplacian with the 5-point stencil at each point."""
     if h <= 0:
         raise ValueError("h must be positive")
-    symbolic = eval_float(laplacian(f, 1), point)
-    fd = _stencil(lambda w: eval_float(f, w), point, h)
-    return FdReport(complex(point), h, symbolic, fd, abs(symbolic - fd))
+    rows = _float_rows(f)
+    symbolic_rows = _float_rows(laplacian(f, 1))
+    reports = []
+    for point in points:
+        symbolic = _eval_rows(symbolic_rows, point)
+        fd = _stencil(lambda w: _eval_rows(rows, w), point, h)
+        reports.append(FdReport(complex(point), h, symbolic, fd, abs(symbolic - fd)))
+    return reports
 
 
 def fd_within_tolerance(report: FdReport, abs_tol: float = FD_ABS_TOL, rel_tol: float = FD_REL_TOL) -> bool:
     return report.abs_error <= max(abs_tol, rel_tol * abs(report.symbolic_value))
 
 
-def exp_identity_check(f: BiPoly, m: int, point: complex, h: float = DEFAULT_EXP_H) -> FdReport:
-    """Nested-stencil check of the double Laplacian of w -> exp(m*f(w)).
+def exp_identity_check(
+    f: BiPoly, m: int, points: Sequence[complex], h: float = DEFAULT_EXP_H
+) -> list[FdReport]:
+    """Nested-stencil check of the double Laplacian of w -> exp(m*f(w)) at each point.
 
     The symbolic side is 16*m^2*exp(m*f(point)) times the obstruction
     polynomial a_m(f, m) at the point.  The identity it checks is exact
@@ -75,12 +115,18 @@ def exp_identity_check(f: BiPoly, m: int, point: complex, h: float = DEFAULT_EXP
     if not isinstance(m, int) or m == 0 or abs(m) > 3:
         raise ValueError("m must be a nonzero integer with |m| <= 3")
 
-    def phi(w: complex) -> complex:
-        return cmath.exp(m * eval_float(f, w))
+    rows = _float_rows(f)
+    obstruction_rows = _float_rows(a_m(f, m))
 
-    fd = _stencil(lambda w: _stencil(phi, w, h), point, h)
-    symbolic = 16.0 * m * m * phi(complex(point)) * eval_float(a_m(f, m), point)
-    return FdReport(complex(point), h, symbolic, fd, abs(symbolic - fd))
+    def phi(w: complex) -> complex:
+        return cmath.exp(m * _eval_rows(rows, w))
+
+    reports = []
+    for point in points:
+        fd = _stencil(lambda w: _stencil(phi, w, h), point, h)
+        symbolic = 16.0 * m * m * phi(complex(point)) * _eval_rows(obstruction_rows, point)
+        reports.append(FdReport(complex(point), h, symbolic, fd, abs(symbolic - fd)))
+    return reports
 
 
 def exp_within_tolerance(report: FdReport, f: BiPoly, m: int, rel_tol: float = EXP_REL_TOL) -> bool:

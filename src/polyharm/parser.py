@@ -12,6 +12,11 @@ Grammar (whitespace insignificant):
 There is no unary minus node: a leading "-" is binary subtraction with an
 implicit 0 on the left.  Implicit multiplication ("2z") is rejected.
 Rejections carry a byte offset and the set of expected tokens.
+
+While parsing, each node carries upper bounds of its degrees in z and in
+zbar.  A "^", "*" or "abs2" whose result could hold more than TERM_BUDGET
+terms, (deg_z + 1) * (deg_zbar + 1) by those bounds, is rejected at its
+offset before anything is built.
 """
 
 from dataclasses import dataclass
@@ -20,6 +25,9 @@ from typing import Union
 
 from .bipoly import BiPoly, GR_I, canonical_print
 from .errors import DivisionByZero, ParseError
+
+# (1+z+zbar)^63 is the largest power of that trinomial within the budget.
+TERM_BUDGET = 4096
 
 # --- AST -------------------------------------------------------------------
 
@@ -159,34 +167,52 @@ class _Parser:
             )
         return self.advance()
 
-    def parse_expr(self) -> ExprAst:
+    def check_budget(self, tok: _Token, degrees: tuple[int, int]) -> tuple[int, int]:
+        """degrees, or a ParseError at tok when they could exceed TERM_BUDGET terms."""
+        size = (degrees[0] + 1) * (degrees[1] + 1)
+        if size > TERM_BUDGET:
+            raise ParseError(
+                f"{tok.text!r} could give up to {size} terms, over the budget of {TERM_BUDGET}",
+                tok.position,
+            )
+        return degrees
+
+    # Each parse_* returns (node, (deg_z bound, deg_zbar bound)).
+
+    def parse_expr(self) -> tuple[ExprAst, tuple[int, int]]:
         if self.peek().kind == "-":
             self.advance()
-            node: ExprAst = Sub(RationalLit(Fraction(0)), self.parse_term())
+            right, degrees = self.parse_term()
+            node: ExprAst = Sub(RationalLit(Fraction(0)), right)
         else:
-            node = self.parse_term()
+            node, degrees = self.parse_term()
         while self.peek().kind in ("+", "-"):
             op = self.advance().kind
-            right = self.parse_term()
+            right, (dz, dzbar) = self.parse_term()
             node = Add(node, right) if op == "+" else Sub(node, right)
-        return node
+            degrees = (max(degrees[0], dz), max(degrees[1], dzbar))
+        return node, degrees
 
-    def parse_term(self) -> ExprAst:
-        node = self.parse_factor()
+    def parse_term(self) -> tuple[ExprAst, tuple[int, int]]:
+        node, degrees = self.parse_factor()
         while self.peek().kind == "*":
-            self.advance()
-            node = Mul(node, self.parse_factor())
-        return node
+            star = self.advance()
+            right, (dz, dzbar) = self.parse_factor()
+            node = Mul(node, right)
+            degrees = self.check_budget(star, (degrees[0] + dz, degrees[1] + dzbar))
+        return node, degrees
 
-    def parse_factor(self) -> ExprAst:
-        node = self.parse_atom()
+    def parse_factor(self) -> tuple[ExprAst, tuple[int, int]]:
+        node, degrees = self.parse_atom()
         if self.peek().kind == "^":
-            self.advance()
+            caret = self.advance()
             tok = self.expect("int", "integer exponent")
-            node = Pow(node, int(tok.text))
-        return node
+            n = int(tok.text)
+            node = Pow(node, n)
+            degrees = self.check_budget(caret, (degrees[0] * n, degrees[1] * n))
+        return node, degrees
 
-    def parse_atom(self) -> ExprAst:
+    def parse_atom(self) -> tuple[ExprAst, tuple[int, int]]:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
@@ -197,27 +223,29 @@ class _Parser:
                 if int(den_tok.text) == 0:
                     raise DivisionByZero(den_tok.position)
                 value = Fraction(int(tok.text), int(den_tok.text))
-            return RationalLit(value)
+            return RationalLit(value), (0, 0)
         if tok.kind == "z":
             self.advance()
-            return VarZ()
+            return VarZ(), (1, 0)
         if tok.kind == "zbar":
             self.advance()
-            return VarZbar()
+            return VarZbar(), (0, 1)
         if tok.kind == "i":
             self.advance()
-            return ImagUnit()
+            return ImagUnit(), (0, 0)
         if tok.kind in ("conj", "abs2"):
             self.advance()
             self.expect("(")
-            inner = self.parse_expr()
+            inner, (dz, dzbar) = self.parse_expr()
             self.expect(")")
-            return Conj(inner) if tok.kind == "conj" else Abs2(inner)
+            if tok.kind == "conj":
+                return Conj(inner), (dzbar, dz)
+            return Abs2(inner), self.check_budget(tok, (dz + dzbar, dz + dzbar))
         if tok.kind == "(":
             self.advance()
-            inner = self.parse_expr()
+            inner, degrees = self.parse_expr()
             self.expect(")")
-            return inner
+            return inner, degrees
         raise ParseError(
             f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
             tok.position,
@@ -228,7 +256,7 @@ class _Parser:
 def parse_ast(text: str) -> ExprAst:
     """Parse text to an ExprAst, or raise ParseError with a byte offset."""
     parser = _Parser(_tokenize(text))
-    node = parser.parse_expr()
+    node, _ = parser.parse_expr()
     trailing = parser.peek()
     if trailing.kind != "end":
         raise ParseError(

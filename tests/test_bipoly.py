@@ -1,7 +1,9 @@
 from fractions import Fraction
+from math import lcm
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from polyharm.bipoly import (
     BiPoly,
@@ -232,6 +234,125 @@ def test_format_scalar():
     assert format_scalar(-GR_I) == "-i"
     assert format_scalar(GaussianRational(0, Fraction(3, 4))) == "3/4*i"
     assert format_scalar(GaussianRational(1, -1)) == "1 - i"
+
+
+# --- differential checks against the Fraction algorithms ----------------------
+#
+# canonical_print, format_scalar and eval_exact read the integer numerators
+# directly; these references compute the same things from the
+# GaussianRational ``terms`` view, the way the printer and evaluator did
+# before they moved onto the integers.
+
+
+def _ref_fraction(q: Fraction) -> str:
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def _ref_scalar(c: GaussianRational) -> str:
+    if c.is_zero:
+        return "0"
+    if not c.im:
+        return _ref_fraction(c.re)
+    imag = "i" if abs(c.im) == 1 else f"{_ref_fraction(abs(c.im))}*i"
+    if not c.re:
+        return imag if c.im > 0 else f"-{imag}"
+    return _ref_fraction(c.re) + (" + " if c.im > 0 else " - ") + imag
+
+
+def _ref_monomial(i: int, j: int) -> str:
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in (("z", i), ("zbar", j)) if e)
+
+
+def _ref_term(i: int, j: int, c: GaussianRational) -> tuple[bool, str]:
+    mono = _ref_monomial(i, j)
+    if not mono:
+        if c.is_real or not c.re:
+            negative = (c.re or c.im) < 0
+            return negative, _ref_scalar(-c if negative else c)
+        return False, _ref_scalar(c)
+    if c.is_real:
+        mag = abs(c.re)
+        return c.re < 0, ("" if mag == 1 else f"{_ref_fraction(mag)}*") + mono
+    if not c.re:
+        mag = abs(c.im)
+        return c.im < 0, ("i*" if mag == 1 else f"{_ref_fraction(mag)}*i*") + mono
+    return False, f"({_ref_scalar(c)})*{mono}"
+
+
+def _ref_print(f: BiPoly) -> str:
+    if f.is_zero:
+        return "0"
+    pieces = []
+    for i, j in sorted(f.terms, key=lambda key: (key[0] + key[1], key[0])):
+        negative, text = _ref_term(i, j, f.terms[(i, j)])
+        if pieces:
+            pieces.append((" - " if negative else " + ") + text)
+        else:
+            pieces.append(("-" if negative else "") + text)
+    return "".join(pieces)
+
+
+def _ref_eval(f: BiPoly, p: GaussianRational) -> GaussianRational:
+    total = GaussianRational(0)
+    for (i, j), c in f.terms.items():
+        total = total + c * p**i * p.conjugate() ** j
+    return total
+
+
+# Scalars the printer treats specially, next to arbitrary small ones.
+_special_scalars = st.sampled_from(
+    [
+        GR_I,
+        -GR_I,
+        GR_ONE,
+        -GR_ONE,
+        GaussianRational(0, Fraction(-3, 2)),
+        GaussianRational(Fraction(1, 2), -1),
+        GaussianRational(-2, 1),
+        GaussianRational(Fraction(-5, 6), Fraction(-7, 4)),
+        GaussianRational(Fraction(12, 5)),
+    ]
+)
+_print_scalars = st.one_of(scalars, _special_scalars)
+_print_polys = st.builds(
+    BiPoly,
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), _print_scalars, max_size=6
+    ),
+)
+# Points p/d with a Gaussian integer p and d > 1.
+_fractional_points = st.builds(
+    GaussianRational,
+    st.fractions(min_value=-3, max_value=3, max_denominator=9),
+    st.fractions(min_value=-3, max_value=3, max_denominator=9),
+).filter(lambda p: lcm(p.re.denominator, p.im.denominator) > 1)
+
+
+@given(_print_polys)
+@example(BiPoly.zero())
+@example(BiPoly.constant(GaussianRational(Fraction(1, 2), Fraction(-3, 4))))
+@example(BiPoly.constant(GaussianRational(-1, 1)))
+@example(BiPoly({(0, 0): GR_I, (1, 0): -GR_I, (0, 1): GaussianRational(0, -2)}))
+def test_canonical_print_matches_fraction_reference(f):
+    assert canonical_print(f) == _ref_print(f)
+
+
+@given(_print_scalars)
+@example(GaussianRational(0))
+def test_format_scalar_matches_fraction_reference(c):
+    assert format_scalar(c) == _ref_scalar(c)
+
+
+@given(_print_polys, _fractional_points)
+def test_eval_exact_matches_term_sum_at_fractional_points(f, p):
+    assert eval_exact(f, p) == _ref_eval(f, p)
+
+
+@given(bipoly_any, st.one_of(scalars, _special_scalars))
+@example(BiPoly.zero(), GaussianRational(Fraction(1, 3), Fraction(1, 2)))
+@example(Z**3 * ZBAR**2 - ZBAR * Fraction(1, 2) + GR_I, GaussianRational(0))
+def test_eval_exact_matches_term_sum(f, p):
+    assert eval_exact(f, p) == _ref_eval(f, p)
 
 
 # --- hashing / equality --------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -177,6 +178,16 @@ def test_parse_error_exit_code_and_position(capsys):
     assert code == 2
     assert out == ""
     assert "offset 1" in err
+
+
+@pytest.mark.parametrize("expr, offset", [("(1+z+zbar)^400", 10), ("((1+z+zbar)^20)^20", 15)])
+def test_oversized_input_is_parse_error_with_position(capsys, expr, offset):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "order", expr)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: '^' could give up to 160801 terms")
+    assert f"at offset {offset}" in err
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,8 +1,9 @@
 """Golden transcript of the CLI: stdout, stderr and exit code per call.
 
 The calls are every README CLI example, in text form and with --json
-(the verify and conjecture case counts cut to 20), plus one call down
-each error path: a parse error with its offset, a usage error raised by a
+(the verify and conjecture case counts cut to 20), the same for a few
+calls whose output has fractional, negative and mixed coefficients or
+floating-point errors, plus one call down each error path: a parse error with its offset, a usage error raised by a
 handler, an argparse error, and --help.  The whole list is replayed twice
 in one process, forward and then reversed, so that state carried from one
 call to the next through the shared parser would show up as a mismatch.
@@ -41,6 +42,17 @@ README_CALLS = [
     ["fdcheck", "z*zbar", "--m", "1"],
 ]
 
+# Outputs with fractional, negative, unit-imaginary and mixed coefficients,
+# and the fdcheck reports' floats, which the README calls do not exercise.
+EDGE_CALLS = [
+    ["eval", "z^2*zbar^3 + z", "--at=-1/2,3/4"],
+    ["eval", "(1/2 - 3/4*i) + 2*z*zbar - i*z^2", "--at", "1/3,-2"],
+    ["compose", "1/2*z^2 - 3/5*zbar - i*z*zbar + i", "z - 1/3 + i*zbar^2"],
+    ["laplacian", "(1/2 - 3/4*i)*z^2*zbar^3 - 5/3*z*zbar^3 - 1/3*i*z^2*zbar^2 + 7/2*z*zbar - i*z*zbar^2"],
+    ["fdcheck", "z^3*zbar^2 - 1/2*z*zbar^2 + (1/3 + i)*z", "--points", "7", "--seed", "11"],
+    ["fdcheck", "z^2*zbar - 1/2*z*zbar^2 + (1/3 + i)*z", "--m", "2", "--points", "7", "--seed", "11"],
+]
+
 ERROR_CALLS = [
     ["order", "z^"],
     ["witness", "--theorem", "1a", "z"],
@@ -49,7 +61,7 @@ ERROR_CALLS = [
 ]
 
 CALLS = (
-    [argv for call in README_CALLS for argv in (call, call + ["--json"])]
+    [argv for call in README_CALLS + EDGE_CALLS for argv in (call, call + ["--json"])]
     + ERROR_CALLS
 )
 

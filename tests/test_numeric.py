@@ -1,12 +1,15 @@
 import cmath
 import math
+from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from polyharm.bipoly import BiPoly, GaussianRational, eval_exact
 from polyharm.gen import gen_bipoly, spawn
 from polyharm.numeric import (
+    FdReport,
     eval_float,
     exp_identity_check,
     exp_within_tolerance,
@@ -14,8 +17,9 @@ from polyharm.numeric import (
     fd_within_tolerance,
     sample_points,
 )
+from polyharm.theorems import a_m
 from polyharm.wirtinger import laplacian
-from strategies import bipoly_any, scalars
+from strategies import bipoly_any, bipoly_small, scalars
 
 Z = BiPoly.z()
 ZBAR = BiPoly.zbar()
@@ -67,7 +71,7 @@ def test_eval_float_tracks_eval_exact_at_full_coefficient_range():
 
 
 def test_fd_laplacian_quadratic_is_nearly_exact():
-    report = fd_laplacian(Z * ZBAR, 0.3 - 0.1j, 1e-4)
+    [report] = fd_laplacian(Z * ZBAR, [0.3 - 0.1j], 1e-4)
     assert report.symbolic_value == pytest.approx(4.0)
     assert report.abs_error <= 1e-6
 
@@ -75,20 +79,20 @@ def test_fd_laplacian_quadratic_is_nearly_exact():
 def test_fd_laplacian_matches_symbolic_derivative():
     f = Z**2 * ZBAR**3
     point = 0.3 + 0.2j
-    report = fd_laplacian(f, point, 1e-4)
+    [report] = fd_laplacian(f, [point], 1e-4)
     expected = eval_float(Z * ZBAR**2 * 24, point)
     assert report.symbolic_value == pytest.approx(expected)
     assert report.abs_error <= 1e-5
 
 
 def test_fd_laplacian_on_harmonic_is_tiny():
-    report = fd_laplacian(Z**5, 0.4 + 0.25j, 1e-4)
+    [report] = fd_laplacian(Z**5, [0.4 + 0.25j], 1e-4)
     assert report.symbolic_value == 0
     assert abs(report.fd_value) <= 1e-5
 
 
 def test_fd_reports_are_consistent():
-    report = fd_laplacian(Z * ZBAR**2, 0.2 + 0.2j)
+    [report] = fd_laplacian(Z * ZBAR**2, [0.2 + 0.2j])
     assert report.abs_error == abs(report.symbolic_value - report.fd_value)
     assert report.h == 1e-4
 
@@ -96,17 +100,16 @@ def test_fd_reports_are_consistent():
 def test_fd_seeded_sample():
     for index in range(30):
         f = gen_bipoly(spawn(31, index), 6)
-        for point in sample_points(spawn(37, index), 3):
-            report = fd_laplacian(f, point, 1e-4)
-            assert fd_within_tolerance(report), (f, point, report.abs_error)
+        for report in fd_laplacian(f, sample_points(spawn(37, index), 3), 1e-4):
+            assert fd_within_tolerance(report), (f, report.point, report.abs_error)
 
 
 def test_stencil_second_order_convergence():
     # truncation-dominated regime: the error ratio under h -> h/2 sits near 4
     f = Z**3 * ZBAR**3
     point = 0.4 + 0.3j
-    coarse = fd_laplacian(f, point, 2e-2)
-    fine = fd_laplacian(f, point, 1e-2)
+    [coarse] = fd_laplacian(f, [point], 2e-2)
+    [fine] = fd_laplacian(f, [point], 1e-2)
     assert coarse.abs_error > 0 and fine.abs_error > 0
     ratio = coarse.abs_error / fine.abs_error
     assert 3.0 <= ratio <= 5.0
@@ -114,11 +117,11 @@ def test_stencil_second_order_convergence():
 
 def test_fd_validation():
     with pytest.raises(ValueError):
-        fd_laplacian(Z, 0j, 0.0)
+        fd_laplacian(Z, [0j], 0.0)
 
 
 def test_exp_identity_analytic_input_vanishes():
-    report = exp_identity_check(Z, 1, 0.2 + 0.1j, 1e-3)
+    [report] = exp_identity_check(Z, 1, [0.2 + 0.1j], 1e-3)
     assert report.symbolic_value == 0
     assert exp_within_tolerance(report, Z, 1)
 
@@ -127,7 +130,7 @@ def test_exp_identity_hand_value():
     # at |z|^2 = 1/4 the obstruction 2 + 4|z|^2 + |z|^4 evaluates to 49/16
     f = Z * ZBAR
     point = 0.5 + 0.0j
-    report = exp_identity_check(f, 1, point, 1e-3)
+    [report] = exp_identity_check(f, 1, [point], 1e-3)
     expected = 16.0 * math.exp(0.25) * (49.0 / 16.0)
     assert report.symbolic_value == pytest.approx(expected)
     assert report.abs_error <= 1e-2 * abs(report.symbolic_value)
@@ -136,13 +139,13 @@ def test_exp_identity_hand_value():
 def test_exp_identity_m_two_consistent():
     f = Z * ZBAR
     point = 0.4 + 0.1j
-    report = exp_identity_check(f, 2, point, 1e-3)
+    [report] = exp_identity_check(f, 2, [point], 1e-3)
     assert exp_within_tolerance(report, f, 2)
 
 
 def test_exp_identity_holds_across_biharmonic_shapes():
     f = Z**2 * ZBAR + Z * ZBAR**2 - ZBAR
-    report = exp_identity_check(f, 1, 0.3 - 0.2j, 1e-3)
+    [report] = exp_identity_check(f, 1, [0.3 - 0.2j], 1e-3)
     assert exp_within_tolerance(report, f, 1)
 
 
@@ -154,7 +157,7 @@ def test_exp_identity_discrepancy_outside_biharmonic_domain():
     f = BiPoly.monomial(2, 2)
     m = 1
     point = 0.2 + 0.1j
-    report = exp_identity_check(f, m, point, 1e-3)
+    [report] = exp_identity_check(f, m, [point], 1e-3)
     fourth_mixed = eval_float(laplacian(f, 2), point) / 16.0
     offset = 16.0 * m * cmath.exp(m * eval_float(f, point)) * fourth_mixed
     assert abs(report.fd_value - (report.symbolic_value + offset)) <= 1e-2 * abs(offset)
@@ -162,14 +165,101 @@ def test_exp_identity_discrepancy_outside_biharmonic_domain():
 
 def test_exp_identity_validation():
     with pytest.raises(ValueError):
-        exp_identity_check(Z, 0, 0j)
+        exp_identity_check(Z, 0, [0j])
     with pytest.raises(ValueError):
-        exp_identity_check(Z, 4, 0j)
+        exp_identity_check(Z, 4, [0j])
     with pytest.raises(ValueError):
-        exp_identity_check(Z, 1, 0j, -1.0)
+        exp_identity_check(Z, 1, [0j], -1.0)
 
 
 def test_sample_points_deterministic_and_in_disk():
     points = sample_points(5, 20)
     assert points == sample_points(5, 20)
     assert all(abs(p) < 1.0 for p in points)
+
+
+# --- point sequences against the per-point formulas --------------------------
+#
+# fd_laplacian and exp_identity_check build each float coefficient table
+# once per call; every report must still equal, bit for bit, the formula
+# evaluated point by point through eval_float.
+
+
+def _bits(value: complex) -> tuple[str, str]:
+    value = complex(value)
+    return value.real.hex(), value.imag.hex()
+
+
+def _report_bits(report: FdReport) -> tuple:
+    return (
+        _bits(report.point),
+        report.h.hex(),
+        _bits(report.symbolic_value),
+        _bits(report.fd_value),
+        report.abs_error.hex(),
+    )
+
+
+def _ref_stencil(fn, point, h):
+    return (fn(point + h) + fn(point - h) + fn(point + 1j * h) + fn(point - 1j * h) - 4.0 * fn(point)) / (h * h)
+
+
+def _ref_eval_float(f: BiPoly, point) -> complex:
+    # Horner over the terms view: rows of z^i from the top, zbar powers
+    # from each row's top, as eval_float has always ordered them.
+    z = complex(point)
+    zbar = z.conjugate()
+    rows = {}
+    for (i, j), c in f.terms.items():
+        rows.setdefault(i, {})[j] = complex(float(c.re), float(c.im))
+    total = 0j
+    for i in range(f.deg_z, -1, -1):
+        row = rows.get(i, {})
+        row_value = 0j
+        for j in range(max(row, default=-1), -1, -1):
+            row_value = row_value * zbar + row.get(j, 0j)
+        total = total * z + row_value
+    return total
+
+
+_disk_points = st.lists(
+    st.complex_numbers(max_magnitude=0.6, allow_nan=False, allow_infinity=False), max_size=4
+)
+_steps = st.sampled_from([1e-4, 1e-3, 1e-2])
+
+
+@given(bipoly_any, st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False))
+@example(BiPoly.zero(), -0.5 + 0.25j)
+def test_eval_float_matches_term_horner_bit_for_bit(f, point):
+    assert _bits(eval_float(f, point)) == _bits(_ref_eval_float(f, point))
+
+
+@given(bipoly_any, _disk_points, _steps)
+@example(BiPoly.zero(), [0.1 - 0.2j], 1e-4)
+@example(Z**3 * ZBAR**2 - ZBAR * GaussianRational(0, 1), sample_points(11, 7), 1e-4)
+def test_fd_laplacian_reports_match_per_point_formula(f, points, h):
+    reports = fd_laplacian(f, points, h)
+    assert len(reports) == len(points)
+    lap = laplacian(f, 1)
+    for report, point in zip(reports, points):
+        symbolic = eval_float(lap, point)
+        fd = _ref_stencil(lambda w: eval_float(f, w), point, h)
+        expected = FdReport(complex(point), h, symbolic, fd, abs(symbolic - fd))
+        assert _report_bits(report) == _report_bits(expected)
+
+
+@given(bipoly_small, st.sampled_from([1, -1, 2, -2, 3, -3]), _disk_points, _steps)
+@example(Z**2 * ZBAR - ZBAR**2 * Fraction(1, 2), 2, sample_points(11, 7), 1e-3)
+def test_exp_identity_reports_match_per_point_formula(f, m, points, h):
+    reports = exp_identity_check(f, m, points, h)
+    assert len(reports) == len(points)
+    obstruction = a_m(f, m)
+
+    def phi(w):
+        return cmath.exp(m * eval_float(f, w))
+
+    for report, point in zip(reports, points):
+        fd = _ref_stencil(lambda w: _ref_stencil(phi, w, h), point, h)
+        symbolic = 16.0 * m * m * phi(complex(point)) * eval_float(obstruction, point)
+        expected = FdReport(complex(point), h, symbolic, fd, abs(symbolic - fd))
+        assert _report_bits(report) == _report_bits(expected)

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,8 @@ from hypothesis import given
 
 from polyharm.bipoly import BiPoly, GR_I, GaussianRational
 from polyharm.errors import DivisionByZero, ParseError
-from polyharm.parser import Pow, RationalLit, Sub, parse, parse_ast, unparse
+from polyharm import parser
+from polyharm.parser import TERM_BUDGET, Pow, RationalLit, Sub, parse, parse_ast, unparse
 from strategies import bipoly_any
 
 Z = BiPoly.z()
@@ -88,6 +90,46 @@ def test_error_carries_expected_set():
     with pytest.raises(ParseError) as info:
         parse("conj z")
     assert "(" in info.value.expected
+
+
+# --- size budget ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("(1+z+zbar)^400", 10),
+        ("((1+z+zbar)^20)^20", 15),
+        ("(1+z+zbar)^40 * (1+z+zbar)^30", 14),
+        ("abs2((1+z)^40*zbar^30)", 0),
+        ("z^64*zbar^63", 4),
+        (f"z^{TERM_BUDGET}", 1),
+        ("conj(z^70)*z^70", 10),
+    ],
+)
+def test_budget_rejects_at_the_operator(monkeypatch, text, offset):
+    def no_lowering(node):
+        raise AssertionError("lower ran on an input over the budget")
+
+    monkeypatch.setattr(parser, "lower", no_lowering)
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert time.perf_counter() - start < 1.0
+    assert info.value.position == offset
+    assert f"budget of {TERM_BUDGET}" in str(info.value)
+
+
+def test_budget_admits_inputs_at_its_edge():
+    for text in ("z^63*zbar^63", f"z^{TERM_BUDGET - 1}", "abs2((1+z)^40*zbar^23)", "conj(z^63)*z^63"):
+        parse_ast(text)
+
+
+def test_budget_keeps_large_accepted_inputs():
+    f = parse("(1+z+zbar)^60")
+    assert len(f.numerators) == 61 * 62 // 2 and f.deg_z == f.deg_zbar == 60
+    assert parse("(3 + (-2)*z + (1 - 2*i)*zbar)^13").deg_zbar == 13
+    assert parse("abs2((-3 + 2*i) + 1*z + (2 - i)*z^2)^5").deg_z == 10
 
 
 @given(bipoly_any)
