@@ -6,7 +6,6 @@ from .bipoly import (
     GaussianRational,
     canonical_print,
     compose,
-    conjugate,
     eval_exact,
     mul,
     unit_circle_point,

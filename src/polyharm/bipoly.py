@@ -26,11 +26,14 @@ Every value is immutable after construction and every operation is a pure
 function, so objects can be shared freely across workers.
 """
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
+
+from .errors import IntegerTooLong
 
 Rationalish = Union[int, Fraction]
 
@@ -171,13 +174,11 @@ class BiPoly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         parts = []
         for key, coeff in items:
-            i, j = key
-            if not (isinstance(i, int) and isinstance(j, int)) or i < 0 or j < 0:
-                raise ValueError(f"exponents must be nonnegative integers, got {key!r}")
+            key = _exponents(key)
             c = _scalar_parts(coeff)
             if c is None:
                 raise TypeError(f"coefficient must be rational-like, got {coeff!r}")
-            parts.append(((i, j), c))
+            parts.append((key, c))
         f = _from_parts(parts)
         self._num = f._num
         self._den = f._den
@@ -206,7 +207,9 @@ class BiPoly:
 
     @classmethod
     def monomial(cls, i: int, j: int, coeff=1) -> "BiPoly":
-        return cls({(i, j): coeff})
+        if not (isinstance(coeff, int) and coeff == 1):
+            return cls({(i, j): coeff})
+        return _make({_exponents((i, j)): (1, 0)}, 1)
 
     @property
     def terms(self) -> Mapping[tuple[int, int], GaussianRational]:
@@ -318,6 +321,13 @@ class BiPoly:
         return f"BiPoly({canonical_print(self)!r})"
 
 
+def _exponents(key) -> tuple[int, int]:
+    i, j = key
+    if not (isinstance(i, int) and isinstance(j, int)) or i < 0 or j < 0:
+        raise ValueError(f"exponents must be nonnegative integers, got {key!r}")
+    return i, j
+
+
 def _make(num: dict, den: int) -> BiPoly:
     # Internal constructor for a numerator map and denominator already in normal form.
     p = BiPoly.__new__(BiPoly)
@@ -402,8 +412,26 @@ def _as_poly(value) -> "BiPoly | None":
     return BiPoly.constant(value)
 
 
+def _shift(f: BiPoly, di: int, dj: int, re: int, im: int, den: int) -> BiPoly:
+    """f * (re + im*i)/den * z^di * zbar^dj for a nonzero (re, im) and den > 0."""
+    if re == 1 and not im and den == 1:
+        # A unit monomial only moves the keys; f's normal form carries over.
+        return _make({(i + di, j + dj): c for (i, j), c in f._num.items()}, f._den)
+    # Gaussian integers have no zero divisors, so no numerator becomes zero.
+    if im:
+        num = {(i + di, j + dj): (a * re - b * im, a * im + b * re) for (i, j), (a, b) in f._num.items()}
+    else:
+        num = {(i + di, j + dj): (a * re, b * re) for (i, j), (a, b) in f._num.items()}
+    return _reduced(num, f._den * den)
+
+
 def mul(a: BiPoly, b: BiPoly) -> BiPoly:
     """Exact product; the result is in normal form."""
+    if len(b._num) == 1:
+        a, b = b, a
+    if len(a._num) == 1:
+        ((di, dj), (re, im)), = a._num.items()
+        return _shift(b, di, dj, re, im, a._den)
     out: dict = {}
     get = out.get
     b_items = list(b._num.items())
@@ -417,10 +445,6 @@ def mul(a: BiPoly, b: BiPoly) -> BiPoly:
                 acc[0] += r1 * r2 - m1 * m2
                 acc[1] += r1 * m2 + m1 * r2
     return _collect(out, a._den * b._den)
-
-
-def conjugate(f: BiPoly) -> BiPoly:
-    return f.conjugate()
 
 
 def compose(f: BiPoly, inner: BiPoly) -> BiPoly:
@@ -508,7 +532,13 @@ class AlmansiForm:
 def _fraction_text(n: int, d: int) -> str:
     """Text of n/d in lowest terms, for d > 0."""
     g = gcd(n, d)
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
+    try:
+        return str(n // g) if g == d else f"{n // g}/{d // g}"
+    except ValueError:
+        raise IntegerTooLong(
+            f"the result has an integer of more than {sys.get_int_max_str_digits()} digits, "
+            "the limit of sys.get_int_max_str_digits()"
+        ) from None
 
 
 def _scalar_text(re: int, im: int, den: int) -> str:

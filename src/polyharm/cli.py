@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import numeric, theorems
 from .bipoly import GaussianRational, format_scalar
 from .classify import classify
-from .errors import NotAnalytic, ParseError
+from .errors import IntegerTooLong, NotAnalytic, ParseError
 from .parser import parse, unparse
 from .wirtinger import almansi_decompose, d_dz, d_dzbar, laplacian, polyharmonic_order
 
@@ -439,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except _UsageError as exc:
+    except (_UsageError, IntegerTooLong) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,6 +29,14 @@ class UnknownSuite(PolyharmError):
     """run_suite was called with a suite name it does not know."""
 
 
+class IntegerTooLong(PolyharmError, ValueError):
+    """An integer in a result has more digits than Python converts to text.
+
+    The limit is sys.get_int_max_str_digits(); the interpreter-wide
+    setting is left as it is.
+    """
+
+
 class ParseError(PolyharmError):
     """Rejected input text, with the byte offset and the expected tokens."""
 

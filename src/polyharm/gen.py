@@ -2,16 +2,21 @@
 
 All randomness flows through a splitmix-style 64-bit stream driven by pure
 integer arithmetic, so identical (seed, parameters) give identical output
-on every platform.  Coefficient numerators and denominators are bounded
-by 16 to keep exact arithmetic tame through degree-8 compositions.
+on every platform.  Each draw steps and mixes the state inline, in one
+Python frame, and the generators build their numerator maps directly from
+the drawn integers.  tests/test_gen.py pins the draw streams and the
+generated mappings by SHA-256 digest.  Coefficient numerators and
+denominators are bounded by 16 to keep exact arithmetic tame through
+degree-8 compositions.
 
 Generated instances are never trusted by the suites: class membership is
 re-verified through the classify/wirtinger oracles at the point of use.
 """
 
 from fractions import Fraction
+from math import lcm
 
-from .bipoly import BiPoly, GaussianRational, _from_parts
+from .bipoly import BiPoly, GaussianRational, _reduced
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -37,15 +42,26 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = seed & _MASK
 
+    # next_u64, below and between each step the state and mix it inline:
+    # one Python frame per draw, the same values as _mix(state).
+
     def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK
-        return _mix(self._state)
+        x = self._state = (self._state + _GAMMA) & _MASK
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+        return x ^ (x >> 31)
 
     def below(self, n: int) -> int:
-        return self.next_u64() % n
+        x = self._state = (self._state + _GAMMA) & _MASK
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+        return (x ^ (x >> 31)) % n
 
     def between(self, lo: int, hi: int) -> int:
-        return lo + self.below(hi - lo + 1)
+        x = self._state = (self._state + _GAMMA) & _MASK
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+        return lo + (x ^ (x >> 31)) % (hi - lo + 1)
 
     def chance(self, num: int, den: int) -> bool:
         return self.below(den) < num
@@ -63,8 +79,10 @@ class SplitMix64:
     def coeff_parts(self, limit: int = COEFF_LIMIT, nonzero: bool = False) -> tuple[int, int, int]:
         """The draws of coeff() as integers (re, im, den), meaning (re + im*i)/den.
 
-        Real and imaginary parts are two fraction() draws, the second one
-        skipped with chance 1/2; no Fraction is built.
+        The real part is a numerator in [-limit, limit] over a denominator
+        in [1, limit]; the imaginary part is drawn the same way with chance
+        1/2 and is 0 otherwise.  With nonzero=True a zero value is redrawn.
+        No Fraction is built.
         """
         while True:
             re, re_den = self.between(-limit, limit), self.between(1, limit)
@@ -79,6 +97,17 @@ class SplitMix64:
         return self.next_u64() / float(1 << 64)
 
 
+def _from_draws(terms: dict) -> BiPoly:
+    """BiPoly of {(i, j): (re, im, den)} drawn by coeff_parts; zero draws are dropped.
+
+    The keys are distinct, so this is one lcm, one scaling pass and one gcd pass.
+    """
+    den = lcm(*(d for _, _, d in terms.values()))
+    return _reduced(
+        {key: (re * (den // d), im * (den // d)) for key, (re, im, d) in terms.items() if re or im}, den
+    )
+
+
 def gen_bipoly(seed: int, max_degree: int) -> BiPoly:
     """Random nonzero mapping with deg_z <= max_degree and deg_zbar <= max_degree."""
     rng = SplitMix64(seed)
@@ -86,7 +115,7 @@ def gen_bipoly(seed: int, max_degree: int) -> BiPoly:
     for _ in range(rng.between(1, 8)):
         key = (rng.between(0, max_degree), rng.between(0, max_degree))
         terms[key] = rng.coeff_parts(nonzero=True)
-    return _from_parts(terms.items())
+    return _from_draws(terms)
 
 
 def gen_analytic(seed: int, max_degree: int, *, exact_degree: bool = False) -> BiPoly:
@@ -100,7 +129,7 @@ def gen_analytic(seed: int, max_degree: int, *, exact_degree: bool = False) -> B
         if rng.chance(5, 8):
             terms[(n, 0)] = rng.coeff_parts()
     terms[(degree, 0)] = rng.coeff_parts(nonzero=True)
-    return _from_parts(terms.items())
+    return _from_draws(terms)
 
 
 def gen_harmonic(

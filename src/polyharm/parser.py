@@ -19,6 +19,7 @@ terms, (deg_z + 1) * (deg_zbar + 1) by those bounds, is rejected at its
 offset before anything is built.
 """
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -144,6 +145,18 @@ def _tokenize(text: str) -> list[_Token]:
 _ATOM_EXPECTED = ("(", "abs2", "conj", "i", "integer", "z", "zbar")
 
 
+def _int_value(tok: _Token) -> int:
+    """The value of an integer token; a ParseError at it past the int/str digit limit."""
+    try:
+        return int(tok.text)
+    except ValueError:
+        raise ParseError(
+            f"integer literal of {len(tok.text)} digits is over the limit of "
+            f"{sys.get_int_max_str_digits()} digits",
+            tok.position,
+        ) from None
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
@@ -206,8 +219,7 @@ class _Parser:
         node, degrees = self.parse_atom()
         if self.peek().kind == "^":
             caret = self.advance()
-            tok = self.expect("int", "integer exponent")
-            n = int(tok.text)
+            n = _int_value(self.expect("int", "integer exponent"))
             node = Pow(node, n)
             degrees = self.check_budget(caret, (degrees[0] * n, degrees[1] * n))
         return node, degrees
@@ -216,14 +228,14 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            value = Fraction(int(tok.text))
+            num, den = _int_value(tok), 1
             if self.peek().kind == "/":
                 self.advance()
                 den_tok = self.expect("int", "integer denominator")
-                if int(den_tok.text) == 0:
+                den = _int_value(den_tok)
+                if den == 0:
                     raise DivisionByZero(den_tok.position)
-                value = Fraction(int(tok.text), int(den_tok.text))
-            return RationalLit(value), (0, 0)
+            return RationalLit(Fraction(num, den)), (0, 0)
         if tok.kind == "z":
             self.advance()
             return VarZ(), (1, 0)

@@ -32,6 +32,7 @@ from .classify import classify, is_strictly_q_harmonic
 from .errors import InternalInconsistency, NotAnalytic, NotApplicable, UnknownSuite
 from .gen import (
     SplitMix64,
+    _from_draws,
     gen_analytic,
     gen_bipoly,
     gen_harmonic,
@@ -346,11 +347,11 @@ def _harmonic_with_degree_at_least(rng: SplitMix64, lo: int, hi: int) -> BiPoly:
 
 
 def _nonconstant_affine(rng: SplitMix64) -> BiPoly:
-    return BiPoly(
+    return _from_draws(
         {
-            (1, 0): rng.coeff(nonzero=True),
-            (0, 1): rng.coeff(),
-            (0, 0): rng.coeff(),
+            (1, 0): rng.coeff_parts(nonzero=True),
+            (0, 1): rng.coeff_parts(),
+            (0, 0): rng.coeff_parts(),
         }
     )
 
@@ -527,7 +528,7 @@ def _case_thm3(case_seed: int):
     # (b)/(c) sufficiency: constants, and degree-1 analytic f for q = 2
     q = rng.between(2, 4)
     outer = gen_strict_q_harmonic(rng.next_u64(), q, 2)
-    const = BiPoly.constant(rng.coeff())
+    const = _from_draws({(0, 0): rng.coeff_parts()})
     got = polyharmonic_order(compose(outer, const))
     if got > 1:
         return _fail(case_seed, f"outer={outer} f={const}", "constant composition", str(got))

@@ -47,7 +47,7 @@ def polyharmonic_order(f: BiPoly) -> int:
     """Least p with laplacian(f, p) == 0; the zero mapping has order 0."""
     if f.is_zero:
         return 0
-    return 1 + max(min(i, j) for i, j in f.numerators)
+    return 1 + max(map(min, f.numerators))
 
 
 def is_harmonic(f: BiPoly) -> bool:

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import hypothesis.strategies as st
 import pytest
@@ -381,3 +381,71 @@ def test_common_factor_removed():
         assert result == expected and hash(result) == hash(expected)
         assert result.denominator == denominator
         assert_normal_form(result)
+
+
+# --- one-term products ---------------------------------------------------------
+
+
+def _reference_mul(a: BiPoly, b: BiPoly) -> BiPoly:
+    """The general double loop over the numerators, with no one-term shortcut."""
+    out: dict = {}
+    for (i1, j1), (r1, m1) in a.numerators.items():
+        for (i2, j2), (r2, m2) in b.numerators.items():
+            re, im = out.get((i1 + i2, j1 + j2), (0, 0))
+            out[(i1 + i2, j1 + j2)] = (re + r1 * r2 - m1 * m2, im + r1 * m2 + m1 * r2)
+    den = a.denominator * b.denominator
+    return BiPoly({key: GaussianRational(Fraction(re, den), Fraction(im, den)) for key, (re, im) in out.items()})
+
+
+def _assert_strict_normal_form(r: BiPoly) -> None:
+    parts = [part for c in r.numerators.values() for part in c]
+    assert r.denominator > 0
+    assert all(re or im for re, im in r.numerators.values())
+    assert gcd(r.denominator, *parts) == 1
+    assert_normal_form(r)
+
+
+_one_term_coeffs = st.one_of(
+    st.sampled_from(
+        [1, -1, GR_I, -GR_I, Fraction(-3, 4), Fraction(5, 2), GaussianRational(Fraction(2, 3), Fraction(-5, 6))]
+    ),
+    scalars.filter(bool),
+)
+_one_terms = st.one_of(
+    st.builds(BiPoly.monomial, st.integers(0, 4), st.integers(0, 4)),
+    st.builds(BiPoly.monomial, st.integers(0, 4), st.integers(0, 4), _one_term_coeffs),
+)
+_other_factors = st.one_of(bipoly_any, st.sampled_from([BiPoly.zero(), BiPoly.one(), Z, ZBAR]))
+
+
+@given(_one_terms, _other_factors)
+@example(BiPoly.monomial(1, 0, 2), BiPoly.constant(Fraction(1, 2)))
+@example(BiPoly.monomial(2, 1, Fraction(-3, 4)), Z * Fraction(2, 3) + ZBAR * GaussianRational(0, Fraction(4, 9)))
+@example(BiPoly.monomial(0, 3, GR_I), Z * GaussianRational(2, 3) - 5)
+@example(BiPoly.one(), BiPoly.zero())
+@example(BiPoly.monomial(1, 1), BiPoly.one())
+def test_one_term_mul_matches_general_loop(t, f):
+    assert len(t.numerators) == 1
+    for product in (mul(t, f), mul(f, t), t * f, f * t):
+        assert product == _reference_mul(t, f)
+        _assert_strict_normal_form(product)
+
+
+def test_unit_monomial_mul_is_a_key_shift():
+    f = Z * Fraction(1, 3) - ZBAR**2 * GaussianRational(Fraction(1, 2), 2)
+    shifted = mul(BiPoly.monomial(2, 1), f)
+    assert shifted.denominator == f.denominator
+    assert dict(shifted.numerators) == {(i + 2, j + 1): c for (i, j), c in f.numerators.items()}
+    assert mul(BiPoly.one(), f) == f and mul(f, BiPoly.one()) == f
+
+
+def test_monomial_default_coefficient():
+    assert BiPoly.monomial(2, 3) == BiPoly({(2, 3): 1})
+    assert BiPoly.monomial(0, 0) == BiPoly.one()
+    assert BiPoly.monomial(1, 0, Fraction(1)) == Z
+    assert BiPoly.monomial(1, 1, GR_ONE) == Z * ZBAR
+    for bad in ((-1, 0), (0, -2), (1.0, 0), (0, "1")):
+        with pytest.raises(ValueError):
+            BiPoly.monomial(*bad)
+    with pytest.raises(TypeError):
+        BiPoly.monomial(1, 0, 1.0)

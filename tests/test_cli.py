@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import pytest
@@ -265,3 +266,15 @@ def test_help_output_is_repeatable(capsys, monkeypatch):
     second = run_cli(capsys, "--help")
     assert first[0] == 0 and first[1].startswith("usage: polyharm")
     assert first == second
+
+
+def test_integers_past_int_str_digit_limit_exit_2(capsys):
+    limit = str(sys.get_int_max_str_digits())
+    code, out, err = run_cli(capsys, "order", "7" * 5000 + "*z")
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and "at offset 0" in err and limit in err
+    for argv in (("compose", "2^20000*z", "z"), ("eval", "2^20000*z", "--at", "1,0")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: ") and limit in err
+        assert err.count("\n") == 1

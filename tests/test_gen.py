@@ -1,3 +1,7 @@
+import hashlib
+
+import pytest
+
 from polyharm.classify import classify
 from polyharm.gen import (
     COEFF_LIMIT,
@@ -91,3 +95,74 @@ def test_coefficient_bounds():
             for part in (c.re, c.im):
                 assert abs(part.numerator) <= COEFF_LIMIT
                 assert part.denominator <= COEFF_LIMIT
+
+
+# --- pinned outputs ------------------------------------------------------------
+# SHA-256 digests of the generators' outputs and of the raw draw streams,
+# recorded before the draws were inlined.  Any change to a draw, to its
+# order or to the normal form of a generated mapping changes a digest.
+
+
+def _poly_digest(polys) -> str:
+    h = hashlib.sha256()
+    for f in polys:
+        h.update(repr((sorted(f.numerators.items()), f.denominator)).encode())
+    return h.hexdigest()
+
+
+_SEEDS = [spawn(2024, index) for index in range(300)]
+
+_GENERATORS = {
+    "bipoly": lambda s: gen_bipoly(s, 5),
+    "analytic": lambda s: gen_analytic(s, 4),
+    "analytic_exact": lambda s: gen_analytic(s, 4, exact_degree=True),
+    "harmonic": lambda s: gen_harmonic(s, 4),
+    "harmonic_both": lambda s: gen_harmonic(s, 4, both_parts_nonconstant=True),
+    "harmonic_nonzero": lambda s: gen_harmonic(s, 0, nonzero=True),
+    "strict_q1": lambda s: gen_strict_q_harmonic(s, 1, 2),
+    "strict_q2": lambda s: gen_strict_q_harmonic(s, 2, 2),
+    "strict_q3": lambda s: gen_strict_q_harmonic(s, 3, 2),
+    "strict_q4": lambda s: gen_strict_q_harmonic(s, 4, 2),
+}
+
+_GENERATOR_DIGESTS = {
+    "analytic": "a7b950f0704da4d7b88acff98b5a3cb35321a3fdde25b82457398350055b2161",
+    "analytic_exact": "ab3f4343a7d46a88c9756dfd9da9bef8998ce87391314d5523deb8fb0891a7ee",
+    "bipoly": "6a34cf9f68ffe35f58c9751fa4a1f97b1ad3c1b760b229331161877981618bb5",
+    "harmonic": "19f2149d86eec5423ff4bed2996edaaf85efabc674277538210640a8e679f474",
+    "harmonic_both": "960d23d1ecc922cd20649a312da1eddebd7d1159ce6c8f568ff45744248ef91d",
+    "harmonic_nonzero": "eb068648e39ffa52469babe32d98d36c642a0ef48eec55ba999931f4b70e4a6c",
+    "strict_q1": "7f4e2b82e5fc066da6bac2edae7ec284feb037d45888a00f24e3309e8c08d3dd",
+    "strict_q2": "58dd634cf1ac1f7df86ea7bd6c876137a0ea1d995f79cb246fcc80ec22cd6f7b",
+    "strict_q3": "0a5d1fa12dd86d8168c87c7965cdb594d2a09446c374589dadfd1283c27998bd",
+    "strict_q4": "610c0a6068f095f7223d19dfea4115b6616ae9d3760bf1f5bcf110e230ccd64b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GENERATORS))
+def test_generator_outputs_are_pinned(name):
+    assert _poly_digest(map(_GENERATORS[name], _SEEDS)) == _GENERATOR_DIGESTS[name]
+
+
+def _stream(seed: int) -> list:
+    rng = SplitMix64(seed)
+    out = [rng.next_u64() for _ in range(8)]
+    for lo, hi in ((0, 0), (0, 1), (-16, 16), (1, 16), (0, 2**64), (-(2**70), 3)):
+        out += [rng.between(lo, hi) for _ in range(8)]
+    for num, den in ((1, 2), (3, 4), (5, 8), (0, 3), (7, 7)):
+        out += [rng.chance(num, den) for _ in range(8)]
+    for limit, nonzero in ((16, False), (16, True), (2, True), (1, False)):
+        out += [rng.coeff_parts(limit, nonzero) for _ in range(8)]
+    out += [rng.below(n) for n in (1, 2, 3, 1000, 2**64 + 1)]
+    out.append(rng.unit())
+    return out
+
+
+_STREAM_DIGEST = "32bf0edaaa113e2f50ef1f7d88c93d28f58a8fa3e5e64af50ad872c51dd1800a"
+
+
+def test_draw_streams_are_pinned():
+    h = hashlib.sha256()
+    for seed in (0, 1, 42, 2**64 - 1, 2**64 + 5, -3) + tuple(_SEEDS[:20]):
+        h.update(repr(_stream(seed)).encode())
+    assert h.hexdigest() == _STREAM_DIGEST

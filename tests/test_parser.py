@@ -1,3 +1,4 @@
+import sys
 import time
 from fractions import Fraction
 
@@ -141,3 +142,15 @@ def test_parse_print_round_trip(f):
 def test_print_is_fixed_point_of_reprint(f):
     text = unparse(f)
     assert unparse(parse(text)) == text
+
+
+def test_literal_past_int_str_digit_limit_is_a_parse_error():
+    limit = sys.get_int_max_str_digits()
+    digits = "7" * (limit + 700)
+    for text, offset in ((f"{digits}*z", 0), (f"z + 1/{digits}", 6), (f"z^{digits}", 2)):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.position == offset
+        assert str(limit) in str(info.value)
+    # A literal at the limit is still read.
+    assert parse("7" * limit + "*z") == Z * int("7" * limit)
