@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import numeric, theorems
 from .bipoly import GaussianRational, format_scalar
 from .classify import classify
-from .errors import IntegerTooLong, NotAnalytic, ParseError
+from .errors import FloatOverflow, IntegerTooLong, NotAnalytic, ParseError
 from .parser import parse, unparse
 from .wirtinger import almansi_decompose, d_dz, d_dzbar, laplacian, polyharmonic_order
 
@@ -63,6 +63,13 @@ def _exp_multiplier(text: str) -> int:
     value = int(text)
     if value == 0 or abs(value) > 3:
         raise argparse.ArgumentTypeError("must be a nonzero integer with |m| <= 3")
+    return value
+
+
+def _open_l(text: str) -> int:
+    value = int(text)
+    if value < 3:
+        raise argparse.ArgumentTypeError("must be >= 3; smaller l is settled (see verify --suite thm3)")
     return value
 
 
@@ -123,9 +130,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("expr")
 
     p = sub.add_parser("verify", parents=[common], help="run a named sampled suite")
-    p.add_argument("--suite", required=True, choices=theorems.SUITE_NAMES)
+    p.add_argument("--suite", required=True, choices=(*theorems.SUITE_NAMES, "all"), help="all: every suite")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--cases", type=_positive_int, default=200)
+    p.add_argument(
+        "--cases", type=_positive_int, default=None, help="per suite (default 200; all: each suite's own)"
+    )
 
     p = sub.add_parser(
         "conjecture",
@@ -134,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--cases", type=_positive_int, default=1000)
-    p.add_argument("--l", type=_positive_int, default=None, help="fix l (default: alternate 3 and 4)")
+    p.add_argument("--l", type=_open_l, nargs="+", default=None, help="orders to draw l from (default: 3 4)")
 
     p = sub.add_parser(
         "reich",
@@ -216,22 +225,23 @@ def _cmd_order(args) -> int:
     return 0
 
 
-def _cmd_dz(args) -> int:
-    text = unparse(d_dz(parse(args.expr)))
+def _result(args, value) -> int:
+    """Print a mapping as {"result": text}: the dz, dzbar, laplacian and compose verbs."""
+    text = unparse(value)
     _emit(args, {"result": text}, text)
     return 0
+
+
+def _cmd_dz(args) -> int:
+    return _result(args, d_dz(parse(args.expr)))
 
 
 def _cmd_dzbar(args) -> int:
-    text = unparse(d_dzbar(parse(args.expr)))
-    _emit(args, {"result": text}, text)
-    return 0
+    return _result(args, d_dzbar(parse(args.expr)))
 
 
 def _cmd_laplacian(args) -> int:
-    text = unparse(laplacian(parse(args.expr), args.times))
-    _emit(args, {"result": text}, text)
-    return 0
+    return _result(args, laplacian(parse(args.expr), args.times))
 
 
 def _cmd_almansi(args) -> int:
@@ -244,9 +254,7 @@ def _cmd_almansi(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    text = unparse(parse(args.outer).compose(parse(args.inner)))
-    _emit(args, {"result": text}, text)
-    return 0
+    return _result(args, parse(args.outer).compose(parse(args.inner)))
 
 
 def _cmd_classify(args) -> int:
@@ -335,16 +343,26 @@ def _suite_human(report) -> str:
     return "\n".join(lines)
 
 
+def _suite_line(report) -> str:
+    status = "FAIL" if report.failures else "ok"
+    line = f"{report.suite_name:<20} cases={report.cases_run:<6} failures={report.failures:<4} {status}"
+    return line + (f"\n  first failure: {report.first_failure}" if report.failures else "")
+
+
 def _cmd_verify(args) -> int:
-    report = theorems.run_suite(args.suite, _resolve_seed(args.seed), args.cases)
-    _emit(args, _suite_payload(report), _suite_human(report))
-    return 0 if report.failures == 0 else 1
+    seed = _resolve_seed(args.seed)
+    if args.suite != "all":
+        report = theorems.run_suite(args.suite, seed, args.cases or 200)
+        _emit(args, _suite_payload(report), _suite_human(report))
+        return 0 if report.failures == 0 else 1
+    reports = [theorems.run_suite(name, seed, args.cases or n) for name, n in theorems.DEFAULT_CASES.items()]
+    payload = {"suites": [_suite_payload(report) for report in reports]}
+    _emit(args, payload, "\n".join(_suite_line(report) for report in reports))
+    return 1 if any(report.failures for report in reports) else 0
 
 
 def _cmd_conjecture(args) -> int:
-    if args.l is not None and args.l < 3:
-        raise _UsageError("--l must be >= 3; smaller l is settled (see verify --suite thm3)")
-    l_values = (args.l,) if args.l is not None else (3, 4)
+    l_values = tuple(args.l or theorems.DEFAULT_L_VALUES)
     report = theorems.run_conjecture_search(_resolve_seed(args.seed), args.cases, l_values)
     payload = _suite_payload(report)
     payload.update(
@@ -439,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (_UsageError, IntegerTooLong) as exc:
+    except (_UsageError, IntegerTooLong, FloatOverflow) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

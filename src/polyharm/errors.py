@@ -37,6 +37,10 @@ class IntegerTooLong(PolyharmError, ValueError):
     """
 
 
+class FloatOverflow(PolyharmError, OverflowError):
+    """A value a floating-point check needs lies beyond the range of a double."""
+
+
 class ParseError(PolyharmError):
     """Rejected input text, with the byte offset and the expected tokens."""
 

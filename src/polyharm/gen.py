@@ -66,12 +66,6 @@ class SplitMix64:
     def chance(self, num: int, den: int) -> bool:
         return self.below(den) < num
 
-    def fraction(self, limit: int = COEFF_LIMIT, nonzero: bool = False) -> Fraction:
-        while True:
-            value = Fraction(self.between(-limit, limit), self.between(1, limit))
-            if value or not nonzero:
-                return value
-
     def coeff(self, limit: int = COEFF_LIMIT, nonzero: bool = False) -> GaussianRational:
         re, im, den = self.coeff_parts(limit, nonzero)
         return GaussianRational(Fraction(re, den), Fraction(im, den))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bipoly import BiPoly
+from .errors import FloatOverflow
 from .gen import SplitMix64
 from .theorems import a_m
 from .wirtinger import laplacian
@@ -42,14 +43,18 @@ def _float_rows(f: BiPoly) -> list:
     Row i lists c_ij for j from its largest exponent down to 0, with 0j for
     absent terms; an empty row stands for a power of z with no terms.  Each
     part is the correctly rounded quotient of its numerator and the common
-    denominator, as float(Fraction) would give.
+    denominator, as float(Fraction) would give; FloatOverflow if one lies
+    beyond the range of a double.
     """
     if f.is_zero:
         return []
     den = f.denominator
     rows: dict[int, dict] = {}
-    for (i, j), (re, im) in f.numerators.items():
-        rows.setdefault(i, {})[j] = complex(re / den, im / den)
+    try:
+        for (i, j), (re, im) in f.numerators.items():
+            rows.setdefault(i, {})[j] = complex(re / den, im / den)
+    except OverflowError:
+        raise FloatOverflow("a coefficient of the mapping or a derived one overflows a double") from None
     return [
         [row.get(j, 0j) for j in range(max(row), -1, -1)] if (row := rows.get(i)) else []
         for i in range(f.deg_z, -1, -1)
@@ -72,6 +77,13 @@ def _eval_rows(rows: list, point: complex) -> complex:
 def eval_float(f: BiPoly, point: complex) -> complex:
     """Horner-style evaluation in z and conj(point) with double precision."""
     return _eval_rows(_float_rows(f), point)
+
+
+def _exp(w: complex) -> complex:
+    try:
+        return cmath.exp(w)
+    except OverflowError:
+        raise FloatOverflow(f"exp({w:.6g}) overflows a double") from None
 
 
 def _stencil(fn, point: complex, h: float) -> complex:
@@ -119,7 +131,7 @@ def exp_identity_check(
     obstruction_rows = _float_rows(a_m(f, m))
 
     def phi(w: complex) -> complex:
-        return cmath.exp(m * _eval_rows(rows, w))
+        return _exp(m * _eval_rows(rows, w))
 
     reports = []
     for point in points:
@@ -136,7 +148,7 @@ def exp_within_tolerance(report: FdReport, f: BiPoly, m: int, rel_tol: float = E
     (near) zero the comparison falls back to that scale instead of an
     undefined pure-relative test.
     """
-    scale = 16.0 * m * m * abs(cmath.exp(m * eval_float(f, report.point)))
+    scale = 16.0 * m * m * abs(_exp(m * eval_float(f, report.point)))
     return report.abs_error <= max(rel_tol * abs(report.symbolic_value), rel_tol * scale)
 
 

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import polyharm
 from polyharm.cli import main
 
 
@@ -134,6 +138,42 @@ def test_conjecture_l_validation(capsys):
     assert code == 2 and "must be >= 3" in err
 
 
+def test_conjecture_multi_valued_l(capsys):
+    default = run_cli(capsys, "conjecture", "--cases", "20", "--json")
+    assert run_cli(capsys, "conjecture", "--l", "3", "4", "--cases", "20", "--json") == default
+    code, out, _ = run_cli(capsys, "conjecture", "--l", "3", "5", "6", "--cases", "10")
+    assert code == 0 and "l_values: 3, 5, 6\n" in out
+    code, out, err = run_cli(capsys, "conjecture", "--cases", "5", "--l", "4", "2")
+    assert code == 2 and out == "" and "argument --l: must be >= 3" in err
+
+
+def test_verify_all_uses_the_table_counts_unless_cases_is_given(capsys, monkeypatch):
+    import polyharm.theorems as theorems
+
+    counts = {name: index + 1 for index, name in enumerate(reversed(theorems.SUITE_NAMES))}
+    monkeypatch.setattr(theorems, "DEFAULT_CASES", counts)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--seed", "2", "--json")
+    suites = json.loads(out)["suites"]
+    assert code == 0
+    assert [(s["suite"], s["cases_run"], s["seed"]) for s in suites] == [(n, c, 2) for n, c in counts.items()]
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--seed", "2", "--cases", "3")
+    assert code == 0
+    assert out.splitlines() == [f"{name:<20} cases=3      failures=0    ok" for name in counts]
+
+
+def test_verify_all_reports_first_failure_and_exits_1(capsys, monkeypatch):
+    import polyharm.theorems as theorems
+
+    failure = ("case_seed=1 f=z", "order 1", "2")
+    monkeypatch.setitem(theorems._SUITES, "prop21", (lambda case_seed: failure, 500))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--cases", "2")
+    assert code == 1
+    assert "prop21               cases=2      failures=2    FAIL\n" f"  first failure: {failure}\n" in out
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--cases", "2", "--json")
+    [prop21] = [s for s in json.loads(out)["suites"] if s["failures"]]
+    assert code == 1 and prop21["first_failure"] == dict(zip(("input", "expected", "got"), failure))
+
+
 def test_reich(capsys):
     code, out, _ = run_cli(capsys, "reich", "--alpha", "1", "--c", "-1", "1", "--json")
     assert code == 0 and json.loads(out) == {"holds": True}
@@ -172,6 +212,14 @@ def test_fdcheck_exp_mode(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["m"] == 1 and payload["within_tolerance"] is True
+
+
+@pytest.mark.parametrize("argv", [("fdcheck", "10^400*z"), ("fdcheck", "1000*z", "--m", "3")])
+def test_fdcheck_beyond_float_range_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and err.endswith(" overflows a double\n")
+    assert err.count("\n") == 1
 
 
 def test_parse_error_exit_code_and_position(capsys):
@@ -278,3 +326,42 @@ def test_integers_past_int_str_digit_limit_exit_2(capsys):
         assert code == 2 and out == ""
         assert err.startswith("usage error: ") and limit in err
         assert err.count("\n") == 1
+
+
+# Full passes run through `python -m polyharm`, as a user runs them.
+
+SUITE_ORDER = [
+    "thm1_suff", "thm1_nec", "thm2_suff", "thm2_nec", "thm3", "prop21", "prop22", "conjecture_search",
+]
+
+
+def _polyharm(*argv):
+    env = {k: v for k, v in os.environ.items() if k != "POLYHARM_SEED"}
+    src = str(Path(polyharm.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "polyharm", *argv], capture_output=True, text=True, env=env, timeout=300
+    )
+
+
+def test_entry_point_runs_every_suite_and_the_hunt():
+    run = _polyharm("verify", "--suite", "all", "--cases", "1")
+    assert (run.returncode, run.stderr) == (0, "")
+    assert [line.split() for line in run.stdout.splitlines()] == [
+        [name, "cases=1", "failures=0", "ok"] for name in SUITE_ORDER
+    ]
+    run = _polyharm("verify", "--suite", "all", "--cases", "1", "--json")
+    assert (run.returncode, run.stderr) == (0, "")
+    suites = json.loads(run.stdout)["suites"]
+    assert [(s["suite"], s["cases_run"], s["failures"]) for s in suites] == [(n, 1, 0) for n in SUITE_ORDER]
+
+    run = _polyharm("conjecture", "--l", "3", "4", "--cases", "2")
+    assert (run.returncode, run.stderr) == (0, "")
+    assert "cases_run: 2\n" in run.stdout and "l_values: 3, 4\n" in run.stdout
+    run = _polyharm("conjecture", "--l", "3", "4", "--cases", "2", "--json")
+    assert (run.returncode, run.stderr) == (0, "")
+    payload = json.loads(run.stdout)
+    assert (payload["cases_run"], payload["candidates"], payload["l_values"]) == (2, 0, [3, 4])
+
+    run = _polyharm("conjecture", "--l", "2", "3")
+    assert run.returncode == 2 and run.stdout == "" and "must be >= 3" in run.stderr

@@ -147,6 +147,26 @@ def test_check_violation_error_triples():
     )
 
 
+@pytest.mark.parametrize(
+    "name, search",
+    [("thm1_nec", "find_witness_post"), ("thm2_nec", "find_witness_pre"), ("thm3", "find_witness_pre")],
+)
+def test_forged_witness_failure_names_its_case_seed(monkeypatch, name, search):
+    import polyharm.theorems as theorems
+
+    monkeypatch.setattr(theorems, search, lambda f, q, l: WitnessResult(COMPLIANT, None, None, l, ""))
+    report = run_suite(name, 0, 20)
+    assert report.failures > 0
+    context, expected, got = report.first_failure
+    assert (expected, got) == ("verdict Violation", COMPLIANT)
+    prefix, _ = context.split(" ", 1)
+    assert prefix.startswith("case_seed=")
+    case_seed = int(prefix.removeprefix("case_seed="))
+    assert case_seed in {spawn(0, index) for index in range(20)}
+    case_fn, _ = theorems._SUITES[name]
+    assert case_fn(case_seed) == report.first_failure
+
+
 def test_find_witness_post_not_applicable():
     with pytest.raises(NotApplicable):
         find_witness_post(Z + ZBAR, 0, 1)
