@@ -265,6 +265,21 @@ class BiPoly:
         if other is None:
             return NotImplemented
         den = lcm(self._den, other._den)
+        if self._num.keys().isdisjoint(other._num):
+            # No key meets, so nothing cancels and the merge is already in
+            # normal form.  For a prime p dividing den, say p^e || den, the
+            # side whose denominator holds p^e is scaled by a factor prime
+            # to p; being in lowest terms, that side has a numerator part
+            # prime to p, and it stays so after scaling.  So the gcd of
+            # every part and den is 1 and no gcd pass is needed.
+            num = {}
+            for part in (self, other):
+                scale = den // part._den
+                if scale == 1:
+                    num.update(part._num)
+                else:
+                    num.update((key, (re * scale, im * scale)) for key, (re, im) in part._num.items())
+            return _make(num, den)
         out: dict = {}
         _accumulate(out, self._num.items(), den // self._den)
         _accumulate(out, other._num.items(), den // other._den)

@@ -135,6 +135,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cases", type=_positive_int, default=None, help="per suite (default 200; all: each suite's own)"
     )
+    p.add_argument(
+        "--case-seed",
+        type=_nonnegative_int,
+        default=None,
+        help="replay the one case a failure names (case_seed=N); not with --suite all, --seed or --cases",
+    )
 
     p = sub.add_parser(
         "conjecture",
@@ -314,16 +320,27 @@ def _cmd_witness(args) -> int:
     return 1 if result.verdict == theorems.VIOLATION else 0
 
 
+def _failure_payload(first) -> dict | None:
+    return None if first is None else {"input": first[0], "expected": first[1], "got": first[2]}
+
+
+def _failure_lines(first) -> list[str]:
+    if first is None:
+        return []
+    return [
+        f"first_failure input: {first[0]}",
+        f"first_failure expected: {first[1]}",
+        f"first_failure got: {first[2]}",
+    ]
+
+
 def _suite_payload(report) -> dict:
-    first = report.first_failure
     return {
         "suite": report.suite_name,
         "cases_run": report.cases_run,
         "failures": report.failures,
         "seed": report.seed,
-        "first_failure": None
-        if first is None
-        else {"input": first[0], "expected": first[1], "got": first[2]},
+        "first_failure": _failure_payload(report.first_failure),
     }
 
 
@@ -334,13 +351,7 @@ def _suite_human(report) -> str:
         f"failures: {report.failures}",
         f"seed: {report.seed}",
     ]
-    if report.first_failure is not None:
-        lines += [
-            f"first_failure input: {report.first_failure[0]}",
-            f"first_failure expected: {report.first_failure[1]}",
-            f"first_failure got: {report.first_failure[2]}",
-        ]
-    return "\n".join(lines)
+    return "\n".join(lines + _failure_lines(report.first_failure))
 
 
 def _suite_line(report) -> str:
@@ -349,7 +360,25 @@ def _suite_line(report) -> str:
     return line + (f"\n  first failure: {report.first_failure}" if report.failures else "")
 
 
+def _replay(args) -> int:
+    if args.suite == "all" or args.seed is not None or args.cases is not None:
+        raise _UsageError("--case-seed replays one case of one suite; drop --suite all, --seed and --cases")
+    first = theorems.replay_case(args.suite, args.case_seed)
+    failures = 0 if first is None else 1
+    payload = {
+        "suite": args.suite,
+        "case_seed": args.case_seed,
+        "failures": failures,
+        "first_failure": _failure_payload(first),
+    }
+    lines = [f"suite: {args.suite}", f"case_seed: {args.case_seed}", f"failures: {failures}"]
+    _emit(args, payload, "\n".join(lines + _failure_lines(first)))
+    return failures
+
+
 def _cmd_verify(args) -> int:
+    if args.case_seed is not None:
+        return _replay(args)
     seed = _resolve_seed(args.seed)
     if args.suite != "all":
         report = theorems.run_suite(args.suite, seed, args.cases or 200)

@@ -112,8 +112,8 @@ def gen_bipoly(seed: int, max_degree: int) -> BiPoly:
     return _from_draws(terms)
 
 
-def gen_analytic(seed: int, max_degree: int, *, exact_degree: bool = False) -> BiPoly:
-    """Random analytic polynomial; the leading coefficient is forced nonzero."""
+def _analytic_draws(seed: int, max_degree: int, exact_degree: bool) -> dict:
+    """gen_analytic's draws as {(n, 0): (re, im, den)}, before _from_draws."""
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     rng = SplitMix64(seed)
@@ -123,7 +123,12 @@ def gen_analytic(seed: int, max_degree: int, *, exact_degree: bool = False) -> B
         if rng.chance(5, 8):
             terms[(n, 0)] = rng.coeff_parts()
     terms[(degree, 0)] = rng.coeff_parts(nonzero=True)
-    return _from_draws(terms)
+    return terms
+
+
+def gen_analytic(seed: int, max_degree: int, *, exact_degree: bool = False) -> BiPoly:
+    """Random analytic polynomial; the leading coefficient is forced nonzero."""
+    return _from_draws(_analytic_draws(seed, max_degree, exact_degree))
 
 
 def gen_harmonic(
@@ -135,6 +140,11 @@ def gen_harmonic(
 ) -> BiPoly:
     """Random harmonic mapping h + conj(g) with h, g analytic.
 
+    h and g are drawn as gen_analytic draws them, and h + conj(g) is built
+    from both draw sets in one _from_draws pass: the draws of g move to the
+    keys (0, n) with conjugated values, and only the two constant draws
+    share a key, (0, 0), where they are summed.
+
     With both_parts_nonconstant=True, both h and g get degree >= 1, so the
     result is neither analytic nor anti-analytic.
     """
@@ -143,12 +153,18 @@ def gen_harmonic(
     rng = SplitMix64(seed)
     if both_parts_nonconstant:
         top = max(1, max_degree)
-        h = gen_analytic(rng.next_u64(), rng.between(1, top), exact_degree=True)
-        g = gen_analytic(rng.next_u64(), rng.between(1, top), exact_degree=True)
+        terms = _analytic_draws(rng.next_u64(), rng.between(1, top), True)
+        g_terms = _analytic_draws(rng.next_u64(), rng.between(1, top), True)
     else:
-        h = gen_analytic(rng.next_u64(), max_degree)
-        g = gen_analytic(rng.next_u64(), max_degree)
-    f = h + g.conjugate()
+        terms = _analytic_draws(rng.next_u64(), max_degree, False)
+        g_terms = _analytic_draws(rng.next_u64(), max_degree, False)
+    for (n, _), (re, im, den) in g_terms.items():
+        if n or (0, 0) not in terms:
+            terms[(0, n)] = (re, -im, den)
+        else:
+            h_re, h_im, h_den = terms[(0, 0)]
+            terms[(0, 0)] = (h_re * den + re * h_den, h_im * den - im * h_den, h_den * den)
+    f = _from_draws(terms)
     if nonzero and f.is_zero:
         f = f + BiPoly.one()
     return f

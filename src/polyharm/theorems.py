@@ -12,7 +12,8 @@ effective surfaces are exposed instead:
   (a search that exhausts raises InternalInconsistency loudly, since it
   would contradict a theorem);
 * ``run_suite`` -- seeded sampled suites for the sufficiency directions,
-  the structural propositions, and the open-question counterexample hunt.
+  the structural propositions, and the open-question counterexample hunt;
+  ``replay_case`` reruns the one case a failure names by its case seed.
 """
 
 import functools
@@ -38,7 +39,7 @@ from .gen import (
     gen_strict_q_harmonic,
     spawn,
 )
-from .wirtinger import d_dz, d_dzbar, polyharmonic_order
+from .wirtinger import d_dz, d_dzbar, newton_vertex_depth, polyharmonic_order
 
 COMPLIANT = "Compliant"
 VIOLATION = "Violation"
@@ -597,11 +598,23 @@ def _conjecture_case(case_seed: int, l_values: tuple[int, ...]):
     hunts for a harmonic outer mapping whose composition with f exceeds
     order l.  Failing to find one flags the case as a counterexample
     candidate; it never proves anything either way.
+
+    The outers tried first are the powers w^m, m = 1..2l+4.  When a vertex
+    of f's Newton polygon has min(i, j) = mu >= 1, order(f^m) >= 1 + m*mu,
+    so w^l already exceeds order l and the case is decided with no power
+    built; that is the verdict the power loop would reach, and it returns
+    before the probes draw.  Only f with every vertex on an axis (mu = 0)
+    runs the power loop and then the sampled harmonic outers.
     """
     rng = SplitMix64(case_seed)
     l = l_values[rng.below(len(l_values))]
     q = rng.between(2, 4)
     f = gen_strict_q_harmonic(rng.next_u64(), q, rng.between(1, 2))
+    order = polyharmonic_order(f)
+    if order != q:
+        return _fail(case_seed, f"f={f}", f"generator order {q}", str(order))
+    if newton_vertex_depth(f) >= 1:
+        return None
     max_m = 2 * l + 4
     power = BiPoly.one()
     for _ in range(max_m):
@@ -638,17 +651,29 @@ SUITE_NAMES = tuple(sorted(_SUITES))
 DEFAULT_CASES = {name: cases for name, (_, cases) in _SUITES.items()}
 
 
+def _suite_case(name: str):
+    try:
+        return _SUITES[name][0]
+    except KeyError:
+        raise UnknownSuite(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}") from None
+
+
 def run_suite(name: str, seed: int, cases: int) -> SuiteReport:
     """Run a named suite; deterministic given (seed, cases).
 
     A raised InternalInconsistency inside a case is recorded as a failure
     rather than swallowed; any other exception propagates.
     """
-    try:
-        case_fn, _ = _SUITES[name]
-    except KeyError:
-        raise UnknownSuite(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}") from None
-    return _run_cases(name, case_fn, seed, cases)
+    return _run_cases(name, _suite_case(name), seed, cases)
+
+
+def replay_case(name: str, case_seed: int):
+    """Run one case of a named suite on its case seed.
+
+    Returns the error triple that run_suite records for that case (the
+    first_failure of a report whose first failing case it is), or None.
+    """
+    return _run_case(_suite_case(name), case_seed)
 
 
 def run_conjecture_search(seed: int, cases: int, l_values: tuple[int, ...] = DEFAULT_L_VALUES) -> SuiteReport:
@@ -661,19 +686,22 @@ def run_conjecture_search(seed: int, cases: int, l_values: tuple[int, ...] = DEF
     )
 
 
+def _run_case(case_fn, case_seed: int):
+    try:
+        return case_fn(case_seed)
+    except InternalInconsistency as exc:
+        return (
+            f"case_seed={case_seed}",
+            "witness search must succeed",
+            f"InternalInconsistency: {exc}",
+        )
+
+
 def _run_cases(name: str, case_fn, seed: int, cases: int) -> SuiteReport:
     failures = 0
     first_failure = None
     for index in range(cases):
-        case_seed = spawn(seed, index)
-        try:
-            detail = case_fn(case_seed)
-        except InternalInconsistency as exc:
-            detail = (
-                f"case_seed={case_seed}",
-                "witness search must succeed",
-                f"InternalInconsistency: {exc}",
-            )
+        detail = _run_case(case_fn, spawn(seed, index))
         if detail is not None:
             failures += 1
             if first_failure is None:

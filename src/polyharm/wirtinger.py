@@ -50,6 +50,34 @@ def polyharmonic_order(f: BiPoly) -> int:
     return 1 + max(map(min, f.numerators))
 
 
+def newton_vertex_depth(f: BiPoly) -> int:
+    """mu = the largest min(i, j) over the vertices of f's Newton polygon; 0 for f = 0.
+
+    The Newton polygon is the convex hull of the support.  Its vertices
+    survive in every power: the Newton polygon of f^m is m times that of f,
+    and the coefficient of f^m at m*v is c_v^m != 0 for each vertex v
+    (Ostrowski 1921), so order(f^m) >= 1 + m*mu.  A support point on an
+    edge but not at its end is not a vertex: in z^2 + z*zbar + zbar^2 the
+    point (1, 1) lies on an edge, and mu = 0.
+    """
+    points = sorted(f.numerators)
+
+    def half_hull(ordered):
+        # Andrew's monotone chain; popping on cross <= 0 drops collinear points.
+        chain = []
+        for x, y in ordered:
+            while len(chain) >= 2:
+                (ox, oy), (ax, ay) = chain[-2], chain[-1]
+                if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0:
+                    break
+                chain.pop()
+            chain.append((x, y))
+        return chain
+
+    vertices = half_hull(points) + half_hull(reversed(points))
+    return max(map(min, vertices), default=0)
+
+
 def is_harmonic(f: BiPoly) -> bool:
     return polyharmonic_order(f) <= 1
 

@@ -431,6 +431,43 @@ def test_one_term_mul_matches_general_loop(t, f):
         _assert_strict_normal_form(product)
 
 
+# --- sums with disjoint keys --------------------------------------------------
+
+
+def _reference_add(a: BiPoly, b: BiPoly) -> BiPoly:
+    """The general sum: numerators over the lcm added key by key, normalised by BiPoly(...)."""
+    den = lcm(a.denominator, b.denominator)
+    out: dict = {}
+    for f in (a, b):
+        scale = den // f.denominator
+        for key, (re, im) in f.numerators.items():
+            acc_re, acc_im = out.get(key, (0, 0))
+            out[key] = (acc_re + re * scale, acc_im + im * scale)
+    return BiPoly({key: GaussianRational(Fraction(re, den), Fraction(im, den)) for key, (re, im) in out.items()})
+
+
+def _without_keys_of(f: BiPoly, g: BiPoly) -> BiPoly:
+    return BiPoly({key: c for key, c in g.terms.items() if key not in f.numerators})
+
+
+@given(bipoly_any, bipoly_any)
+@example(BiPoly.zero(), BiPoly.zero())
+@example(BiPoly.zero(), Z * Fraction(2, 3))
+@example(Z * 2 + 1, ZBAR * 3 - Z**2 * ZBAR)  # both denominators 1
+@example(Z * Fraction(1, 3), ZBAR * Fraction(2, 5))  # coprime denominators
+@example(Z * Fraction(1, 4) + ZBAR**2 * Fraction(1, 2), ZBAR * Fraction(5, 6))  # lcm 12 from 4 and 6
+@example(Z * Fraction(1, 2), ZBAR * Fraction(1, 2))  # equal denominators
+@example(Z * GaussianRational(Fraction(2, 3), Fraction(4, 9)), ZBAR * GaussianRational(0, Fraction(1, 6)))
+def test_disjoint_key_add_matches_general_sum(f, g):
+    g = _without_keys_of(f, g)
+    assert f.numerators.keys().isdisjoint(g.numerators)
+    for total in (f + g, g + f):
+        assert total == _reference_add(f, g)
+        _assert_strict_normal_form(total)
+        assert gcd(total.denominator, *(part for c in total.numerators.values() for part in c)) == 1
+        assert dict(total.terms) == {**f.terms, **g.terms}
+
+
 def test_unit_monomial_mul_is_a_key_shift():
     f = Z * Fraction(1, 3) - ZBAR**2 * GaussianRational(Fraction(1, 2), 2)
     shifted = mul(BiPoly.monomial(2, 1), f)

@@ -174,6 +174,46 @@ def test_verify_all_reports_first_failure_and_exits_1(capsys, monkeypatch):
     assert code == 1 and prop21["first_failure"] == dict(zip(("input", "expected", "got"), failure))
 
 
+def test_verify_case_seed_replays_the_suites_first_failure(capsys, monkeypatch):
+    import polyharm.theorems as theorems
+    from polyharm.gen import spawn
+
+    case_seed = spawn(0, 0)
+    code, out, err = run_cli(capsys, "verify", "--suite", "thm1_suff", "--case-seed", str(case_seed))
+    assert (code, out, err) == (0, f"suite: thm1_suff\ncase_seed: {case_seed}\nfailures: 0\n", "")
+
+    def fails_on_odd_seeds(case_seed):
+        return (f"case_seed={case_seed} f=z", "order 1", "2") if case_seed % 2 else None
+
+    monkeypatch.setitem(theorems._SUITES, "prop21", (fails_on_odd_seeds, 500))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "prop21", "--seed", "3", "--cases", "20")
+    assert code == 1
+    failure_lines = out.splitlines()[4:]
+    failing_seed = failure_lines[0].split("case_seed=")[1].split()[0]
+    code, out, _ = run_cli(capsys, "verify", "--suite", "prop21", "--case-seed", failing_seed)
+    assert code == 1
+    assert out.splitlines() == ["suite: prop21", f"case_seed: {failing_seed}", "failures: 1", *failure_lines]
+    code, out, _ = run_cli(capsys, "verify", "--suite", "prop21", "--case-seed", failing_seed, "--json")
+    assert code == 1
+    assert json.loads(out) == {
+        "suite": "prop21",
+        "case_seed": int(failing_seed),
+        "failures": 1,
+        "first_failure": {"input": f"case_seed={failing_seed} f=z", "expected": "order 1", "got": "2"},
+    }
+
+
+@pytest.mark.parametrize(
+    "extra", [["--suite", "all"], ["--suite", "thm3", "--cases", "5"], ["--suite", "thm3", "--seed", "1"]]
+)
+def test_verify_case_seed_usage_errors(capsys, extra):
+    code, out, err = run_cli(capsys, "verify", *extra, "--case-seed", "7")
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: --case-seed replays one case of one suite")
+    code, out, err = run_cli(capsys, "verify", "--suite", "thm3", "--case-seed", "-1")
+    assert code == 2 and out == "" and "argument --case-seed" in err
+
+
 def test_reich(capsys):
     code, out, _ = run_cli(capsys, "reich", "--alpha", "1", "--c", "-1", "1", "--json")
     assert code == 0 and json.loads(out) == {"holds": True}

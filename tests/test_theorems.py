@@ -9,24 +9,27 @@ from polyharm.errors import NotAnalytic, NotApplicable, UnknownSuite
 from polyharm.gen import SplitMix64, gen_analytic, gen_harmonic, gen_strict_q_harmonic, spawn
 from polyharm.theorems import (
     COMPLIANT,
+    DEFAULT_L_VALUES,
     CONJECTURE_ONLY,
     VIOLATION,
     ConjectureOnly,
     WitnessResult,
     _check_violation,
+    _conjecture_case,
     a_m,
     allowed_form_post,
     allowed_form_pre,
     find_witness_post,
     find_witness_pre,
     reich_condition_check,
+    replay_case,
     run_conjecture_search,
     run_suite,
     separable_laplacian,
     witness_post,
     witness_pre,
 )
-from polyharm.wirtinger import d_dz, d_dzbar, laplacian, polyharmonic_order
+from polyharm.wirtinger import d_dz, d_dzbar, laplacian, newton_vertex_depth, polyharmonic_order
 from strategies import analytic_polys, harmonic_polys
 
 Z = BiPoly.z()
@@ -372,3 +375,121 @@ def test_witness_searches_inside_suites_recheck_strictness():
     result = find_witness_pre(f, 3, 2)
     assert polyharmonic_order(result.witness) == 3
     _assert_verified_pre(f, 3, 2, result)
+
+
+# --- the counterexample hunt --------------------------------------------------
+
+
+def _power_loop_case(case_seed: int, l_values: tuple[int, ...]):
+    """_conjecture_case without the Newton-vertex shortcut: the plain power loop.
+
+    Returns (result, powers built, f).
+    """
+    rng = SplitMix64(case_seed)
+    l = l_values[rng.below(len(l_values))]
+    q = rng.between(2, 4)
+    f = gen_strict_q_harmonic(rng.next_u64(), q, rng.between(1, 2))
+    max_m = 2 * l + 4
+    power = BiPoly.one()
+    for m in range(1, max_m + 1):
+        power = mul(power, f)
+        if polyharmonic_order(power) > l:
+            return None, m, f
+    for _ in range(6):
+        outer = gen_harmonic(rng.next_u64(), max_m)
+        if polyharmonic_order(compose(outer, f)) > l:
+            return None, max_m, f
+    failure = (
+        f"case_seed={case_seed} l={l} f={f}",
+        "some sampled harmonic outer mapping with composition order > l",
+        f"all {max_m + 6} sampled outers stayed within order {l}",
+    )
+    return failure, max_m, f
+
+
+# Case seeds of spawn(7, index) whose f has every Newton vertex on an axis
+# (mu = 0), so the hunt decides them by the power loop: indices 186, 390,
+# 1289, 6723 and 9019.
+MU_ZERO_SEEDS = (
+    13285122128776218976,
+    10942825911608575612,
+    2942702714038213533,
+    310278590961829549,
+    11755931027301492454,
+)
+
+
+def test_mu_zero_seeds_are_mu_zero():
+    for case_seed in MU_ZERO_SEEDS:
+        _, _, f = _power_loop_case(case_seed, DEFAULT_L_VALUES)
+        assert newton_vertex_depth(f) == 0
+    _, _, f = _power_loop_case(spawn(7, 0), DEFAULT_L_VALUES)
+    assert newton_vertex_depth(f) >= 1
+
+
+def test_conjecture_case_matches_the_plain_power_loop(monkeypatch):
+    import polyharm.theorems as theorems
+
+    built = []
+    plain_mul = theorems.mul
+
+    def counting_mul(a, b):
+        built.append(1)
+        return plain_mul(a, b)
+
+    monkeypatch.setattr(theorems, "mul", counting_mul)
+    seeds = [spawn(7, index) for index in range(3000)] + list(MU_ZERO_SEEDS)
+    shortcut = 0
+    for case_seed in seeds:
+        for l_values in (DEFAULT_L_VALUES, (5,)):
+            expected, powers, f = _power_loop_case(case_seed, l_values)
+            built.clear()
+            assert _conjecture_case(case_seed, l_values) == expected
+            # A case with mu >= 1 builds no power; one with mu = 0 builds
+            # exactly the powers the plain loop builds.
+            if newton_vertex_depth(f) >= 1:
+                assert len(built) == 0
+                shortcut += 1
+            else:
+                assert len(built) == powers >= 1
+    assert 0 < shortcut < 2 * len(seeds)
+
+
+def test_conjecture_case_rechecks_the_generator_order(monkeypatch):
+    import polyharm.theorems as theorems
+
+    # q is drawn from 2..4, so an order-6 f always breaks the contract.
+    monkeypatch.setattr(theorems, "gen_strict_q_harmonic", lambda seed, q, d: Z**5 * ZBAR**5)
+    case_seed = spawn(7, 0)
+    rng = SplitMix64(case_seed)
+    rng.below(len(DEFAULT_L_VALUES))
+    q = rng.between(2, 4)
+    assert _conjecture_case(case_seed, DEFAULT_L_VALUES) == (
+        f"case_seed={case_seed} f=z^5*zbar^5",
+        f"generator order {q}",
+        "6",
+    )
+
+
+def test_replay_case_gives_the_suites_first_failure(monkeypatch):
+    import polyharm.theorems as theorems
+
+    assert replay_case("prop21", spawn(0, 0)) is None
+    monkeypatch.setattr(theorems, "find_witness_pre", lambda f, q, l: WitnessResult(COMPLIANT, None, None, l, ""))
+    report = run_suite("thm2_nec", 0, 20)
+    context, _, _ = report.first_failure
+    case_seed = int(context.split(" ", 1)[0].removeprefix("case_seed="))
+    assert replay_case("thm2_nec", case_seed) == report.first_failure
+
+    def inconsistent(f, q, l):
+        raise theorems.InternalInconsistency("search exhausted")
+
+    monkeypatch.setattr(theorems, "find_witness_pre", inconsistent)
+    report = run_suite("thm2_nec", 0, 1)
+    assert replay_case("thm2_nec", spawn(0, 0)) == report.first_failure == (
+        f"case_seed={spawn(0, 0)}",
+        "witness search must succeed",
+        "InternalInconsistency: search exhausted",
+    )
+    with pytest.raises(UnknownSuite):
+        replay_case("nope", 1)

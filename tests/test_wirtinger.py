@@ -1,8 +1,10 @@
 import pytest
-from hypothesis import given
+import hypothesis.strategies as st
+from hypothesis import example, given
 
 from polyharm.bipoly import AlmansiForm, BiPoly
 from polyharm.errors import NonHarmonicComponent
+from polyharm.bipoly import mul
 from polyharm.gen import gen_bipoly, spawn
 from polyharm.wirtinger import (
     almansi_decompose,
@@ -11,6 +13,7 @@ from polyharm.wirtinger import (
     d_dzbar,
     is_harmonic,
     laplacian,
+    newton_vertex_depth,
     polyharmonic_order,
 )
 from strategies import bipoly_any
@@ -129,6 +132,70 @@ def test_order_of_sum_with_distinct_orders(f, g):
 @given(bipoly_any)
 def test_conjugation_preserves_order(f):
     assert polyharmonic_order(f.conjugate()) == polyharmonic_order(f)
+
+
+# --- Newton polygon ------------------------------------------------------------
+
+
+def newton_vertices(f: BiPoly) -> set:
+    """Independent oracle: the support points that some direction maximises alone.
+
+    A vertex of a lattice polygon in [0, 4]^2 is the unique maximiser of
+    the sum of its two edge normals, and an end of a segment of the
+    direction along it; all of these have integer components within 8.
+    """
+    points = list(f.numerators)
+    vertices = set()
+    if not points:
+        return vertices
+    for a in range(-9, 10):
+        for b in range(-9, 10):
+            values = [a * i + b * j for i, j in points]
+            top = max(values)
+            if values.count(top) == 1:
+                vertices.add(points[values.index(top)])
+    return vertices
+
+
+def test_newton_vertex_depth_examples():
+    cases = [
+        (BiPoly.zero(), 0),
+        (BiPoly.constant(5), 0),
+        (Z**2 * ZBAR**3 * 7, 2),  # a single point
+        (Z**3 * ZBAR + Z**2 * ZBAR**2, 2),  # two points
+        (Z**3 + Z**2 * ZBAR + Z * ZBAR**2 + ZBAR**3, 0),  # collinear; the inner points are not vertices
+        (Z * ZBAR + Z**2 * ZBAR**2 + Z**3 * ZBAR**3, 3),  # collinear on the diagonal
+        (Z**2 + Z * ZBAR + ZBAR**2, 0),  # (1, 1) lies on the edge from (2, 0) to (0, 2)
+        (Z**2 + Z * ZBAR * 3 + ZBAR**2 + 1, 0),  # (1, 1) inside the triangle
+        (1 + Z**2 + ZBAR**2 + Z**2 * ZBAR**2 + Z * ZBAR, 2),  # a square with an inner point
+        (Z**4 + Z * ZBAR + ZBAR**4, 1),  # (1, 1) is a vertex below the edge
+    ]
+    for f, mu in cases:
+        assert newton_vertex_depth(f) == mu, str(f)
+        assert newton_vertex_depth(f.conjugate()) == mu
+
+
+@given(bipoly_any)
+@example(Z**2 + Z * ZBAR + ZBAR**2)
+@example(Z + Z**2 * ZBAR + Z**3 * ZBAR**2 + Z**4 * ZBAR**3)
+def test_newton_vertex_depth_matches_the_vertex_oracle(f):
+    assert newton_vertex_depth(f) == max(map(min, newton_vertices(f)), default=0)
+
+
+@given(st.integers(0, 2**64 - 1))
+def test_powers_keep_the_newton_vertices(seed):
+    # The fact the counterexample hunt relies on: the coefficient of f^m at
+    # m*v is c_v^m for every vertex v, so order(f^m) >= 1 + m*mu.
+    f = gen_bipoly(seed, 4)
+    mu = newton_vertex_depth(f)
+    vertices = newton_vertices(f)
+    power = f
+    for m in range(1, 5):
+        if m > 1:
+            power = mul(power, f)
+        for i, j in vertices:
+            assert power.coefficient(m * i, m * j) == f.coefficient(i, j) ** m
+        assert polyharmonic_order(power) >= 1 + m * mu
 
 
 # --- Almansi ------------------------------------------------------------------
