@@ -15,6 +15,13 @@ Two mappings are therefore equal exactly when their numerator maps and
 denominators are equal.  |z|^(2k) is the term (k, k) with coefficient 1;
 the degrees of the zero mapping are 0 by convention.
 
+Composition substitutes inner = N/d into f in one accumulation: every
+term c_ij * d^(top-i-j) * N^i * conj(N)^j is added into one set of sums
+over den_f * d^top, where top is the largest i + j among f's keys, and the
+sum is reduced once.  The powers N^i come from one chain of unreduced
+products, and conj(N)^j is read off N^j by reflection (swap each key,
+negate the imaginary part), so no second chain is built.
+
 Printing and ``eval_exact`` read the numerators directly: the printer
 reduces each coefficient part with one gcd, and ``eval_exact`` runs
 Horner's rule on Gaussian integers.  GaussianRational, the exact scalar
@@ -448,9 +455,20 @@ def mul(a: BiPoly, b: BiPoly) -> BiPoly:
         ((di, dj), (re, im)), = a._num.items()
         return _shift(b, di, dj, re, im, a._den)
     out: dict = {}
+    _mul_into(out, a._num.items(), list(b._num.items()))
+    return _collect(out, a._den * b._den)
+
+
+def _mul_into(out: dict, a_items, b_items, cr: int = 1, ci: int = 0) -> None:
+    # Add (cr + ci*i) * a * b into out, whose values are mutable [re, im]
+    # sums; a_items and b_items hold (key, (re, im)) Gaussian-integer
+    # numerators.  The scalar goes onto each term of a before the double loop.
+    if ci:
+        a_items = [(key, (r * cr - m * ci, r * ci + m * cr)) for key, (r, m) in a_items]
+    elif cr != 1:
+        a_items = [(key, (r * cr, m * cr)) for key, (r, m) in a_items]
     get = out.get
-    b_items = list(b._num.items())
-    for (i1, j1), (r1, m1) in a._num.items():
+    for (i1, j1), (r1, m1) in a_items:
         for (i2, j2), (r2, m2) in b_items:
             key = (i1 + i2, j1 + j2)
             acc = get(key)
@@ -459,24 +477,30 @@ def mul(a: BiPoly, b: BiPoly) -> BiPoly:
             else:
                 acc[0] += r1 * r2 - m1 * m2
                 acc[1] += r1 * m2 + m1 * r2
-    return _collect(out, a._den * b._den)
 
 
 def compose(f: BiPoly, inner: BiPoly) -> BiPoly:
-    """Exact substitution z -> inner, zbar -> conjugate(inner) in f."""
-    pow_z = _powers(inner, f.deg_z)
-    pow_zbar = _powers(inner.conjugate(), f.deg_zbar)
-    out = BiPoly.zero()
+    """Exact substitution z -> inner, zbar -> conjugate(inner) in f.
+
+    With inner = N/d, f's numerators c_ij over den_f and top = max(i + j),
+    this is sum c_ij * d^(top-i-j) * N^i * conj(N)^j over den_f * d^top,
+    added up in one set of sums and reduced once.  N^i comes from one
+    unreduced chain; conj(N)^j is N^j reflected (keys swapped, im negated).
+    """
+    inner_items = list(inner._num.items())
+    powers = [[((0, 0), (1, 0))]]
+    for _ in range(max(f.deg_z, f.deg_zbar)):
+        step: dict = {}
+        _mul_into(step, powers[-1], inner_items)
+        powers.append([(key, (re, im)) for key, (re, im) in step.items() if re or im])
+    conj_powers = [[((b, a), (r, -m)) for (a, b), (r, m) in p] for p in powers[: f.deg_zbar + 1]]
+    top = max((i + j for i, j in f._num), default=0)
+    d_pow = [inner._den**k for k in range(top + 1)]
+    out: dict = {}
     for (i, j), (re, im) in f._num.items():
-        out = out + _scale(mul(pow_z[i], pow_zbar[j]), re, im, 1)
-    return _scale(out, 1, 0, f._den)
-
-
-def _powers(base: BiPoly, upto: int) -> list[BiPoly]:
-    powers = [BiPoly.one()]
-    for _ in range(upto):
-        powers.append(mul(powers[-1], base))
-    return powers
+        scale = d_pow[top - i - j]
+        _mul_into(out, powers[i], conj_powers[j], re * scale, im * scale)
+    return _collect(out, f._den * d_pow[top])
 
 
 def eval_exact(f: BiPoly, point: GaussianRational) -> GaussianRational:

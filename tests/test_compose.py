@@ -1,0 +1,126 @@
+"""Exact composition: a pinned digest, a differential test and the single reduction."""
+
+import hashlib
+from math import gcd
+
+import hypothesis.strategies as st
+from hypothesis import example, given
+
+from polyharm import bipoly
+from polyharm.bipoly import BiPoly, GaussianRational, canonical_print, compose, mul
+from polyharm.gen import SplitMix64, gen_bipoly, gen_harmonic, gen_strict_q_harmonic, spawn
+from strategies import bipolys
+
+Z = BiPoly.z()
+ZBAR = BiPoly.zbar()
+
+
+# --- digest pin ------------------------------------------------------------------
+#
+# SHA-256 of canonical_print(compose(outer, inner)) over 300 seeded pairs,
+# recorded before compose became a single accumulation pass.  Any change to
+# a composed value or to its normal form changes the digest.
+
+
+def _pairs():
+    pairs = []
+    for index in range(60):
+        a, b = spawn(808, 2 * index), spawn(808, 2 * index + 1)
+        pairs.append((gen_bipoly(a, 3), gen_bipoly(b, 2)))
+        pairs.append((gen_harmonic(a, 3), gen_strict_q_harmonic(b, 2, 2)))
+        pairs.append((gen_strict_q_harmonic(a, 3, 1), gen_harmonic(b, 3)))
+        pairs.append((gen_bipoly(a, 4), gen_harmonic(b, 2, both_parts_nonconstant=True)))
+        # One-term outers z^m, m = 1..10: the thm2_nec shape.
+        pairs.append((BiPoly.monomial(index % 10 + 1, 0), gen_harmonic(b, 3, nonzero=True)))
+    return pairs
+
+
+_COMPOSE_DIGEST = "0ef42d79ac0044411e96ec7dd43487750a301544cde993c4c9b432908d180742"
+
+
+def test_compose_digest_is_pinned():
+    pairs = _pairs()
+    inners = [inner for _, inner in pairs]
+    # The pairs reach the cases the digest is meant to pin.
+    assert any(inner.denominator > 1 for inner in inners)
+    assert any(im for inner in inners for _, im in inner.numerators.values())
+    assert {len(outer.numerators) for outer, _ in pairs} >= {1, 8}
+    h = hashlib.sha256()
+    for outer, inner in pairs:
+        h.update(canonical_print(compose(outer, inner)).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == _COMPOSE_DIGEST
+
+
+# --- differential test -----------------------------------------------------------
+
+
+def _compose_term_by_term(f: BiPoly, inner: BiPoly) -> BiPoly:
+    """Reference: reduced power chains of inner and conj(inner), one product per term."""
+    pow_z, pow_zbar = [BiPoly.one()], [BiPoly.one()]
+    for _ in range(f.deg_z):
+        pow_z.append(mul(pow_z[-1], inner))
+    for _ in range(f.deg_zbar):
+        pow_zbar.append(mul(pow_zbar[-1], inner.conjugate()))
+    out = BiPoly.zero()
+    for (i, j), c in f.terms.items():
+        out = out + mul(pow_z[i], pow_zbar[j]) * c
+    return out
+
+
+def _assert_normal_form(f: BiPoly) -> None:
+    den = f.denominator
+    assert den > 0
+    assert all(re or im for re, im in f.numerators.values())
+    assert gcd(den, *(part for c in f.numerators.values() for part in c)) == 1
+
+
+# Whose square has a cancelled z^2 term: the raw chain must drop it.
+_CANCELLING = BiPoly({(0, 0): 1, (1, 0): 1, (2, 0): GaussianRational(-1, 0) / 2})
+
+_outers = st.one_of(
+    st.just(BiPoly.zero()),
+    bipolys(max_exp=0, max_terms=1),  # constants, zero included
+    bipolys(max_exp=5, max_terms=1),  # one-term outers
+    bipolys(max_exp=3, max_terms=6),
+)
+_inners = st.one_of(st.just(BiPoly.zero()), st.just(_CANCELLING), bipolys(max_exp=2, max_terms=4))
+
+
+@given(_outers, _inners)
+@example(BiPoly.zero(), _CANCELLING)
+@example(BiPoly.constant(GaussianRational(3, -2) / 7), BiPoly.zero())
+@example(Z**3 * ZBAR * 5 + BiPoly.constant(GaussianRational(1, 1) / 2), BiPoly.zero())
+@example(Z**4 + ZBAR**3 * 2 + Z * ZBAR, _CANCELLING)
+@example(BiPoly.monomial(0, 4, GaussianRational(0, 1) / 3), _CANCELLING)
+def test_compose_matches_term_by_term(f, inner):
+    result = compose(f, inner)
+    assert result == _compose_term_by_term(f, inner)
+    _assert_normal_form(result)
+    if inner.is_zero:
+        assert result == BiPoly.constant(f.coefficient(0, 0))
+
+
+def test_cancelling_inner_square_has_no_z2_term():
+    assert (2, 0) not in (_CANCELLING * _CANCELLING).numerators
+    assert compose(Z**2, _CANCELLING) == _CANCELLING * _CANCELLING
+
+
+# --- one reduction per composition ---------------------------------------------
+
+
+def test_compose_reduces_once(monkeypatch):
+    rng = SplitMix64(5)
+    outer = BiPoly({(i, j): rng.coeff(nonzero=True) for i in range(3) for j in range(3)})
+    inner = BiPoly({(0, 0): GaussianRational(1, 2) / 3, (1, 0): 2, (1, 1): GaussianRational(0, -1) / 5})
+    assert len(outer.numerators) >= 8
+    reduced = bipoly._reduced
+    calls = []
+
+    def counting(num, den):
+        calls.append(den)
+        return reduced(num, den)
+
+    monkeypatch.setattr(bipoly, "_reduced", counting)
+    compose(outer, inner)
+    assert len(calls) == 1
