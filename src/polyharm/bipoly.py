@@ -15,6 +15,11 @@ Two mappings are therefore equal exactly when their numerator maps and
 denominators are equal.  |z|^(2k) is the term (k, k) with coefficient 1;
 the degrees of the zero mapping are 0 by convention.
 
+``_from_parts`` is the one builder from coefficient parts {(i, j): (re, im,
+den)} with distinct keys: one lcm, one scaling pass and one gcd pass.
+BiPoly(...), the generators and the Almansi recomposition all use it.  A
+product with a scalar is ``_shift`` with no key shift.
+
 Composition substitutes inner = N/d into f in one accumulation: every
 term c_ij * d^(top-i-j) * N^i * conj(N)^j is added into one set of sums
 over den_f * d^top, where top is the largest i + j among f's keys, and the
@@ -175,22 +180,23 @@ def unit_circle_point(t: Rationalish) -> GaussianRational:
 class BiPoly:
     """Sparse polynomial in z and zbar: Gaussian-integer numerators over one denominator."""
 
-    __slots__ = ("_num", "_den", "_terms", "_hash")
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Mapping | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        parts = []
+        parts: dict = {}
         for key, coeff in items:
             key = _exponents(key)
             c = _scalar_parts(coeff)
             if c is None:
                 raise TypeError(f"coefficient must be rational-like, got {coeff!r}")
-            parts.append((key, c))
+            if key in parts:  # a key given twice: sum over the product of the denominators
+                (r1, i1, d1), (r2, i2, d2) = parts[key], c
+                c = (r1 * d2 + r2 * d1, i1 * d2 + i2 * d1, d1 * d2)
+            parts[key] = c
         f = _from_parts(parts)
         self._num = f._num
         self._den = f._den
-        self._terms = None
-        self._hash = None
 
     @classmethod
     def zero(cls) -> "BiPoly":
@@ -220,13 +226,9 @@ class BiPoly:
 
     @property
     def terms(self) -> Mapping[tuple[int, int], GaussianRational]:
-        """The coefficients as GaussianRational values, built on first use."""
-        if self._terms is None:
-            den = self._den
-            self._terms = MappingProxyType(
-                {key: _gaussian(re, im, den) for key, (re, im) in self._num.items()}
-            )
-        return self._terms
+        """The coefficients as GaussianRational values."""
+        den = self._den
+        return MappingProxyType({key: _gaussian(re, im, den) for key, (re, im) in self._num.items()})
 
     @property
     def numerators(self) -> Mapping[tuple[int, int], tuple[int, int]]:
@@ -263,9 +265,7 @@ class BiPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self._den, frozenset(self._num.items())))
-        return self._hash
+        return hash((self._den, frozenset(self._num.items())))
 
     def __add__(self, other) -> "BiPoly":
         other = _as_poly(other)
@@ -315,7 +315,9 @@ class BiPoly:
         c = _scalar_parts(other)
         if c is None:
             return NotImplemented
-        return _scale(self, *c)
+        if not (c[0] or c[1]):
+            return BiPoly.zero()
+        return _shift(self, 0, 0, *c)
 
     __rmul__ = __mul__
 
@@ -355,8 +357,6 @@ def _make(num: dict, den: int) -> BiPoly:
     p = BiPoly.__new__(BiPoly)
     p._num = num
     p._den = den
-    p._terms = None
-    p._hash = None
     return p
 
 
@@ -390,13 +390,12 @@ def _collect(out: dict, den: int) -> BiPoly:
     return _reduced({key: (re, im) for key, (re, im) in out.items() if re or im}, den)
 
 
-def _from_parts(parts) -> BiPoly:
-    """Sum of (re + im*i)/den * z^i * zbar^j over ((i, j), (re, im, den)) entries."""
-    parts = list(parts)
-    den = lcm(*(d for _, (_, _, d) in parts))
-    out: dict = {}
-    _accumulate(out, ((key, (re * (den // d), im * (den // d))) for key, (re, im, d) in parts), 1)
-    return _collect(out, den)
+def _from_parts(terms: dict) -> BiPoly:
+    """BiPoly of {(i, j): (re, im, den)} for distinct keys and den > 0; zero values are dropped."""
+    den = lcm(*(d for _, _, d in terms.values()))
+    return _reduced(
+        {key: (re * (den // d), im * (den // d)) for key, (re, im, d) in terms.items() if re or im}, den
+    )
 
 
 def _scalar_parts(value) -> "tuple[int, int, int] | None":
@@ -413,17 +412,6 @@ def _scalar_parts(value) -> "tuple[int, int, int] | None":
 
 def _gaussian(re: int, im: int, den: int) -> GaussianRational:
     return GaussianRational(Fraction(re, den), Fraction(im, den))
-
-
-def _scale(f: BiPoly, re: int, im: int, den: int) -> BiPoly:
-    """f * (re + im*i)/den for den > 0."""
-    if not (re or im):
-        return BiPoly.zero()
-    if im:
-        num = {key: (a * re - b * im, a * im + b * re) for key, (a, b) in f._num.items()}
-    else:
-        num = {key: (a * re, b * re) for key, (a, b) in f._num.items()}
-    return _reduced(num, f._den * den)
 
 
 def _as_poly(value) -> "BiPoly | None":

@@ -413,7 +413,7 @@ def _cmd_conjecture(args) -> int:
 
 def _parse_constant(text: str, flag: str) -> GaussianRational:
     value = parse(text)
-    if not set(value.terms) <= {(0, 0)}:
+    if not set(value.numerators) <= {(0, 0)}:
         raise _UsageError(f"{flag} must be a constant expression, got {text!r}")
     return value.coefficient(0, 0)
 

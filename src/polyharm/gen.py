@@ -14,9 +14,8 @@ re-verified through the classify/wirtinger oracles at the point of use.
 """
 
 from fractions import Fraction
-from math import lcm
 
-from .bipoly import BiPoly, GaussianRational, _reduced
+from .bipoly import BiPoly, GaussianRational, _from_parts
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -91,17 +90,6 @@ class SplitMix64:
         return self.next_u64() / float(1 << 64)
 
 
-def _from_draws(terms: dict) -> BiPoly:
-    """BiPoly of {(i, j): (re, im, den)} drawn by coeff_parts; zero draws are dropped.
-
-    The keys are distinct, so this is one lcm, one scaling pass and one gcd pass.
-    """
-    den = lcm(*(d for _, _, d in terms.values()))
-    return _reduced(
-        {key: (re * (den // d), im * (den // d)) for key, (re, im, d) in terms.items() if re or im}, den
-    )
-
-
 def gen_bipoly(seed: int, max_degree: int) -> BiPoly:
     """Random nonzero mapping with deg_z <= max_degree and deg_zbar <= max_degree."""
     rng = SplitMix64(seed)
@@ -109,11 +97,11 @@ def gen_bipoly(seed: int, max_degree: int) -> BiPoly:
     for _ in range(rng.between(1, 8)):
         key = (rng.between(0, max_degree), rng.between(0, max_degree))
         terms[key] = rng.coeff_parts(nonzero=True)
-    return _from_draws(terms)
+    return _from_parts(terms)
 
 
 def _analytic_draws(seed: int, max_degree: int, exact_degree: bool) -> dict:
-    """gen_analytic's draws as {(n, 0): (re, im, den)}, before _from_draws."""
+    """gen_analytic's draws as {(n, 0): (re, im, den)}, before bipoly._from_parts."""
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     rng = SplitMix64(seed)
@@ -128,7 +116,7 @@ def _analytic_draws(seed: int, max_degree: int, exact_degree: bool) -> dict:
 
 def gen_analytic(seed: int, max_degree: int, *, exact_degree: bool = False) -> BiPoly:
     """Random analytic polynomial; the leading coefficient is forced nonzero."""
-    return _from_draws(_analytic_draws(seed, max_degree, exact_degree))
+    return _from_parts(_analytic_draws(seed, max_degree, exact_degree))
 
 
 def gen_harmonic(
@@ -141,7 +129,7 @@ def gen_harmonic(
     """Random harmonic mapping h + conj(g) with h, g analytic.
 
     h and g are drawn as gen_analytic draws them, and h + conj(g) is built
-    from both draw sets in one _from_draws pass: the draws of g move to the
+    from both draw sets in one bipoly._from_parts pass: the draws of g move to the
     keys (0, n) with conjugated values, and only the two constant draws
     share a key, (0, 0), where they are summed.
 
@@ -164,7 +152,7 @@ def gen_harmonic(
         else:
             h_re, h_im, h_den = terms[(0, 0)]
             terms[(0, 0)] = (h_re * den + re * h_den, h_im * den - im * h_den, h_den * den)
-    f = _from_draws(terms)
+    f = _from_parts(terms)
     if nonzero and f.is_zero:
         f = f + BiPoly.one()
     return f

@@ -23,6 +23,7 @@ from fractions import Fraction
 from .bipoly import (
     BiPoly,
     GaussianRational,
+    _from_parts,
     canonical_print,
     compose,
     mul,
@@ -32,7 +33,6 @@ from .classify import classify, is_strictly_q_harmonic
 from .errors import InternalInconsistency, NotAnalytic, NotApplicable, UnknownSuite
 from .gen import (
     SplitMix64,
-    _from_draws,
     gen_analytic,
     gen_bipoly,
     gen_harmonic,
@@ -345,7 +345,7 @@ def _harmonic_with_degree_at_least(rng: SplitMix64, lo: int, hi: int) -> BiPoly:
 
 
 def _nonconstant_affine(rng: SplitMix64) -> BiPoly:
-    return _from_draws(
+    return _from_parts(
         {
             (1, 0): rng.coeff_parts(nonzero=True),
             (0, 1): rng.coeff_parts(),
@@ -532,7 +532,7 @@ def _case_thm3(case_seed: int):
     # (b)/(c) sufficiency: constants, and degree-1 analytic f for q = 2
     q = rng.between(2, 4)
     outer = gen_strict_q_harmonic(rng.next_u64(), q, 2)
-    const = _from_draws({(0, 0): rng.coeff_parts()})
+    const = _from_parts({(0, 0): rng.coeff_parts()})
     got = polyharmonic_order(compose(outer, const))
     if got > 1:
         return _fail(case_seed, f"outer={outer} f={const}", "constant composition", str(got))

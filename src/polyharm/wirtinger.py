@@ -103,12 +103,13 @@ def almansi_recompose(form: AlmansiForm) -> BiPoly:
 
     Raises NonHarmonicComponent if any component has a mixed monomial.
     """
-    parts = []
+    # Each key (i + k, j + k) has min k, so the keys of different components are distinct.
+    parts = {}
     for k, g in enumerate(form.components):
         for (i, j), (re, im) in g.numerators.items():
             if min(i, j) >= 1:
                 raise NonHarmonicComponent(
                     f"component {k + 1} contains the mixed monomial z^{i}*zbar^{j}"
                 )
-            parts.append(((i + k, j + k), (re, im, g.denominator)))
+            parts[(i + k, j + k)] = (re, im, g.denominator)
     return _from_parts(parts)
