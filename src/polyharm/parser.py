@@ -16,9 +16,13 @@ Rejections carry a byte offset and the set of expected tokens.
 While parsing, each node carries upper bounds of its degrees in z and in
 zbar.  A "^", "*" or "abs2" whose result could hold more than TERM_BUDGET
 terms, (deg_z + 1) * (deg_zbar + 1) by those bounds, is rejected at its
-offset before anything is built.
+offset before anything is built.  A "(", "conj(" or "abs2(" nested more
+than NESTING_LIMIT levels deep is rejected at its offset, so recursion
+depth stays bounded: sums and products are loops, only brackets and calls
+recurse.
 """
 
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,6 +33,10 @@ from .errors import DivisionByZero, ParseError
 
 # (1+z+zbar)^63 is the largest power of that trinomial within the budget.
 TERM_BUDGET = 4096
+
+# Each level costs at most four frames in the parser and four in lower(),
+# well inside Python's default recursion limit of 1000.
+NESTING_LIMIT = 100
 
 # --- AST -------------------------------------------------------------------
 
@@ -116,9 +124,10 @@ def _tokenize(text: str) -> list[_Token]:
             idx += 1
             continue
         pos = _byte_offset(text, idx)
-        if ch.isdigit():
+        # isdecimal, not isdigit: "²" is a digit that int() does not read.
+        if ch.isdecimal():
             start = idx
-            while idx < n and text[idx].isdigit():
+            while idx < n and text[idx].isdecimal():
                 idx += 1
             tokens.append(_Token("int", text[start:idx], pos))
             continue
@@ -161,6 +170,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # open "(", "conj(" and "abs2(" around the current token
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -245,19 +255,21 @@ class _Parser:
         if tok.kind == "i":
             self.advance()
             return ImagUnit(), (0, 0)
-        if tok.kind in ("conj", "abs2"):
+        if tok.kind in ("conj", "abs2", "("):
             self.advance()
-            self.expect("(")
+            if tok.kind != "(":
+                self.expect("(")
+            if self.depth == NESTING_LIMIT:
+                raise ParseError(f"{tok.text!r} nests deeper than {NESTING_LIMIT} levels", tok.position)
+            self.depth += 1
             inner, (dz, dzbar) = self.parse_expr()
+            self.depth -= 1
             self.expect(")")
             if tok.kind == "conj":
                 return Conj(inner), (dzbar, dz)
-            return Abs2(inner), self.check_budget(tok, (dz + dzbar, dz + dzbar))
-        if tok.kind == "(":
-            self.advance()
-            inner, degrees = self.parse_expr()
-            self.expect(")")
-            return inner, degrees
+            if tok.kind == "abs2":
+                return Abs2(inner), self.check_budget(tok, (dz + dzbar, dz + dzbar))
+            return inner, (dz, dzbar)
         raise ParseError(
             f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
             tok.position,
@@ -279,30 +291,40 @@ def parse_ast(text: str) -> ExprAst:
     return node
 
 
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+
+
 def lower(node: ExprAst) -> BiPoly:
-    """Evaluate an ExprAst to a BiPoly by exact ring operations."""
-    if isinstance(node, Add):
-        return lower(node.left) + lower(node.right)
-    if isinstance(node, Sub):
-        return lower(node.left) - lower(node.right)
-    if isinstance(node, Mul):
-        return lower(node.left) * lower(node.right)
+    """Evaluate an ExprAst to a BiPoly by exact ring operations.
+
+    A chain of Add, Sub and Mul nodes is walked down .left in a loop and
+    recursion is only on .right and on operands, so a long sum or product
+    costs no stack depth.
+    """
+    chain = []
+    while type(node) in _BINARY:
+        chain.append(node)
+        node = node.left
     if isinstance(node, Pow):
-        return lower(node.base) ** node.exponent
-    if isinstance(node, Conj):
-        return lower(node.operand).conjugate()
-    if isinstance(node, Abs2):
+        out = lower(node.base) ** node.exponent
+    elif isinstance(node, Conj):
+        out = lower(node.operand).conjugate()
+    elif isinstance(node, Abs2):
         inner = lower(node.operand)
-        return inner * inner.conjugate()
-    if isinstance(node, VarZ):
-        return BiPoly.z()
-    if isinstance(node, VarZbar):
-        return BiPoly.zbar()
-    if isinstance(node, ImagUnit):
-        return BiPoly.constant(GR_I)
-    if isinstance(node, RationalLit):
-        return BiPoly.constant(node.value)
-    raise TypeError(f"unknown AST node {node!r}")
+        out = inner * inner.conjugate()
+    elif isinstance(node, VarZ):
+        out = BiPoly.z()
+    elif isinstance(node, VarZbar):
+        out = BiPoly.zbar()
+    elif isinstance(node, ImagUnit):
+        out = BiPoly.constant(GR_I)
+    elif isinstance(node, RationalLit):
+        out = BiPoly.constant(node.value)
+    else:
+        raise TypeError(f"unknown AST node {node!r}")
+    for op in reversed(chain):
+        out = _BINARY[type(op)](out, lower(op.right))
+    return out
 
 
 def parse(text: str) -> BiPoly:

@@ -194,6 +194,12 @@ def allowed_form_pre(f: BiPoly, q: int, l: int):
 
 def _pre_candidates(f: BiPoly, q: int, l: int):
     carrier = BiPoly.monomial(q - 1, q - 1) if q >= 2 else BiPoly.zero()
+    if q >= 2:
+        rep = classify(f)
+        if rep.is_analytic or rep.is_antianalytic:
+            # The only candidate: composition order is exactly t*(q-1)+1 for degree-t f.
+            yield carrier, "|w|^(2(q-1))"
+            return
     suffix = " + |w|^(2(q-1))" if q >= 2 else ""
     # Outer powers w^m.  For harmonic f = h + conj(g) with both parts
     # nonconstant the coefficient of z^(s*k) * zbar^(s*(m-k)) in f^m at the
@@ -224,16 +230,6 @@ def find_witness_pre(f: BiPoly, q: int, l: int) -> WitnessResult:
         raise NotApplicable(
             "only a conjectured characterization exists here; "
             "use the counterexample search instead"
-        )
-    rep = classify(f)
-    if q >= 2 and (rep.is_analytic or rep.is_antianalytic):
-        # Composition order is exactly t*(q-1)+1 for degree-t input.
-        candidate = BiPoly.monomial(q - 1, q - 1)
-        order = polyharmonic_order(compose(candidate, f))
-        if order > l:
-            return WitnessResult(VIOLATION, candidate, order, l, "|w|^(2(q-1))")
-        raise InternalInconsistency(
-            f"modulus-power outer failed for q={q}, l={l}, f={canonical_print(f)}"
         )
     for candidate, tag in _pre_candidates(f, q, l):
         if q >= 2 and not is_strictly_q_harmonic(candidate, q):

@@ -27,11 +27,16 @@ def d_dzbar(f: BiPoly) -> BiPoly:
 
 
 def laplacian(f: BiPoly, times: int = 1) -> BiPoly:
-    """Apply 4 * d/dz d/dzbar the given number of times (times >= 1)."""
+    """Apply 4 * d/dz d/dzbar the given number of times (times >= 1).
+
+    Stops early once the result is zero, since the Laplacian of zero is zero.
+    """
     if not isinstance(times, int) or times < 1:
         raise ValueError("times must be a positive integer")
     out = f
     for _ in range(times):
+        if out.is_zero:
+            break
         out = _reduced(
             {
                 (i - 1, j - 1): (re * (4 * i * j), im * (4 * i * j))

@@ -77,6 +77,46 @@ def test_duplicate_keys_accumulate():
     assert f == Z * 3 + 5
 
 
+@pytest.mark.parametrize(
+    "items, expected",
+    [
+        # int + Fraction at one key; GaussianRational + Fraction over another denominator.
+        (
+            [((1, 0), 1), ((0, 2), GaussianRational(Fraction(1, 2), Fraction(1, 4))),
+             ((1, 0), Fraction(1, 3)), ((0, 2), Fraction(1, 6))],
+            {(1, 0): GaussianRational(Fraction(4, 3)), (0, 2): GaussianRational(Fraction(2, 3), Fraction(1, 4))},
+        ),
+        # A pair that cancels to zero; the survivor's denominator 1 must not keep the 7.
+        (
+            [((2, 1), Fraction(2, 7)), ((0, 0), 5), ((2, 1), GaussianRational(Fraction(-2, 7)))],
+            {(0, 0): GaussianRational(5)},
+        ),
+        # Three values at one key over denominators 4, 6 and 4: the imaginary parts cancel.
+        (
+            [((1, 1), GaussianRational(Fraction(1, 4), Fraction(1, 6))),
+             ((1, 1), GaussianRational(0, Fraction(-1, 6))), ((1, 1), Fraction(3, 4))],
+            {(1, 1): GR_ONE},
+        ),
+        # Everything cancels: the zero mapping, the empty map over 1.
+        ([((0, 1), Fraction(5, 9)), ((0, 1), GaussianRational(Fraction(-5, 9)))], {}),
+    ],
+)
+def test_duplicate_keys_sum_to_normal_form(items, expected):
+    for f in (BiPoly(items), BiPoly(list(reversed(items)))):
+        assert dict(f.terms) == expected
+        _assert_strict_normal_form(f)
+
+
+@given(st.lists(st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.one_of(st.integers(-9, 9), scalars))))
+def test_duplicate_keys_match_sum_of_monomials(items):
+    f = BiPoly(items)
+    total = BiPoly.zero()
+    for key, c in items:
+        total = total + BiPoly({key: c})
+    assert f == total
+    _assert_strict_normal_form(f)
+
+
 def test_degrees_of_zero_are_zero():
     zero = BiPoly.zero()
     assert zero.deg_z == 0 and zero.deg_zbar == 0

@@ -279,6 +279,30 @@ def test_oversized_input_is_parse_error_with_position(capsys, expr, offset):
     assert f"at offset {offset}" in err
 
 
+@pytest.mark.parametrize(
+    "argv, out, offset",
+    [
+        (["order", "+".join(["z"] * 1000)], "1\n", None),
+        (["order", "*".join(["z"] * 1200)], "1\n", None),
+        (["order", "conj(" * 300 + "z" + ")" * 300], "", 500),
+        (["order", "(" * 400 + "z" + ")" * 400], "", 100),
+        (["order", "z^²"], "", 2),
+        (["laplacian", "--times", "1000000000", "z*zbar"], "0\n", None),
+    ],
+    ids=["sum_of_1000", "product_of_1200", "conj_nested_300", "paren_nested_400", "superscript_exponent",
+         "laplacian_past_zero"],
+)
+def test_long_deep_and_odd_inputs_finish_fast(capsys, argv, out, offset):
+    start = time.perf_counter()
+    code, got, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert got == out
+    if offset is None:
+        assert code == 0 and err == ""
+    else:
+        assert code == 2 and err.startswith("parse error: ") and f"at offset {offset}" in err
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "laplacian", "--times", "0", "z")
     assert code == 2 and err != ""

@@ -8,7 +8,7 @@ from hypothesis import given
 from polyharm.bipoly import BiPoly, GR_I, GaussianRational
 from polyharm.errors import DivisionByZero, ParseError
 from polyharm import parser
-from polyharm.parser import TERM_BUDGET, Pow, RationalLit, Sub, parse, parse_ast, unparse
+from polyharm.parser import NESTING_LIMIT, TERM_BUDGET, Pow, RationalLit, Sub, parse, parse_ast, unparse
 from strategies import bipoly_any
 
 Z = BiPoly.z()
@@ -84,6 +84,16 @@ def test_error_positions_are_byte_offsets():
     assert info.value.position == 5
 
 
+def test_superscript_digit_is_an_unexpected_character():
+    # "²".isdigit() is true, but int() cannot read it.
+    with pytest.raises(ParseError) as info:
+        parse("z^²")
+    assert info.value.position == 2
+    assert "unexpected character '²'" in str(info.value)
+    # Other decimal digits are read as int() reads them.
+    assert parse("z^٣") == Z**3
+
+
 def test_error_carries_expected_set():
     with pytest.raises(ParseError) as info:
         parse("z +")
@@ -91,6 +101,36 @@ def test_error_carries_expected_set():
     with pytest.raises(ParseError) as info:
         parse("conj z")
     assert "(" in info.value.expected
+
+
+# --- chain length and nesting depth -------------------------------------------
+
+
+def test_long_sums_and_products_do_not_recurse_per_operand():
+    start = time.perf_counter()
+    assert parse(" + ".join(["z"] * 1000)) == Z * 1000
+    assert parse(" - ".join(["zbar"] * 1000)) == ZBAR * -998
+    assert parse("*".join(["z"] * 1200)) == BiPoly.monomial(1200, 0)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_nesting_at_the_limit_is_accepted():
+    # Each level is conj, a sum, a product and a power: the deepest stack per level.
+    text = "z"
+    for _ in range(NESTING_LIMIT):
+        text = f"conj(1 + 1*{text}^1)"
+    assert parse(text) == Z + NESTING_LIMIT
+    assert parse("(" * NESTING_LIMIT + "zbar" + ")" * NESTING_LIMIT) == ZBAR
+
+
+@pytest.mark.parametrize("opener, depth", [("conj(", 300), ("(", 400), ("abs2(", 150), ("(", NESTING_LIMIT + 1)])
+def test_nesting_past_the_limit_is_rejected_at_the_opening_token(opener, depth):
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as info:
+        parse(opener * depth + "z" + ")" * depth)
+    assert time.perf_counter() - start < 1.0
+    assert info.value.position == len(opener) * NESTING_LIMIT
+    assert f"deeper than {NESTING_LIMIT} levels" in str(info.value)
 
 
 # --- size budget ---------------------------------------------------------------

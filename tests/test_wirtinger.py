@@ -1,3 +1,5 @@
+import time
+
 import pytest
 import hypothesis.strategies as st
 from hypothesis import example, given
@@ -80,6 +82,13 @@ def test_laplacian_monomial_law():
 def test_laplacian_iterated():
     # Delta(24 z zbar^2) = 24 * 4 * 1 * 2 * zbar, iterated by hand
     assert laplacian(Z**2 * ZBAR**3, 2) == ZBAR * 192
+
+
+def test_laplacian_stops_once_zero():
+    start = time.perf_counter()
+    assert laplacian(Z * ZBAR, 10**9).is_zero
+    assert laplacian(BiPoly.zero(), 10**9).is_zero
+    assert time.perf_counter() - start < 1.0
 
 
 def test_laplacian_times_validation():
