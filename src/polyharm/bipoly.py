@@ -190,10 +190,7 @@ class BiPoly:
             c = _scalar_parts(coeff)
             if c is None:
                 raise TypeError(f"coefficient must be rational-like, got {coeff!r}")
-            if key in parts:  # a key given twice: sum over the product of the denominators
-                (r1, i1, d1), (r2, i2, d2) = parts[key], c
-                c = (r1 * d2 + r2 * d1, i1 * d2 + i2 * d1, d1 * d2)
-            parts[key] = c
+            parts[key] = _part_sum(parts[key], c) if key in parts else c
         f = _from_parts(parts)
         self._num = f._num
         self._den = f._den
@@ -396,6 +393,12 @@ def _from_parts(terms: dict) -> BiPoly:
     return _reduced(
         {key: (re * (den // d), im * (den // d)) for key, (re, im, d) in terms.items() if re or im}, den
     )
+
+
+def _part_sum(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The sum of two (re, im, den) parts, over the product of their denominators."""
+    (r1, i1, d1), (r2, i2, d2) = a, b
+    return r1 * d2 + r2 * d1, i1 * d2 + i2 * d1, d1 * d2
 
 
 def _scalar_parts(value) -> "tuple[int, int, int] | None":

@@ -15,7 +15,7 @@ re-verified through the classify/wirtinger oracles at the point of use.
 
 from fractions import Fraction
 
-from .bipoly import BiPoly, GaussianRational, _from_parts
+from .bipoly import BiPoly, GaussianRational, _from_parts, _part_sum
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -150,8 +150,7 @@ def gen_harmonic(
         if n or (0, 0) not in terms:
             terms[(0, n)] = (re, -im, den)
         else:
-            h_re, h_im, h_den = terms[(0, 0)]
-            terms[(0, 0)] = (h_re * den + re * h_den, h_im * den - im * h_den, h_den * den)
+            terms[(0, 0)] = _part_sum(terms[(0, 0)], (re, -im, den))
     f = _from_parts(terms)
     if nonzero and f.is_zero:
         f = f + BiPoly.one()

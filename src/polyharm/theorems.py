@@ -39,7 +39,7 @@ from .gen import (
     gen_strict_q_harmonic,
     spawn,
 )
-from .wirtinger import d_dz, d_dzbar, newton_vertex_depth, polyharmonic_order
+from .wirtinger import d_dz, d_dzbar, newton_order_bound, newton_vertex_depth, polyharmonic_order
 
 COMPLIANT = "Compliant"
 VIOLATION = "Violation"
@@ -97,7 +97,11 @@ def allowed_form_post(f: BiPoly, q: int, l: int) -> bool:
     inners, q >= 2 over strictly q-harmonic inners.
     """
     _require_params(q, l)
-    rep = classify(f)
+    return _allowed_post(classify(f), q, l)
+
+
+def _allowed_post(rep, q: int, l: int) -> bool:
+    # allowed_form_post from f's ClassReport.
     if q == 0:
         return rep.is_harmonic
     if q == 1:
@@ -115,8 +119,7 @@ def _circle_points(count: int) -> tuple[GaussianRational, ...]:
     return tuple(unit_circle_point(t) for t in range(count))
 
 
-def _post_candidates(f: BiPoly, q: int, l: int):
-    rep = classify(f)
+def _post_candidates(f: BiPoly, rep, q: int, l: int):
     d = max(f.deg_z, f.deg_zbar)
     circle = _circle_points(2 * max(rep.order, 1) + 2)
     if q == 0:
@@ -152,9 +155,10 @@ def find_witness_post(f: BiPoly, q: int, l: int) -> WitnessResult:
     InternalInconsistency if the finite family search exhausts.
     """
     _require_params(q, l)
-    if allowed_form_post(f, q, l):
+    rep = classify(f)
+    if _allowed_post(rep, q, l):
         raise NotApplicable("the mapping already has the allowed form")
-    for candidate, tag in _post_candidates(f, q, l):
+    for candidate, tag in _post_candidates(f, rep, q, l):
         order = polyharmonic_order(compose(f, candidate))
         if order > l:
             return WitnessResult(VIOLATION, candidate, order, l, tag)
@@ -177,7 +181,11 @@ def allowed_form_pre(f: BiPoly, q: int, l: int):
     only a conjectured answer exists.
     """
     _require_params(q, l)
-    rep = classify(f)
+    return _allowed_pre(f, classify(f), q, l)
+
+
+def _allowed_pre(f: BiPoly, rep, q: int, l: int):
+    # allowed_form_pre from f's ClassReport.
     if q <= 1:
         if rep.is_harmonic:
             return rep.is_analytic or rep.is_antianalytic
@@ -192,22 +200,24 @@ def allowed_form_pre(f: BiPoly, q: int, l: int):
     return False
 
 
-def _pre_candidates(f: BiPoly, q: int, l: int):
+def _pre_candidates(f: BiPoly, rep, q: int, l: int):
     carrier = BiPoly.monomial(q - 1, q - 1) if q >= 2 else BiPoly.zero()
-    if q >= 2:
-        rep = classify(f)
-        if rep.is_analytic or rep.is_antianalytic:
-            # The only candidate: composition order is exactly t*(q-1)+1 for degree-t f.
-            yield carrier, "|w|^(2(q-1))"
-            return
+    if q >= 2 and (rep.is_analytic or rep.is_antianalytic):
+        # The only candidate: composition order is exactly t*(q-1)+1 for degree-t f.
+        yield carrier, "|w|^(2(q-1))"
+        return
     suffix = " + |w|^(2(q-1))" if q >= 2 else ""
-    # Outer powers w^m.  For harmonic f = h + conj(g) with both parts
-    # nonconstant the coefficient of z^(s*k) * zbar^(s*(m-k)) in f^m at the
-    # top weighted degree is binomial(m, k) times a product of the leading
-    # coefficients of h and g, hence nonzero, so m = 2l + 2 already forces
-    # order >= l + 2.  For other shapes the loop keeps increasing m and the
-    # exact order check decides.
-    for m in range(2 * l + 2, 2 * l + 10):
+    # Outer powers w^m, from the least m for which f's Newton polygon
+    # certifies order(f^m) > l (wirtinger.newton_order_bound).  For
+    # harmonic f = h + conj(g) with both parts nonconstant, the edge from
+    # (deg h, 0) to (0, deg g) has no other support point, so
+    # m = ceil(l / deg h) + ceil(l / deg g) <= 2l is certified.  When
+    # nothing up to 2l + 1 is, as for z^2 + z*zbar + zbar^2, the search
+    # starts at 2l + 2.  For q <= 1 the composition is f^m itself, so a
+    # certified first candidate is a witness; for q >= 2 the carrier is
+    # added, and the exact order check decides every candidate.
+    start = next((m for m in range(1, 2 * l + 2) if newton_order_bound(f, m) > l), 2 * l + 2)
+    for m in range(start, 2 * l + 10):
         yield BiPoly.monomial(m, 0) + carrier, "w^m" + suffix
     # There is no second family: truncations of exp(s*w), s = 1, 2, 3, were
     # never reached in 100,000 cases each of thm1_nec, thm2_nec and thm3
@@ -222,16 +232,35 @@ def find_witness_pre(f: BiPoly, q: int, l: int) -> WitnessResult:
     Raises NotApplicable both for compliant forms and for the open
     ConjectureOnly regime; InternalInconsistency if the search exhausts.
     """
-    _require_params(q, l)
-    allowed = allowed_form_pre(f, q, l)
-    if allowed is True:
+    res = witness_pre(f, q, l)
+    if res.verdict == COMPLIANT:
         raise NotApplicable("the mapping already has the allowed form")
-    if isinstance(allowed, ConjectureOnly):
+    if res.verdict == CONJECTURE_ONLY:
         raise NotApplicable(
             "only a conjectured characterization exists here; "
             "use the counterexample search instead"
         )
-    for candidate, tag in _pre_candidates(f, q, l):
+    return res
+
+
+def witness_post(f: BiPoly, q: int, l: int) -> WitnessResult:
+    """allowed_form_post folded with find_witness_post into one verdict."""
+    try:
+        return find_witness_post(f, q, l)
+    except NotApplicable:
+        return WitnessResult(COMPLIANT, None, None, l, "")
+
+
+def witness_pre(f: BiPoly, q: int, l: int) -> WitnessResult:
+    """allowed_form_pre folded with the find_witness_pre search into one verdict."""
+    _require_params(q, l)
+    rep = classify(f)
+    allowed = _allowed_pre(f, rep, q, l)
+    if allowed is True:
+        return WitnessResult(COMPLIANT, None, None, l, "")
+    if isinstance(allowed, ConjectureOnly):
+        return WitnessResult(CONJECTURE_ONLY, None, None, l, f"conjectured: {allowed.conjectured_form}")
+    for candidate, tag in _pre_candidates(f, rep, q, l):
         if q >= 2 and not is_strictly_q_harmonic(candidate, q):
             continue
         order = polyharmonic_order(compose(candidate, f))
@@ -240,23 +269,6 @@ def find_witness_pre(f: BiPoly, q: int, l: int) -> WitnessResult:
     raise InternalInconsistency(
         f"no violating outer mapping found for q={q}, l={l}, f={canonical_print(f)}"
     )
-
-
-def witness_post(f: BiPoly, q: int, l: int) -> WitnessResult:
-    """allowed_form_post folded with find_witness_post into one verdict."""
-    if allowed_form_post(f, q, l):
-        return WitnessResult(COMPLIANT, None, None, l, "")
-    return find_witness_post(f, q, l)
-
-
-def witness_pre(f: BiPoly, q: int, l: int) -> WitnessResult:
-    """allowed_form_pre folded with find_witness_pre into one verdict."""
-    allowed = allowed_form_pre(f, q, l)
-    if allowed is True:
-        return WitnessResult(COMPLIANT, None, None, l, "")
-    if isinstance(allowed, ConjectureOnly):
-        return WitnessResult(CONJECTURE_ONLY, None, None, l, f"conjectured: {allowed.conjectured_form}")
-    return find_witness_pre(f, q, l)
 
 
 # ---------------------------------------------------------------------------

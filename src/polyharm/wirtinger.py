@@ -55,20 +55,19 @@ def polyharmonic_order(f: BiPoly) -> int:
     return 1 + max(map(min, f.numerators))
 
 
-def newton_vertex_depth(f: BiPoly) -> int:
-    """mu = the largest min(i, j) over the vertices of f's Newton polygon; 0 for f = 0.
+def _newton_vertices(f: BiPoly) -> list[tuple[int, int]]:
+    """Vertices of f's Newton polygon (the convex hull of its support), in cyclic order.
 
-    The Newton polygon is the convex hull of the support.  Its vertices
-    survive in every power: the Newton polygon of f^m is m times that of f,
-    and the coefficient of f^m at m*v is c_v^m != 0 for each vertex v
-    (Ostrowski 1921), so order(f^m) >= 1 + m*mu.  A support point on an
-    edge but not at its end is not a vertex: in z^2 + z*zbar + zbar^2 the
-    point (1, 1) lies on an edge, and mu = 0.
+    Andrew's monotone chain; popping on cross <= 0 drops collinear points,
+    so a support point inside an edge, like (1, 1) in z^2 + z*zbar + zbar^2,
+    is not a vertex.  A support on one line gives its two ends; f = 0 gives
+    no vertex.
     """
     points = sorted(f.numerators)
+    if len(points) <= 1:
+        return points
 
     def half_hull(ordered):
-        # Andrew's monotone chain; popping on cross <= 0 drops collinear points.
         chain = []
         for x, y in ordered:
             while len(chain) >= 2:
@@ -79,8 +78,46 @@ def newton_vertex_depth(f: BiPoly) -> int:
             chain.append((x, y))
         return chain
 
-    vertices = half_hull(points) + half_hull(reversed(points))
-    return max(map(min, vertices), default=0)
+    return half_hull(points)[:-1] + half_hull(reversed(points))[:-1]
+
+
+def newton_vertex_depth(f: BiPoly) -> int:
+    """mu = the largest min(i, j) over the vertices of f's Newton polygon; 0 for f = 0.
+
+    Its vertices survive in every power: the Newton polygon of f^m is m
+    times that of f, and the coefficient of f^m at m*v is c_v^m != 0 for
+    each vertex v (Ostrowski 1921), so order(f^m) >= 1 + m*mu.  A support
+    point on an edge but not at its end is not a vertex: in
+    z^2 + z*zbar + zbar^2 the point (1, 1) lies on an edge, and mu = 0.
+    """
+    return max(map(min, _newton_vertices(f)), default=0)
+
+
+def newton_order_bound(f: BiPoly, m: int) -> int:
+    """A lower bound on polyharmonic_order(f**m) read off f's Newton polygon; 0 for f = 0.
+
+    It is 1 + the largest min(i, j) over points that f^m certainly has in
+    its support.  Proof: for a weight w, the initial form of f^m on the
+    face of its Newton polygon that w selects is the initial form of f on
+    that face, raised to the power m (Ostrowski 1921: the Newton polygon of
+    a product is the Minkowski sum of the factors' polygons).
+      * At a vertex v of f with coefficient c_v, the initial form is a
+        monomial, so f^m has c_v^m != 0 at m*v.
+      * On an edge v1 v2 whose only support points are its two ends, the
+        initial form is the binomial c1*x^v1 + c2*x^v2, whose m-th power
+        puts binom(m, k) * c1^(m-k) * c2^k != 0 at (m-k)*v1 + k*v2 for
+        k = 0..m; these exponents are distinct, so nothing cancels.
+    A support on one line is one edge.  An edge with a support point
+    inside it certifies only its ends.
+    """
+    vertices = _newton_vertices(f)
+    best = max((m * min(v) for v in vertices), default=-1)
+    cycle = vertices + vertices[:1] if len(vertices) > 2 else vertices
+    for (x1, y1), (x2, y2) in zip(cycle, cycle[1:]):
+        # Support points on an edge's line lie on the edge; its two ends are two of them.
+        if sum((x2 - x1) * (y - y1) == (y2 - y1) * (x - x1) for x, y in f.numerators) == 2:
+            best = max(best, *(min((m - k) * x1 + k * x2, (m - k) * y1 + k * y2) for k in range(m + 1)))
+    return best + 1
 
 
 def is_harmonic(f: BiPoly) -> bool:

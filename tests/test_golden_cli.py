@@ -3,8 +3,9 @@
 The calls are every README CLI example, in text form and with --json
 (the verify and conjecture case counts cut to 20), the same for a few
 calls whose output has fractional, negative and mixed coefficients or
-floating-point errors, plus one call down each error path: a parse error with its offset, a usage error raised by a
-handler, an argparse error, and --help.  The whole list is replayed twice
+floating-point errors and for two pre-composition witnesses, plus one
+call down each error path: a parse error with its offset, a usage error
+raised by a handler, an argparse error, and --help.  The whole list is replayed twice
 in one process, forward and then reversed, so that state carried from one
 call to the next through the shared parser would show up as a mismatch.
 
@@ -53,6 +54,13 @@ EDGE_CALLS = [
     ["fdcheck", "z^2*zbar - 1/2*z*zbar^2 + (1/3 + i)*z", "--m", "2", "--points", "7", "--seed", "11"],
 ]
 
+# Pre-composition witnesses: the outer power starts at the least exponent
+# that f's Newton polygon certifies.
+PRE_WITNESS_CALLS = [
+    ["witness", "--theorem", "2a", "--l", "1", "z^2+zbar^2"],
+    ["witness", "--theorem", "2b", "--q", "2", "--l", "3", "z^2+zbar"],
+]
+
 ERROR_CALLS = [
     ["order", "z^"],
     ["witness", "--theorem", "1a", "z"],
@@ -61,7 +69,7 @@ ERROR_CALLS = [
 ]
 
 CALLS = (
-    [argv for call in README_CALLS + EDGE_CALLS for argv in (call, call + ["--json"])]
+    [argv for call in README_CALLS + EDGE_CALLS + PRE_WITNESS_CALLS for argv in (call, call + ["--json"])]
     + ERROR_CALLS
 )
 

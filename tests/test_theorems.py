@@ -29,7 +29,7 @@ from polyharm.theorems import (
     witness_post,
     witness_pre,
 )
-from polyharm.wirtinger import d_dz, d_dzbar, laplacian, newton_vertex_depth, polyharmonic_order
+from polyharm.wirtinger import d_dz, d_dzbar, laplacian, newton_order_bound, newton_vertex_depth, polyharmonic_order
 from strategies import analytic_polys, harmonic_polys
 
 Z = BiPoly.z()
@@ -177,9 +177,85 @@ def test_find_witness_post_not_applicable():
 
 def test_find_witness_pre_both_parts_nonconstant():
     result = find_witness_pre(Z + ZBAR, 1, 1)
-    assert result.witness == Z**4
-    assert result.composition_order == 3
+    assert result.witness == Z**2
+    assert result.composition_order == 2
     _assert_verified_pre(Z + ZBAR, 1, 1, result)
+
+
+@pytest.mark.parametrize(
+    "f, q, l, witness, order",
+    [
+        (Z**2 + ZBAR**2, 1, 1, Z**2, 3),
+        (Z**2 + ZBAR, 2, 3, Z * ZBAR + Z**5, 4),
+        # (1, 1) lies inside the only edge, so nothing is certified and the
+        # powers start at 2l + 2.
+        (Z**2 + Z * ZBAR + ZBAR**2, 0, 2, Z**6, 7),
+    ],
+)
+def test_pre_composition_powers_start_at_the_certified_exponent(f, q, l, witness, order):
+    result = find_witness_pre(f, q, l)
+    assert result.witness == witness
+    assert result.composition_order == order
+    _assert_verified_pre(f, q, l, result)
+    assert witness_pre(f, q, l) == result
+
+
+def _certified_start(f, l):
+    return next((m for m in range(1, 2 * l + 2) if newton_order_bound(f, m) > l), 2 * l + 2)
+
+
+@pytest.mark.parametrize("name", ["thm2_nec", "thm3"])
+def test_pre_composition_searches_hit_on_their_first_candidate(monkeypatch, name):
+    import polyharm.theorems as theorems
+
+    composed = []
+    plain_compose, plain_find = theorems.compose, theorems.find_witness_pre
+    searches = []
+
+    def counting_compose(outer, inner):
+        composed.append(1)
+        return plain_compose(outer, inner)
+
+    def recording_find(f, q, l):
+        before = len(composed)
+        res = plain_find(f, q, l)
+        searches.append((f, l, res, len(composed) - before))
+        return res
+
+    monkeypatch.setattr(theorems, "compose", counting_compose)
+    monkeypatch.setattr(theorems, "find_witness_pre", recording_find)
+    assert run_suite(name, 12345, 2000).failures == 0
+    powers = 0
+    for f, l, res, candidates in searches:
+        assert candidates == 1
+        if res.family_tag.startswith("w^m"):
+            powers += 1
+            m = max(i for i, j in res.witness.numerators if j == 0)
+            assert m == _certified_start(f, l)
+    assert powers > 0
+
+
+def test_witness_searches_classify_f_once(monkeypatch):
+    import polyharm.theorems as theorems
+
+    seen = []
+    plain_classify = theorems.classify
+
+    def counting_classify(g):
+        seen.append(g)
+        return plain_classify(g)
+
+    monkeypatch.setattr(theorems, "classify", counting_classify)
+    post = [(Z + ZBAR, 0, 1), (Z**2, 1, 1), (Z * ZBAR, 0, 1), (Z**2 - ZBAR**2, 2, 2), (Z * ZBAR, 3, 2)]
+    pre = [(Z * ZBAR, 1, 3), (Z**9, 0, 1), (Z + ZBAR, 1, 1), (Z**2, 2, 2), (ZBAR**3, 3, 4), (Z * ZBAR, 2, 3)]
+    calls = [(witness_post, args) for args in post] + [(witness_pre, args) for args in pre]
+    calls += [(find_witness_post, args) for args in post if not allowed_form_post(*args)]
+    calls += [(find_witness_pre, args) for args in pre if allowed_form_pre(*args) is False]
+    for search, (f, q, l) in calls:
+        seen.clear()
+        search(f, q, l)
+        assert len(seen) == 1 and seen[0] is f, search.__name__
+    assert len(calls) == 19
 
 
 def test_find_witness_pre_analytic_too_large():

@@ -1,4 +1,5 @@
 import time
+from math import comb
 
 import pytest
 import hypothesis.strategies as st
@@ -7,7 +8,7 @@ from hypothesis import example, given
 from polyharm.bipoly import AlmansiForm, BiPoly
 from polyharm.errors import NonHarmonicComponent
 from polyharm.bipoly import mul
-from polyharm.gen import gen_bipoly, spawn
+from polyharm.gen import gen_bipoly, gen_harmonic, gen_strict_q_harmonic, spawn
 from polyharm.wirtinger import (
     almansi_decompose,
     almansi_recompose,
@@ -15,6 +16,7 @@ from polyharm.wirtinger import (
     d_dzbar,
     is_harmonic,
     laplacian,
+    newton_order_bound,
     newton_vertex_depth,
     polyharmonic_order,
 )
@@ -205,6 +207,74 @@ def test_powers_keep_the_newton_vertices(seed):
         for i, j in vertices:
             assert power.coefficient(m * i, m * j) == f.coefficient(i, j) ** m
         assert polyharmonic_order(power) >= 1 + m * mu
+
+
+def binomial_edges(f: BiPoly, vertices: set) -> set:
+    """Pairs of vertices whose line bounds the support and holds no other support point."""
+    points = list(f.numerators)
+    edges = set()
+    for x1, y1 in vertices:
+        for x2, y2 in vertices:
+            if (x1, y1) >= (x2, y2):
+                continue
+            sides = [(x2 - x1) * (y - y1) - (y2 - y1) * (x - x1) for x, y in points]
+            if (min(sides) >= 0 or max(sides) <= 0) and sides.count(0) == 2:
+                edges.add(((x1, y1), (x2, y2)))
+    return edges
+
+
+def test_newton_order_bound_examples():
+    cases = [
+        (BiPoly.zero(), [0, 0, 0, 0]),
+        (BiPoly.constant(5), [1, 1, 1, 1]),
+        (Z + ZBAR, [1, 2, 2, 3]),  # the binomial edge gives (k, m - k)
+        (Z**2 + ZBAR**2, [1, 3, 3, 5]),
+        (Z**2 + ZBAR, [1, 2, 3, 3]),  # (2(m - k), k): order 4 first at m = 5
+        (Z**2 + Z * ZBAR + ZBAR**2, [1, 1, 1, 1]),  # (1, 1) inside the one edge: only the ends count
+        (Z * ZBAR + Z, [2, 3, 4, 5]),
+        (Z**4 + Z * ZBAR + ZBAR**4, [2, 5, 5, 9]),  # the edge from (4, 0) to (0, 4) beats the vertex (1, 1)
+    ]
+    for f, bounds in cases:
+        got = [newton_order_bound(f, m) for m in range(1, 5)]
+        assert got == bounds, str(f)
+        assert [newton_order_bound(f.conjugate(), m) for m in range(1, 5)] == bounds
+    assert newton_order_bound(Z**2 + ZBAR, 5) == 4
+
+
+@given(
+    st.sampled_from(["bipoly", "harmonic", "strict_q"]),
+    st.integers(0, 2**64 - 1),
+    st.integers(2, 4),
+)
+def test_newton_order_bound_is_certified_by_the_powers(kind, seed, q):
+    # The points newton_order_bound reads, found from the brute-force vertex
+    # oracle: m*v with c_v^m for each vertex, and (m-k)*v1 + k*v2 with
+    # binom(m, k)*c1^(m-k)*c2^k for each edge with no other support point.
+    if kind == "bipoly":
+        f = gen_bipoly(seed, 4)
+    elif kind == "harmonic":
+        f = gen_harmonic(seed, 3, both_parts_nonconstant=True)
+    else:
+        f = gen_strict_q_harmonic(seed, q, 2)
+    vertices = newton_vertices(f)
+    edges = binomial_edges(f, vertices)
+    power = f
+    for m in range(1, 5):
+        if m > 1:
+            power = mul(power, f)
+        certified = {}
+        for i, j in vertices:
+            certified[(m * i, m * j)] = f.coefficient(i, j) ** m
+        for (i1, j1), (i2, j2) in edges:
+            c1, c2 = f.coefficient(i1, j1), f.coefficient(i2, j2)
+            for k in range(m + 1):
+                point = ((m - k) * i1 + k * i2, (m - k) * j1 + k * j2)
+                certified[point] = c1 ** (m - k) * c2**k * comb(m, k)
+        for (i, j), c in certified.items():
+            assert power.coefficient(i, j) == c
+        bound = 1 + max(map(min, certified), default=-1)
+        assert newton_order_bound(f, m) == bound
+        assert polyharmonic_order(power) >= bound
 
 
 # --- Almansi ------------------------------------------------------------------
