@@ -20,6 +20,13 @@ den)} with distinct keys: one lcm, one scaling pass and one gcd pass.
 BiPoly(...), the generators and the Almansi recomposition all use it.  A
 product with a scalar is ``_shift`` with no key shift.
 
+Identities cost nothing: a sum with the zero mapping returns the other
+operand, and a product with the unit monomial 1 (``_shift`` at (0, 0) by
+1) returns the other factor.  A power of a one-term mapping is one key
+scaling and one Gaussian-integer power of its numerator over den^n,
+reduced by one gcd pass, which den = 1 (a unit monomial among them)
+skips; other powers go through binary powering.
+
 Composition substitutes inner = N/d into f in one accumulation: every
 term c_ij * d^(top-i-j) * N^i * conj(N)^j is added into one set of sums
 over den_f * d^top, where top is the largest i + j among f's keys, and the
@@ -153,6 +160,20 @@ def _power(base, n: int, one):
     return out
 
 
+def _gaussian_pow(re: int, im: int, n: int) -> tuple[int, int]:
+    """(re + im*i)^n for n >= 0, by binary powering on Gaussian integers."""
+    if not im:
+        return re**n, 0
+    out_re, out_im = 1, 0
+    while n:
+        if n & 1:
+            out_re, out_im = out_re * re - out_im * im, out_re * im + out_im * re
+        n >>= 1
+        if n:
+            re, im = re * re - im * im, 2 * re * im
+    return out_re, out_im
+
+
 def _as_scalar(value) -> "GaussianRational | None":
     if isinstance(value, GaussianRational):
         return value
@@ -268,6 +289,10 @@ class BiPoly:
         other = _as_poly(other)
         if other is None:
             return NotImplemented
+        if not other._num:
+            return self
+        if not self._num:
+            return other
         den = lcm(self._den, other._den)
         if self._num.keys().isdisjoint(other._num):
             # No key meets, so nothing cancels and the merge is already in
@@ -319,7 +344,15 @@ class BiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "BiPoly":
-        return _power(self, n, BiPoly.one())
+        if len(self._num) != 1:
+            return _power(self, n, BiPoly.one())
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        # One term c * z^i * zbar^j with c = (re + im*i)/den: its n-th power
+        # is (re + im*i)^n / den^n at (n*i, n*j), brought to normal form by
+        # one gcd pass, which _reduced skips over den = 1.
+        ((i, j), (re, im)), = self._num.items()
+        return _reduced({(n * i, n * j): _gaussian_pow(re, im, n)}, self._den**n)
 
     def conjugate(self) -> "BiPoly":
         """Swap z and zbar and conjugate every coefficient (an involution)."""
@@ -429,6 +462,8 @@ def _shift(f: BiPoly, di: int, dj: int, re: int, im: int, den: int) -> BiPoly:
     """f * (re + im*i)/den * z^di * zbar^dj for a nonzero (re, im) and den > 0."""
     if re == 1 and not im and den == 1:
         # A unit monomial only moves the keys; f's normal form carries over.
+        if not (di or dj):
+            return f
         return _make({(i + di, j + dj): c for (i, j), c in f._num.items()}, f._den)
     # Gaussian integers have no zero divisors, so no numerator becomes zero.
     if im:
@@ -470,6 +505,13 @@ def _mul_into(out: dict, a_items, b_items, cr: int = 1, ci: int = 0) -> None:
                 acc[1] += r1 * m2 + m1 * r2
 
 
+def _mul_items(a_items, b_items: list) -> list:
+    """The unreduced product of two numerator lists, as (key, (re, im)) items with no zero sum."""
+    out: dict = {}
+    _mul_into(out, a_items, b_items)
+    return [(key, (re, im)) for key, (re, im) in out.items() if re or im]
+
+
 def compose(f: BiPoly, inner: BiPoly) -> BiPoly:
     """Exact substitution z -> inner, zbar -> conjugate(inner) in f.
 
@@ -481,9 +523,7 @@ def compose(f: BiPoly, inner: BiPoly) -> BiPoly:
     inner_items = list(inner._num.items())
     powers = [[((0, 0), (1, 0))]]
     for _ in range(max(f.deg_z, f.deg_zbar)):
-        step: dict = {}
-        _mul_into(step, powers[-1], inner_items)
-        powers.append([(key, (re, im)) for key, (re, im) in step.items() if re or im])
+        powers.append(_mul_items(powers[-1], inner_items))
     conj_powers = [[((b, a), (r, -m)) for (a, b), (r, m) in p] for p in powers[: f.deg_zbar + 1]]
     top = max((i + j for i, j in f._num), default=0)
     d_pow = [inner._den**k for k in range(top + 1)]

@@ -58,3 +58,21 @@ def test_traced_replay_records_every_expected_layer(name):
     assert tracer.missing == []
     silent = [layer for layer in wl.expected_layers if tracer.calls[layer] == 0]
     assert silent == [], f"layers that recorded no calls on {name}: {silent}"
+
+
+def test_traced_suites_record_scalar_products_across_seeds():
+    # a_m adds its scaled products in one pass and records no scalar
+    # product, so on `suites` the bipoly.scale layer is reached only
+    # through the c*|z|^(2(q-1)) witness families of _post_candidates:
+    # a few calls per block.  One block at each of ten seeds reaches them.
+    tracer = Tracer()
+    for seed in range(1, 11):
+        cases = workloads.build("suites", seed).next_block()
+        tracer.install()
+        try:
+            records = bench_run.run_cases(cases, tracer)
+        finally:
+            tracer.uninstall()
+        assert bench_run.check(records) == []
+    assert tracer.missing == []
+    assert tracer.calls["bipoly.scale"] > 0

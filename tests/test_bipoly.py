@@ -10,6 +10,7 @@ from polyharm.bipoly import (
     GR_I,
     GR_ONE,
     GaussianRational,
+    _power,
     canonical_print,
     compose,
     eval_exact,
@@ -526,3 +527,59 @@ def test_monomial_default_coefficient():
             BiPoly.monomial(*bad)
     with pytest.raises(TypeError):
         BiPoly.monomial(1, 0, 1.0)
+
+
+# --- identities and one-term powers ------------------------------------------------
+
+
+@given(_other_factors)
+@example(BiPoly.zero())
+@example(Z * GaussianRational(Fraction(2, 3), Fraction(-1, 6)) + ZBAR**2 * Fraction(5, 4))
+def test_sums_with_zero_and_products_with_one_return_the_other_operand(f):
+    zero, one = BiPoly.zero(), BiPoly.one()
+    # A one-term f may itself be the identity, or take the one-term product
+    # path with the other operand as the shifted one; then only equality holds.
+    free = len(f.numerators) > 1
+    for total in (zero + f, f + zero, 0 + f, f + 0):
+        assert total is f or not free
+        assert total == _reference_add(zero, f)
+        _assert_strict_normal_form(total)
+    for product in (1 * f, f * 1, mul(one, f), mul(f, one)):
+        assert product is f or not free
+        assert product == _reference_mul(one, f)
+        _assert_strict_normal_form(product)
+
+
+_HALF_ONE_PLUS_I = GaussianRational(Fraction(1, 2), Fraction(1, 2))
+
+
+@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("key", [(0, 0), (1, 0), (0, 1), (2, 3)])
+@pytest.mark.parametrize(
+    "coeff",
+    [1, -1, GR_I, _HALF_ONE_PLUS_I, Fraction(-3, 4), GaussianRational(Fraction(2, 3), Fraction(-5, 6))],
+)
+def test_one_term_power_matches_binary_powering(coeff, key, n):
+    t = BiPoly.monomial(*key, coeff)
+    power = t**n
+    assert power == _power(t, n, BiPoly.one())
+    expected = BiPoly.one()
+    for _ in range(n):
+        expected = _reference_mul(expected, t)
+    assert power == expected
+    _assert_strict_normal_form(power)
+    # (1 + i)^n / 2^n: the Gaussian-integer power shares a factor of 2 with
+    # 2^n for n >= 2, which the gcd pass must remove.
+    if coeff is _HALF_ONE_PLUS_I and n >= 2:
+        assert power.denominator < 2**n
+
+
+def test_one_term_power_examples():
+    assert BiPoly.monomial(1, 1) ** 0 == BiPoly.one()
+    assert BiPoly.monomial(1, 1) ** 3 == BiPoly.monomial(3, 3)
+    assert (ZBAR * _HALF_ONE_PLUS_I) ** 2 == ZBAR**2 * GaussianRational(0, Fraction(1, 2))
+    assert (ZBAR * _HALF_ONE_PLUS_I) ** 4 == ZBAR**4 * Fraction(-1, 4)
+    assert (Z * GR_I) ** 6 == Z**6 * -1
+    for bad in (-1, 1.0, Fraction(2)):
+        with pytest.raises(ValueError):
+            Z**bad
