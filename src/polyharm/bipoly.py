@@ -34,12 +34,13 @@ sum is reduced once.  The powers N^i come from one chain of unreduced
 products, and conj(N)^j is read off N^j by reflection (swap each key,
 negate the imaginary part), so no second chain is built.
 
-Printing and ``eval_exact`` read the numerators directly: the printer
-reduces each coefficient part with one gcd, and ``eval_exact`` runs
-Horner's rule on Gaussian integers.  GaussianRational, the exact scalar
-with Fraction parts, appears only at the edges: coefficients given to
-BiPoly(...) and to scalar products, the ``terms`` and ``coefficient``
-views, and the value ``eval_exact`` returns.
+A general sum adds each side, as its product with the unit 1, into the
+[re, im] sums that products use.  Evaluation is composition: ``eval_exact``
+is the constant term of f composed with the constant point.  The printer
+reads the numerators and reduces each coefficient part with one gcd.
+GaussianRational, the exact scalar with Fraction parts, appears only at
+the edges: coefficients given to BiPoly(...) and to scalar products, the
+``terms`` and ``coefficient`` views, and the value ``eval_exact`` returns.
 
 Every value is immutable after construction and every operation is a pure
 function, so objects can be shared freely across workers.
@@ -309,9 +310,10 @@ class BiPoly:
                 else:
                     num.update((key, (re * scale, im * scale)) for key, (re, im) in part._num.items())
             return _make(num, den)
+        # Each side is added as its product with the unit 1, scaled onto den.
         out: dict = {}
-        _accumulate(out, self._num.items(), den // self._den)
-        _accumulate(out, other._num.items(), den // other._den)
+        for part in (self, other):
+            _mul_into(out, part._num.items(), [((0, 0), (1, 0))], den // part._den)
         return _collect(out, den)
 
     __radd__ = __add__
@@ -401,18 +403,6 @@ def _reduced(num: dict, den: int) -> BiPoly:
         num = {key: (re // g, im // g) for key, (re, im) in num.items()}
         den //= g
     return _make(num, den)
-
-
-def _accumulate(out: dict, items, scale: int) -> None:
-    # Add scale * (re, im) for each (key, (re, im)) in items into out, whose
-    # values are mutable [re, im] sums.
-    for key, (re, im) in items:
-        acc = out.get(key)
-        if acc is None:
-            out[key] = [re * scale, im * scale]
-        else:
-            acc[0] += re * scale
-            acc[1] += im * scale
 
 
 def _collect(out: dict, den: int) -> BiPoly:
@@ -535,43 +525,8 @@ def compose(f: BiPoly, inner: BiPoly) -> BiPoly:
 
 
 def eval_exact(f: BiPoly, point: GaussianRational) -> GaussianRational:
-    """Evaluate with z = point and zbar = conjugate(point), exactly.
-
-    With point = p/d for a Gaussian integer p, I = deg_z and J = deg_zbar,
-    the value is sum n_ij * p^i * conj(p)^j * d^(I-i) * d^(J-j) over
-    den * d^(I+J), computed by Horner's rule on Gaussian integers.
-    """
-    re, im = point.re, point.im
-    d = lcm(re.denominator, im.denominator)
-    a = re.numerator * (d // re.denominator)
-    b = im.numerator * (d // im.denominator)
-    deg_z, deg_zbar = f.deg_z, f.deg_zbar
-    d_pow = [1]
-    for _ in range(deg_z + deg_zbar):
-        d_pow.append(d_pow[-1] * d)
-    rows: dict[int, dict] = {}
-    for (i, j), c in f._num.items():
-        rows.setdefault(i, {})[j] = c
-    # Both sums are homogeneous Horner passes: each step multiplies by
-    # p (or conj(p) = a - b*i) and scales the next coefficient by a power of d.
-    total_re = total_im = 0
-    for i in range(deg_z, -1, -1):
-        row_re = row_im = 0
-        row = rows.get(i)
-        if row:
-            top = max(row)
-            for j in range(top, -1, -1):
-                row_re, row_im = row_re * a + row_im * b, row_im * a - row_re * b
-                c = row.get(j)
-                if c is not None:
-                    scale = d_pow[top - j]
-                    row_re += c[0] * scale
-                    row_im += c[1] * scale
-            scale = d_pow[deg_zbar - top + deg_z - i]
-            row_re *= scale
-            row_im *= scale
-        total_re, total_im = total_re * a - total_im * b + row_re, total_re * b + total_im * a + row_im
-    return _gaussian(total_re, total_im, f._den * d_pow[deg_z + deg_zbar])
+    """Evaluate with z = point and zbar = conjugate(point), exactly: f composed with the constant point."""
+    return compose(f, BiPoly.constant(point)).coefficient(0, 0)
 
 
 @dataclass(frozen=True)

@@ -52,10 +52,19 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
+def _step(text: str) -> float:
     value = float(text)
     if not value > 0:
         raise argparse.ArgumentTypeError("must be a positive number")
+    if not numeric.step_in_range(value):
+        raise argparse.ArgumentTypeError("must have h*h a positive finite double: about 1.6e-162 to 1.3e154")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError("must be a finite nonnegative number")
     return value
 
 
@@ -171,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("expr")
     p.add_argument("--points", type=_positive_int, default=5)
-    p.add_argument("--h", type=_positive_float, default=None)
+    p.add_argument("--h", type=_step, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument(
         "--m",
@@ -179,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="check the exp(m*f) identity instead (exact for biharmonic mappings)",
     )
-    p.add_argument("--tol-abs", type=float, default=None)
-    p.add_argument("--tol-rel", type=float, default=None)
+    p.add_argument("--tol-abs", type=_tolerance, default=None)
+    p.add_argument("--tol-rel", type=_tolerance, default=None)
 
     return parser
 

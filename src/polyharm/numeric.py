@@ -12,6 +12,7 @@ once per call, not once per point.
 """
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -86,6 +87,11 @@ def _exp(w: complex) -> complex:
         raise FloatOverflow(f"exp({w:.6g}) overflows a double") from None
 
 
+def step_in_range(h: float) -> bool:
+    """True for a step h > 0 whose square, the stencil's divisor, is a positive finite double."""
+    return h > 0 and 0 < h * h < math.inf
+
+
 def _stencil(fn, point: complex, h: float) -> complex:
     return (
         fn(point + h) + fn(point - h) + fn(point + 1j * h) + fn(point - 1j * h) - 4.0 * fn(point)
@@ -94,8 +100,8 @@ def _stencil(fn, point: complex, h: float) -> complex:
 
 def fd_laplacian(f: BiPoly, points: Sequence[complex], h: float = DEFAULT_H) -> list[FdReport]:
     """Compare the symbolic Laplacian with the 5-point stencil at each point."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not step_in_range(h):
+        raise ValueError(f"h must be positive with h*h a positive finite double, got {h!r}")
     rows = _float_rows(f)
     symbolic_rows = _float_rows(laplacian(f, 1))
     reports = []
@@ -122,8 +128,8 @@ def exp_identity_check(
     f, which the obstruction polynomial deliberately excludes.  |m| <= 3
     keeps the dynamic range of the exponential under control.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not step_in_range(h):
+        raise ValueError(f"h must be positive with h*h a positive finite double, got {h!r}")
     if not isinstance(m, int) or m == 0 or abs(m) > 3:
         raise ValueError("m must be a nonzero integer with |m| <= 3")
 

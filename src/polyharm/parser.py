@@ -110,20 +110,20 @@ class _Token:
     position: int  # byte offset into the source
 
 
-def _byte_offset(text: str, index: int) -> int:
-    return len(text[:index].encode("utf-8"))
-
-
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
     n = len(text)
     idx = 0
+    # pos is the byte offset of text[mark]; it is carried forward token by
+    # token, so each character is encoded once.
+    mark = pos = 0
     while idx < n:
         ch = text[idx]
         if ch.isspace():
             idx += 1
             continue
-        pos = _byte_offset(text, idx)
+        pos += len(text[mark:idx].encode("utf-8"))
+        mark = idx
         # isdecimal, not isdigit: "²" is a digit that int() does not read.
         if ch.isdecimal():
             start = idx
@@ -145,7 +145,7 @@ def _tokenize(text: str) -> list[_Token]:
             idx += 1
             continue
         raise ParseError(f"unexpected character {ch!r}", pos)
-    tokens.append(_Token("end", "", _byte_offset(text, n)))
+    tokens.append(_Token("end", "", pos + len(text[mark:].encode("utf-8"))))
     return tokens
 
 

@@ -32,7 +32,7 @@ from .bipoly import (
     mul,
     unit_circle_point,
 )
-from .classify import classify, is_strictly_q_harmonic
+from .classify import classify
 from .errors import InternalInconsistency, NotAnalytic, NotApplicable, UnknownSuite
 from .gen import (
     SplitMix64,
@@ -42,7 +42,9 @@ from .gen import (
     gen_strict_q_harmonic,
     spawn,
 )
-from .wirtinger import d_dz, d_dzbar, newton_order_bound, newton_vertex_depth, polyharmonic_order
+from .wirtinger import (
+    _derivative, d_dz, d_dzbar, newton_order_bound, newton_vertex_depth, polyharmonic_order
+)
 
 COMPLIANT = "Compliant"
 VIOLATION = "Violation"
@@ -157,17 +159,7 @@ def find_witness_post(f: BiPoly, q: int, l: int) -> WitnessResult:
     Raises NotApplicable when the form is compliant and
     InternalInconsistency if the finite family search exhausts.
     """
-    _require_params(q, l)
-    rep = classify(f)
-    if _allowed_post(rep, q, l):
-        raise NotApplicable("the mapping already has the allowed form")
-    for candidate, tag in _post_candidates(f, rep, q, l):
-        order = polyharmonic_order(compose(f, candidate))
-        if order > l:
-            return WitnessResult(VIOLATION, candidate, order, l, tag)
-    raise InternalInconsistency(
-        f"no violating inner mapping found for q={q}, l={l}, f={canonical_print(f)}"
-    )
+    return _violation(_search(f, q, l, post=True))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +210,8 @@ def _pre_candidates(f: BiPoly, rep, q: int, l: int):
     # nothing up to 2l + 1 is, as for z^2 + z*zbar + zbar^2, the search
     # starts at 2l + 2.  For q <= 1 the composition is f^m itself, so a
     # certified first candidate is a witness; for q >= 2 the carrier is
-    # added, and the exact order check decides every candidate.
+    # added, which keeps every candidate strictly q-harmonic, and the
+    # exact order check decides each one.
     start = next((m for m in range(1, 2 * l + 2) if newton_order_bound(f, m) > l), 2 * l + 2)
     for m in range(start, 2 * l + 10):
         yield BiPoly.monomial(m, 0) + carrier, "w^m" + suffix
@@ -235,15 +228,7 @@ def find_witness_pre(f: BiPoly, q: int, l: int) -> WitnessResult:
     Raises NotApplicable both for compliant forms and for the open
     ConjectureOnly regime; InternalInconsistency if the search exhausts.
     """
-    res = witness_pre(f, q, l)
-    if res.verdict == COMPLIANT:
-        raise NotApplicable("the mapping already has the allowed form")
-    if res.verdict == CONJECTURE_ONLY:
-        raise NotApplicable(
-            "only a conjectured characterization exists here; "
-            "use the counterexample search instead"
-        )
-    return res
+    return _violation(_search(f, q, l, post=False))
 
 
 def witness_post(f: BiPoly, q: int, l: int) -> WitnessResult:
@@ -256,21 +241,38 @@ def witness_post(f: BiPoly, q: int, l: int) -> WitnessResult:
 
 def witness_pre(f: BiPoly, q: int, l: int) -> WitnessResult:
     """allowed_form_pre folded with the find_witness_pre search into one verdict."""
+    return _search(f, q, l, post=False)
+
+
+def _search(f: BiPoly, q: int, l: int, post: bool) -> WitnessResult:
+    """The witness search after f (post) or before it (pre), from one classify(f).
+
+    A settled or open allowed form gives its Compliant or ConjectureOnly
+    verdict; otherwise the first candidate whose composition with f has
+    exact order > l.  Every candidate is of class q by construction.
+    """
     _require_params(q, l)
     rep = classify(f)
-    allowed = _allowed_pre(f, rep, q, l)
+    allowed = _allowed_post(rep, q, l) if post else _allowed_pre(f, rep, q, l)
     if allowed is True:
         return WitnessResult(COMPLIANT, None, None, l, "")
     if isinstance(allowed, ConjectureOnly):
         return WitnessResult(CONJECTURE_ONLY, None, None, l, f"conjectured: {allowed.conjectured_form}")
-    for candidate, tag in _pre_candidates(f, rep, q, l):
-        if q >= 2 and not is_strictly_q_harmonic(candidate, q):
-            continue
-        order = polyharmonic_order(compose(candidate, f))
+    for candidate, tag in (_post_candidates if post else _pre_candidates)(f, rep, q, l):
+        order = polyharmonic_order(compose(f, candidate) if post else compose(candidate, f))
         if order > l:
             return WitnessResult(VIOLATION, candidate, order, l, tag)
-    raise InternalInconsistency(
-        f"no violating outer mapping found for q={q}, l={l}, f={canonical_print(f)}"
+    side = "inner" if post else "outer"
+    raise InternalInconsistency(f"no violating {side} mapping found for q={q}, l={l}, f={canonical_print(f)}")
+
+
+def _violation(res: WitnessResult) -> WitnessResult:
+    """res when it is a Violation; NotApplicable for a settled or open form."""
+    if res.verdict == VIOLATION:
+        return res
+    raise NotApplicable(
+        "the mapping already has the allowed form" if res.verdict == COMPLIANT
+        else "only a conjectured characterization exists here; use the counterexample search instead"
     )
 
 
@@ -311,25 +313,17 @@ def a_m(f: BiPoly, m: int) -> BiPoly:
     A = 2*(f_zzb^2 + f_z*f_zzbzb + f_zb*f_zzzb) + f_zz*f_zbzb,
     B = f_z^2*f_zbzb + f_zb^2*f_zz + 4*f_z*f_zb*f_zzb and C = (f_z*f_zb)^2,
     computed in one accumulation pass.  With f = N/D, every derivative is
-    read off N over D, unreduced; f_z^2, f_zb^2 and f_z*f_zb are built once
-    as unreduced products over D^2.  The products of A, B and C are added
+    read off N over D, unreduced, by wirtinger._derivative; f_z^2, f_zb^2
+    and f_z*f_zb are built once as unreduced products over D^2.  The products of A, B and C are added
     into one set of sums over D^4, scaled by 2*D^2 and D^2 (A), m*D and
     4*m*D (B) and m^2 (C), and the sum is reduced once.
     """
     if not isinstance(m, int) or m == 0:
         raise ValueError("m must be a nonzero integer")
     den = f.denominator
-    # The numerators of d^a/dz^a d^b/dzbar^b f over D, for the seven (a, b):
-    # c * z^i * zbar^j -> c * i!/(i-a)! * j!/(j-b)! * z^(i-a) * zbar^(j-b),
-    # where the falling factorial i!/(i-a)! is 0 exactly when i < a.
-    orders = ((1, 0), (0, 1), (2, 0), (0, 2), (1, 1), (1, 2), (2, 1))
-    fz, fzb, fzz, fzbzb, fzzb, fzzbzb, fzzzb = parts = [[] for _ in orders]
-    for (i, j), (re, im) in f.numerators.items():
-        fi, fj = (1, i, i * (i - 1)), (1, j, j * (j - 1))
-        for (a, b), out in zip(orders, parts):
-            k = fi[a] * fj[b]
-            if k:
-                out.append(((i - a, j - b), (re * k, im * k)))
+    fz, fzb, fzz, fzbzb, fzzb, fzzbzb, fzzzb = (
+        _derivative(f, a, b) for a, b in ((1, 0), (0, 1), (2, 0), (0, 2), (1, 1), (1, 2), (2, 1))
+    )
     fz2, fzb2, quad = _mul_items(fz, fz), _mul_items(fzb, fzb), _mul_items(fz, fzb)
     out: dict = {}
     den2 = den * den

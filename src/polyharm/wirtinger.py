@@ -10,20 +10,28 @@ from .bipoly import AlmansiForm, BiPoly, _from_parts, _reduced
 from .errors import NonHarmonicComponent
 
 
+def _derivative(f: BiPoly, a: int, b: int, scale: int = 1) -> list:
+    """scale * d^a/dz^a d^b/dzbar^b f for a, b <= 2: unreduced (key, (re, im)) items over f's denominator.
+
+    c * z^i * zbar^j -> c * i!/(i-a)! * j!/(j-b)! * z^(i-a) * zbar^(j-b); a
+    term whose falling factorial is 0 (i < a or j < b) is dropped.
+    """
+    out = []
+    for (i, j), (re, im) in f.numerators.items():
+        k = scale * (1, i, i * (i - 1))[a] * (1, j, j * (j - 1))[b]
+        if k:
+            out.append(((i - a, j - b), (re * k, im * k)))
+    return out
+
+
 def d_dz(f: BiPoly) -> BiPoly:
     """Formal d/dz: c * z^i * zbar^j -> c*i * z^(i-1) * zbar^j."""
-    return _reduced(
-        {(i - 1, j): (re * i, im * i) for (i, j), (re, im) in f.numerators.items() if i >= 1},
-        f.denominator,
-    )
+    return _reduced(dict(_derivative(f, 1, 0)), f.denominator)
 
 
 def d_dzbar(f: BiPoly) -> BiPoly:
     """Formal d/dzbar: c * z^i * zbar^j -> c*j * z^i * zbar^(j-1)."""
-    return _reduced(
-        {(i, j - 1): (re * j, im * j) for (i, j), (re, im) in f.numerators.items() if j >= 1},
-        f.denominator,
-    )
+    return _reduced(dict(_derivative(f, 0, 1)), f.denominator)
 
 
 def laplacian(f: BiPoly, times: int = 1) -> BiPoly:
@@ -37,14 +45,7 @@ def laplacian(f: BiPoly, times: int = 1) -> BiPoly:
     for _ in range(times):
         if out.is_zero:
             break
-        out = _reduced(
-            {
-                (i - 1, j - 1): (re * (4 * i * j), im * (4 * i * j))
-                for (i, j), (re, im) in out.numerators.items()
-                if i >= 1 and j >= 1
-            },
-            out.denominator,
-        )
+        out = _reduced(dict(_derivative(out, 1, 1, 4)), out.denominator)
     return out
 
 

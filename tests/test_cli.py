@@ -328,6 +328,25 @@ def test_fdcheck_flags_validated_by_argparse(capsys):
         assert f"argument {flags[0]}" in err
 
 
+@pytest.mark.parametrize("h", ["1e-200", "inf", "1e300"])
+@pytest.mark.parametrize("mode", [[], ["--m", "1"]])
+def test_fdcheck_step_whose_square_leaves_double_range_is_usage_error(capsys, h, mode):
+    code, out, err = run_cli(capsys, "fdcheck", "z*zbar", "--h", h, *mode)
+    assert code == 2 and out == ""
+    assert "argument --h: must have h*h a positive finite double" in err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--tol-rel", "-1"], ["--tol-abs", "nan"], ["--tol-abs", "inf"], ["--tol-rel", "nan"]]
+)
+def test_fdcheck_tolerances_must_be_finite_and_nonnegative(capsys, flags):
+    code, out, err = run_cli(capsys, "fdcheck", "z*zbar", *flags)
+    assert code == 2 and out == ""
+    assert f"argument {flags[0]}: must be a finite nonnegative number" in err
+    code, out, _ = run_cli(capsys, "fdcheck", "z*zbar", flags[0], "0")
+    assert code == 0 and out.endswith("ok\n")
+
+
 def test_internal_value_error_is_not_reported_as_usage_error(capsys, monkeypatch):
     import polyharm.cli as cli
 

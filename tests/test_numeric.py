@@ -16,6 +16,7 @@ from polyharm.numeric import (
     fd_laplacian,
     fd_within_tolerance,
     sample_points,
+    step_in_range,
 )
 from polyharm.theorems import a_m
 from polyharm.wirtinger import laplacian
@@ -121,6 +122,22 @@ def test_stencil_second_order_convergence():
 def test_fd_validation():
     with pytest.raises(ValueError):
         fd_laplacian(Z, [0j], 0.0)
+
+
+@pytest.mark.parametrize("h", [1e-200, 1e-162, math.inf, 1e300, 1e155, math.nan])
+def test_steps_whose_square_leaves_double_range_are_rejected(h):
+    # The stencil divides by h*h: 0.0 below about 1.6e-162, inf above about 1.3e154.
+    assert not step_in_range(h)
+    with pytest.raises(ValueError, match="h must be positive"):
+        fd_laplacian(Z * ZBAR, [0.1j], h)
+    with pytest.raises(ValueError, match="h must be positive"):
+        exp_identity_check(Z * ZBAR, 1, [0.1j], h)
+
+
+def test_steps_at_the_edges_of_double_range_are_accepted():
+    for h in (1e-160, 1e-4, 1.0, 1e154):
+        assert step_in_range(h)
+    assert not step_in_range(0.0) and not step_in_range(-1e-4)
 
 
 def test_exp_identity_analytic_input_vanishes():

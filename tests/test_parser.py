@@ -1,5 +1,8 @@
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
@@ -82,6 +85,32 @@ def test_error_positions_are_byte_offsets():
     with pytest.raises(ParseError) as info:
         parse("z + w")
     assert info.value.position == 5
+
+
+def test_tokenizing_a_256_kb_sum_is_linear():
+    # The 256 KB sum z+z+...+z* behind one two-byte space, parsed in a fresh
+    # interpreter as one CLI call runs.  Encoding the whole prefix again
+    # for every token took 15 to 50 s; carrying the byte offset forward
+    # takes under 2 s.
+    code = """if True:
+        import time
+        from polyharm.errors import ParseError
+        from polyharm.parser import parse_ast
+        text = chr(0xA0) + "z+" * 128000 + "z*"
+        start = time.perf_counter()
+        try:
+            parse_ast(text)
+        except ParseError as exc:
+            print(time.perf_counter() - start, exc.position, len(text.encode("utf-8")))
+    """
+    env = dict(os.environ)
+    src = str(Path(parser.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    seconds, position, size = run.stdout.split()
+    assert int(position) == int(size) == 2 + 2 * 128000 + 2
+    assert float(seconds) < 8.0
 
 
 def test_superscript_digit_is_an_unexpected_character():

@@ -3,10 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from polyharm.bipoly import BiPoly, GaussianRational, compose, mul
-from polyharm.classify import classify
+from polyharm.bipoly import BiPoly, GaussianRational, canonical_print, compose, mul
+from polyharm.classify import classify, is_strictly_q_harmonic
 from polyharm.errors import NotAnalytic, NotApplicable, UnknownSuite
-from polyharm.gen import SplitMix64, gen_analytic, gen_harmonic, gen_strict_q_harmonic, spawn
+from polyharm.gen import SplitMix64, gen_analytic, gen_bipoly, gen_harmonic, gen_strict_q_harmonic, spawn
 from polyharm.theorems import (
     COMPLIANT,
     DEFAULT_L_VALUES,
@@ -256,6 +256,33 @@ def test_witness_searches_classify_f_once(monkeypatch):
         search(f, q, l)
         assert len(seen) == 1 and seen[0] is f, search.__name__
     assert len(calls) == 19
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_every_pre_candidate_is_strictly_q_harmonic(q):
+    # The pre search checks no candidate's order: each is the carrier
+    # |w|^(2(q-1)) plus a harmonic term, so it has order exactly q.
+    import polyharm.theorems as theorems
+
+    gens = [
+        lambda seed: gen_bipoly(seed, 4),
+        lambda seed: gen_harmonic(seed, 3),
+        lambda seed: gen_harmonic(seed, 3, both_parts_nonconstant=True),
+        lambda seed: gen_analytic(seed, 4),
+        lambda seed: gen_analytic(seed, 4).conjugate(),
+        lambda seed: gen_strict_q_harmonic(seed, 2, 2),
+    ]
+    tried = 0
+    for index in range(60):
+        seed = spawn(4242, index)
+        for gen in gens:
+            f = gen(seed)
+            rep = classify(f)
+            for l in range(1, 6):
+                for candidate, _ in theorems._pre_candidates(f, rep, q, l):
+                    assert is_strictly_q_harmonic(candidate, q), (canonical_print(f), l, canonical_print(candidate))
+                    tried += 1
+    assert tried > 1000
 
 
 def test_find_witness_pre_analytic_too_large():
