@@ -25,7 +25,6 @@ from .gen import gen_analytic, gen_bipoly, gen_harmonic, gen_strict_q_harmonic, 
 from .numeric import FdReport, eval_float, exp_identity_check, fd_laplacian
 from .parser import parse, parse_ast, unparse
 from .theorems import (
-    ConjectureOnly,
     SuiteReport,
     WitnessResult,
     a_m,
@@ -45,7 +44,6 @@ from .wirtinger import (
     almansi_recompose,
     d_dz,
     d_dzbar,
-    is_harmonic,
     laplacian,
     polyharmonic_order,
 )

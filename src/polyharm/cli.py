@@ -320,11 +320,6 @@ def _cmd_witness(args) -> int:
             f"required_bound: {result.required_bound}",
             f"family: {result.family_tag}",
         ]
-    elif result.verdict == theorems.CONJECTURE_ONLY:
-        human_lines.append(
-            "only a conjectured characterization is known here; "
-            "see the conjecture subcommand"
-        )
     _emit(args, payload, "\n".join(human_lines))
     return 1 if result.verdict == theorems.VIOLATION else 0
 

@@ -26,7 +26,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .bipoly import BiPoly, GR_I, canonical_print
 from .errors import DivisionByZero, ParseError
@@ -103,8 +103,7 @@ _KEYWORDS = ("z", "zbar", "i", "conj", "abs2")
 _SYMBOLS = "+-*/^()"
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "int", one of the keywords, a symbol, or "end"
     text: str
     position: int  # byte offset into the source

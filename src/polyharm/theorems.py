@@ -5,14 +5,18 @@ mapping of a given harmonicity, which sampling alone cannot decide.  Three
 effective surfaces are exposed instead:
 
 * ``allowed_form_post`` / ``allowed_form_pre`` -- the closed-form
-  characterizations that the theorems provide;
+  characterizations that the theorems provide, each a bool for every
+  (f, q, l); the pre-composition case q <= 1, l >= 3, which the paper
+  leaves open, is decided for polynomial f by f's Newton polygon
+  (Ostrowski's product rule and Hajos' lemma, see _pre_candidates);
 * ``find_witness_post`` / ``find_witness_pre`` -- constructors that search
   the explicit violating families from the necessity arguments and
   re-verify every candidate by exact order computation before returning it
   (a search that exhausts raises InternalInconsistency loudly, since it
   would contradict a theorem);
 * ``run_suite`` -- seeded sampled suites for the sufficiency directions,
-  the structural propositions, and the open-question counterexample hunt;
+  the structural propositions, and the counterexample hunt, an independent
+  exact check of the Newton-polygon bound on f's powers;
   ``replay_case`` reruns the one case a failure names by its case seed.
 """
 
@@ -48,7 +52,6 @@ from .wirtinger import (
 
 COMPLIANT = "Compliant"
 VIOLATION = "Violation"
-CONJECTURE_ONLY = "ConjectureOnly"
 
 
 @dataclass(frozen=True)
@@ -64,13 +67,6 @@ class WitnessResult:
     composition_order: int | None
     required_bound: int
     family_tag: str
-
-
-@dataclass(frozen=True)
-class ConjectureOnly:
-    """allowed_form_pre result in the regime the known results leave open."""
-
-    conjectured_form: str
 
 
 @dataclass(frozen=True)
@@ -168,25 +164,23 @@ def find_witness_post(f: BiPoly, q: int, l: int) -> WitnessResult:
 # ---------------------------------------------------------------------------
 
 
-def allowed_form_pre(f: BiPoly, q: int, l: int):
+def allowed_form_pre(f: BiPoly, q: int, l: int) -> bool:
     """Closed form for "every class-q mapping composed after f is l-harmonic".
 
-    Returns True/False where the classification is settled, and a
-    ConjectureOnly marker for q <= 1, l >= 3 with f of order >= 2, where
-    only a conjectured answer exists.
+    For q <= 1 the answer is "f is analytic or anti-analytic" at every l.
+    The paper proves this for l <= 2; for l >= 3 and polynomial f, which is
+    every input polyharm accepts, the Newton-polygon argument in
+    _pre_candidates proves it.
     """
     _require_params(q, l)
     return _allowed_pre(f, classify(f), q, l)
 
 
-def _allowed_pre(f: BiPoly, rep, q: int, l: int):
-    # allowed_form_pre from f's ClassReport.
+def _allowed_pre(f: BiPoly, rep, q: int, l: int) -> bool:
+    # allowed_form_pre from f's ClassReport.  Analytic and anti-analytic
+    # mappings are harmonic, so q <= 1 needs no separate harmonicity test.
     if q <= 1:
-        if rep.is_harmonic:
-            return rep.is_analytic or rep.is_antianalytic
-        if l <= 2:
-            return False
-        return ConjectureOnly("analytic or anti-analytic")
+        return rep.is_analytic or rep.is_antianalytic
     bound = (l - 1) // (q - 1)
     if rep.is_analytic:
         return f.deg_z <= bound
@@ -203,30 +197,39 @@ def _pre_candidates(f: BiPoly, rep, q: int, l: int):
         return
     suffix = " + |w|^(2(q-1))" if q >= 2 else ""
     # Outer powers w^m, from the least m for which f's Newton polygon
-    # certifies order(f^m) > l (wirtinger.newton_order_bound).  For
-    # harmonic f = h + conj(g) with both parts nonconstant, the edge from
-    # (deg h, 0) to (0, deg g) has no other support point, so
-    # m = ceil(l / deg h) + ceil(l / deg g) <= 2l is certified.  When
-    # nothing up to 2l + 1 is, as for z^2 + z*zbar + zbar^2, the search
-    # starts at 2l + 2.  For q <= 1 the composition is f^m itself, so a
-    # certified first candidate is a witness; for q >= 2 the carrier is
-    # added, which keeps every candidate strictly q-harmonic, and the
-    # exact order check decides each one.
+    # certifies order(f^m) > l (wirtinger.newton_order_bound), or from
+    # 2l + 2 when no m <= 2l + 1 is certified, as for z^2 + z*zbar + zbar^2.
+    # For q <= 1 the composition is f^m itself, so a certified first
+    # candidate is a witness; for q >= 2 the carrier is added, which keeps
+    # every candidate strictly q-harmonic, and the exact order check
+    # decides each one.
     start = next((m for m in range(1, 2 * l + 2) if newton_order_bound(f, m) > l), 2 * l + 2)
     for m in range(start, 2 * l + 10):
         yield BiPoly.monomial(m, 0) + carrier, "w^m" + suffix
-    # There is no second family: truncations of exp(s*w), s = 1, 2, 3, were
-    # never reached in 100,000 cases each of thm1_nec, thm2_nec and thm3
-    # (seed 12345), nor in 20,000 witness_pre calls on gen_bipoly and
-    # gen_harmonic inputs with q in 0..4 and l in 1..5 (case seeds
-    # spawn(99, 0..19999)); every hit was the first w^m tried.
+    # For q <= 1 and f neither analytic nor anti-analytic, order(f^m) > l
+    # for every m >= 2l, so the first candidate is a witness at every l:
+    #   * A vertex v of f's Newton polygon with min(v) >= 1 puts
+    #     c_v^m != 0 at m*v (Ostrowski 1921), so m >= l suffices.
+    #   * Otherwise every vertex lies on an axis.  As f is neither analytic
+    #     nor anti-analytic, (A, 0) and (0, B) with A, B >= 1 are vertices,
+    #     and the segment between them is an edge.  With g = gcd(A, B),
+    #     a = A/g and b = B/g, its initial form is x^A * u(y^b / x^a) with
+    #     deg u = g and u(0) != 0.  The initial form of f^m on m times that
+    #     edge is x^(mA) * u^m (Ostrowski).  u^m is divisible by (s - r)^m
+    #     for a root r != 0, so by Hajos' lemma (1953) it has at least
+    #     m + 1 nonzero terms.  At most ceil(l/a) + ceil(l/b) <= 2l
+    #     positions (mA - k*a, k*b) on m times the edge have min(i, j) < l,
+    #     so for m >= 2l one term of f^m has min(i, j) >= l.
+    # This also decides q = 1, whose outers are harmonic and not analytic:
+    # F = w^m + eps*conj(w) composes to f^m + eps*conj(f), and for all but
+    # finitely many rational eps a term of f^m with min(i, j) >= l survives.
 
 
 def find_witness_pre(f: BiPoly, q: int, l: int) -> WitnessResult:
     """Concrete outer mapping F of class q with order(F after f) > l.
 
-    Raises NotApplicable both for compliant forms and for the open
-    ConjectureOnly regime; InternalInconsistency if the search exhausts.
+    Raises NotApplicable exactly when the form is compliant
+    (allowed_form_pre is True); InternalInconsistency if the search exhausts.
     """
     return _violation(_search(f, q, l, post=False))
 
@@ -247,17 +250,15 @@ def witness_pre(f: BiPoly, q: int, l: int) -> WitnessResult:
 def _search(f: BiPoly, q: int, l: int, post: bool) -> WitnessResult:
     """The witness search after f (post) or before it (pre), from one classify(f).
 
-    A settled or open allowed form gives its Compliant or ConjectureOnly
-    verdict; otherwise the first candidate whose composition with f has
-    exact order > l.  Every candidate is of class q by construction.
+    A compliant form gives the Compliant verdict; otherwise the first
+    candidate whose composition with f has exact order > l.  Every
+    candidate is of class q by construction.
     """
     _require_params(q, l)
     rep = classify(f)
     allowed = _allowed_post(rep, q, l) if post else _allowed_pre(f, rep, q, l)
-    if allowed is True:
+    if allowed:
         return WitnessResult(COMPLIANT, None, None, l, "")
-    if isinstance(allowed, ConjectureOnly):
-        return WitnessResult(CONJECTURE_ONLY, None, None, l, f"conjectured: {allowed.conjectured_form}")
     for candidate, tag in (_post_candidates if post else _pre_candidates)(f, rep, q, l):
         order = polyharmonic_order(compose(f, candidate) if post else compose(candidate, f))
         if order > l:
@@ -267,13 +268,10 @@ def _search(f: BiPoly, q: int, l: int, post: bool) -> WitnessResult:
 
 
 def _violation(res: WitnessResult) -> WitnessResult:
-    """res when it is a Violation; NotApplicable for a settled or open form."""
+    """res when it is a Violation; NotApplicable for a compliant form."""
     if res.verdict == VIOLATION:
         return res
-    raise NotApplicable(
-        "the mapping already has the allowed form" if res.verdict == COMPLIANT
-        else "only a conjectured characterization exists here; use the counterexample search instead"
-    )
+    raise NotApplicable("the mapping already has the allowed form")
 
 
 # ---------------------------------------------------------------------------
@@ -312,17 +310,18 @@ def a_m(f: BiPoly, m: int) -> BiPoly:
     It is A + m*B + m^2*C with
     A = 2*(f_zzb^2 + f_z*f_zzbzb + f_zb*f_zzzb) + f_zz*f_zbzb,
     B = f_z^2*f_zbzb + f_zb^2*f_zz + 4*f_z*f_zb*f_zzb and C = (f_z*f_zb)^2,
-    computed in one accumulation pass.  With f = N/D, every derivative is
-    read off N over D, unreduced, by wirtinger._derivative; f_z^2, f_zb^2
-    and f_z*f_zb are built once as unreduced products over D^2.  The products of A, B and C are added
-    into one set of sums over D^4, scaled by 2*D^2 and D^2 (A), m*D and
-    4*m*D (B) and m^2 (C), and the sum is reduced once.
+    computed in one accumulation pass.  With f = N/D, the seven derivatives
+    are read off N over D, unreduced, in one wirtinger._derivative pass;
+    f_z^2, f_zb^2 and f_z*f_zb are built once as unreduced products over
+    D^2.  The products of A, B and C are added into one set of sums over
+    D^4, scaled by 2*D^2 and D^2 (A), m*D and 4*m*D (B) and m^2 (C), and
+    the sum is reduced once.
     """
     if not isinstance(m, int) or m == 0:
         raise ValueError("m must be a nonzero integer")
     den = f.denominator
-    fz, fzb, fzz, fzbzb, fzzb, fzzbzb, fzzzb = (
-        _derivative(f, a, b) for a, b in ((1, 0), (0, 1), (2, 0), (0, 2), (1, 1), (1, 2), (2, 1))
+    fz, fzb, fzz, fzbzb, fzzb, fzzbzb, fzzzb = _derivative(
+        f, ((1, 0), (0, 1), (2, 0), (0, 2), (1, 1), (1, 2), (2, 1))
     )
     fz2, fzb2, quad = _mul_items(fz, fz), _mul_items(fzb, fzb), _mul_items(fz, fzb)
     out: dict = {}
@@ -619,12 +618,14 @@ DEFAULT_L_VALUES = (3, 4)
 
 
 def _conjecture_case(case_seed: int, l_values: tuple[int, ...]):
-    """One counterexample probe for the open pre-composition question.
+    """One counterexample probe for pre-composition at q <= 1, l >= 3.
 
     Draws f of order >= 2 (hence neither analytic nor anti-analytic) and
     hunts for a harmonic outer mapping whose composition with f exceeds
-    order l.  Failing to find one flags the case as a counterexample
-    candidate; it never proves anything either way.
+    order l.  For polynomial f one exists with degree <= 2l (see
+    _pre_candidates), so a failing case would be a fault in that proof or
+    in the exact arithmetic; the hunt checks the bound independently, on
+    exactly built powers.
 
     The outers tried are the powers w^m, m = 1..2l+4.  When a vertex of
     f's Newton polygon has min(i, j) = mu >= 1, order(f^m) >= 1 + m*mu, so
@@ -703,7 +704,7 @@ def replay_case(name: str, case_seed: int):
 
 
 def run_conjecture_search(seed: int, cases: int, l_values: tuple[int, ...] = DEFAULT_L_VALUES) -> SuiteReport:
-    """Counterexample hunt at the given l values; evidence only, never proof."""
+    """Counterexample hunt at the given l values: an exact check of the power bound."""
     for l in l_values:
         if l < 3:
             raise ValueError("the open regime starts at l = 3; smaller l is settled")

@@ -10,28 +10,32 @@ from .bipoly import AlmansiForm, BiPoly, _from_parts, _reduced
 from .errors import NonHarmonicComponent
 
 
-def _derivative(f: BiPoly, a: int, b: int, scale: int = 1) -> list:
-    """scale * d^a/dz^a d^b/dzbar^b f for a, b <= 2: unreduced (key, (re, im)) items over f's denominator.
+def _derivative(f: BiPoly, orders, scale: int = 1) -> list[list]:
+    """scale * d^a/dz^a d^b/dzbar^b f for each (a, b) in orders, a, b <= 2, in one pass over f.
 
-    c * z^i * zbar^j -> c * i!/(i-a)! * j!/(j-b)! * z^(i-a) * zbar^(j-b); a
-    term whose falling factorial is 0 (i < a or j < b) is dropped.
+    Returns one list of unreduced (key, (re, im)) items over f's
+    denominator per order.  c * z^i * zbar^j ->
+    c * i!/(i-a)! * j!/(j-b)! * z^(i-a) * zbar^(j-b); a term whose falling
+    factorial is 0 (i < a or j < b) is dropped.
     """
-    out = []
+    outs = [[] for _ in orders]
     for (i, j), (re, im) in f.numerators.items():
-        k = scale * (1, i, i * (i - 1))[a] * (1, j, j * (j - 1))[b]
-        if k:
-            out.append(((i - a, j - b), (re * k, im * k)))
-    return out
+        fi, fj = (1, i, i * (i - 1)), (1, j, j * (j - 1))
+        for out, (a, b) in zip(outs, orders):
+            k = scale * fi[a] * fj[b]
+            if k:
+                out.append(((i - a, j - b), (re * k, im * k)))
+    return outs
 
 
 def d_dz(f: BiPoly) -> BiPoly:
     """Formal d/dz: c * z^i * zbar^j -> c*i * z^(i-1) * zbar^j."""
-    return _reduced(dict(_derivative(f, 1, 0)), f.denominator)
+    return _reduced(dict(_derivative(f, ((1, 0),))[0]), f.denominator)
 
 
 def d_dzbar(f: BiPoly) -> BiPoly:
     """Formal d/dzbar: c * z^i * zbar^j -> c*j * z^i * zbar^(j-1)."""
-    return _reduced(dict(_derivative(f, 0, 1)), f.denominator)
+    return _reduced(dict(_derivative(f, ((0, 1),))[0]), f.denominator)
 
 
 def laplacian(f: BiPoly, times: int = 1) -> BiPoly:
@@ -45,7 +49,7 @@ def laplacian(f: BiPoly, times: int = 1) -> BiPoly:
     for _ in range(times):
         if out.is_zero:
             break
-        out = _reduced(dict(_derivative(out, 1, 1, 4)), out.denominator)
+        out = _reduced(dict(_derivative(out, ((1, 1),), 4)[0]), out.denominator)
     return out
 
 
@@ -119,10 +123,6 @@ def newton_order_bound(f: BiPoly, m: int) -> int:
         if sum((x2 - x1) * (y - y1) == (y2 - y1) * (x - x1) for x, y in f.numerators) == 2:
             best = max(best, *(min((m - k) * x1 + k * x2, (m - k) * y1 + k * y2) for k in range(m + 1)))
     return best + 1
-
-
-def is_harmonic(f: BiPoly) -> bool:
-    return polyharmonic_order(f) <= 1
 
 
 def almansi_decompose(f: BiPoly) -> AlmansiForm:

@@ -9,6 +9,7 @@ case seed.
 import time
 
 from polyharm.bipoly import BiPoly, mul
+from polyharm.classify import classify
 from polyharm.errors import ParseError
 from polyharm.gen import SplitMix64, gen_analytic, gen_bipoly, spawn
 from polyharm.numeric import (
@@ -23,7 +24,6 @@ from polyharm.theorems import run_conjecture_search, run_suite, separable_laplac
 from polyharm.wirtinger import (
     almansi_decompose,
     almansi_recompose,
-    is_harmonic,
     laplacian,
     polyharmonic_order,
 )
@@ -72,7 +72,7 @@ def test_criterion_02_almansi_round_trip():
         form = almansi_decompose(f)
         ok = (
             almansi_recompose(form) == f
-            and all(is_harmonic(g) for g in form)
+            and all(classify(g).is_harmonic for g in form)
             and len(form) == polyharmonic_order(f)
         )
         if not ok:

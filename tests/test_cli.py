@@ -73,12 +73,17 @@ def test_witness_compliant_exits_zero(capsys):
     assert json.loads(out)["verdict"] == "Compliant"
 
 
-def test_witness_conjecture_only(capsys):
+def test_witness_pre_decided_for_large_l(capsys):
     code, out, _ = run_cli(capsys, "witness", "--theorem", "2a", "--l", "3", "z*zbar", "--json")
-    assert code == 0
+    assert code == 1
     payload = json.loads(out)
-    assert payload["verdict"] == "ConjectureOnly"
-    assert payload["witness"] is None
+    assert payload["verdict"] == "Violation"
+    assert payload["witness"] == "z^3" and payload["composition_order"] == 4
+    code, out, _ = run_cli(capsys, "witness", "--theorem", "2a", "--l", "3", "z*zbar + z")
+    assert code == 1
+    assert out == (
+        "verdict: Violation\nwitness: z^3\ncomposition_order: 4\nrequired_bound: 3\nfamily: w^m\n"
+    )
 
 
 def test_witness_q_validation(capsys):

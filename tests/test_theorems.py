@@ -10,9 +10,7 @@ from polyharm.gen import SplitMix64, gen_analytic, gen_bipoly, gen_harmonic, gen
 from polyharm.theorems import (
     COMPLIANT,
     DEFAULT_L_VALUES,
-    CONJECTURE_ONLY,
     VIOLATION,
-    ConjectureOnly,
     WitnessResult,
     _check_violation,
     _conjecture_case,
@@ -55,9 +53,10 @@ def test_allowed_form_post_degree_one_allowed_when_bound_permits():
 def test_allowed_form_pre_examples():
     assert allowed_form_pre(Z + ZBAR, 1, 2) is False
     assert allowed_form_pre(ZBAR**3, 2, 4) is True
-    result = allowed_form_pre(Z * ZBAR, 1, 3)
-    assert isinstance(result, ConjectureOnly)
-    assert result.conjectured_form == "analytic or anti-analytic"
+    # q <= 1, l >= 3 is decided for polynomial f: only the harmonic split forms comply.
+    assert allowed_form_pre(Z * ZBAR, 1, 3) is False
+    assert allowed_form_pre(Z + ZBAR, 0, 7) is False
+    assert allowed_form_pre(ZBAR**5, 1, 7) is True
 
 
 def test_allowed_form_pre_decision_table():
@@ -250,12 +249,12 @@ def test_witness_searches_classify_f_once(monkeypatch):
     pre = [(Z * ZBAR, 1, 3), (Z**9, 0, 1), (Z + ZBAR, 1, 1), (Z**2, 2, 2), (ZBAR**3, 3, 4), (Z * ZBAR, 2, 3)]
     calls = [(witness_post, args) for args in post] + [(witness_pre, args) for args in pre]
     calls += [(find_witness_post, args) for args in post if not allowed_form_post(*args)]
-    calls += [(find_witness_pre, args) for args in pre if allowed_form_pre(*args) is False]
+    calls += [(find_witness_pre, args) for args in pre if not allowed_form_pre(*args)]
     for search, (f, q, l) in calls:
         seen.clear()
         search(f, q, l)
         assert len(seen) == 1 and seen[0] is f, search.__name__
-    assert len(calls) == 19
+    assert len(calls) == 20
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -321,14 +320,60 @@ def test_find_witness_pre_not_applicable():
     with pytest.raises(NotApplicable):
         find_witness_pre(Z**2, 0, 1)
     with pytest.raises(NotApplicable):
-        find_witness_pre(Z * ZBAR, 1, 3)  # conjecture territory
+        find_witness_pre(ZBAR**3, 1, 3)
+    # q <= 1, l >= 3 with f neither analytic nor anti-analytic is a Violation, not NotApplicable.
+    result = find_witness_pre(Z * ZBAR, 1, 3)
+    assert result.witness == Z**3 and result.composition_order == 4
 
 
 def test_witness_wrappers():
     assert witness_post(Z + ZBAR, 0, 1).verdict == COMPLIANT
     assert witness_post(Z**2, 1, 1).verdict == VIOLATION
-    assert witness_pre(Z * ZBAR, 1, 3).verdict == CONJECTURE_ONLY
+    result = witness_pre(Z * ZBAR, 1, 3)
+    assert (result.verdict, result.witness, result.composition_order) == (VIOLATION, Z**3, 4)
     assert witness_pre(Z**9, 0, 1).verdict == COMPLIANT
+
+
+# --- pre-composition at q <= 1, l >= 3 ------------------------------------------
+
+
+def _axis_vertex_polygon(seed: int) -> BiPoly:
+    """A non-harmonic f whose Newton polygon has every vertex on an axis.
+
+    z^a and zbar^b with a, b >= 2 plus at least one mixed term on the edge
+    between them; with a constant term, the mixed terms may also lie below
+    that edge.
+    """
+    rng = SplitMix64(seed)
+    a, b = rng.between(2, 5), rng.between(2, 5)
+    below = [(i, j) for i in range(1, a) for j in range(1, b) if i * b + j * a <= a * b]
+    on_edge = [(i, j) for i, j in below if i * b + j * a == a * b]
+    # Without a constant term, only mixed terms on the edge keep every vertex on an axis.
+    with_constant = not on_edge or rng.chance(1, 2)
+    mixed = below if with_constant else on_edge
+    keys = [(a, 0), (0, b)] + ([k for k in mixed if rng.chance(1, 2)] or mixed[:1])
+    if with_constant:
+        keys.append((0, 0))
+    return BiPoly({key: rng.coeff(nonzero=True) for key in keys})
+
+
+def test_pre_composition_is_decided_for_every_polynomial_f():
+    # For q <= 1 every f that is neither analytic nor anti-analytic has a
+    # power witness w^m with m <= 2l + 2, at every l (Ostrowski and Hajos,
+    # see theorems._pre_candidates).
+    polygons = [Z**2 + Z * ZBAR + ZBAR**2] + [_axis_vertex_polygon(spawn(33, index)) for index in range(30)]
+    assert all(newton_vertex_depth(f) == 0 for f in polygons)
+    fs = polygons + [gen_bipoly(spawn(31, index), 3) for index in range(30)]
+    fs += [gen_strict_q_harmonic(spawn(32, index), 2 + index % 2, 1 + index % 3 // 2) for index in range(30)]
+    fs = [f for f in fs if not classify(f).is_harmonic]
+    assert len(fs) > 80
+    for f in fs:
+        for q in (0, 1):
+            for l in range(3, 7):
+                assert allowed_form_pre(f, q, l) is False
+                result = find_witness_pre(f, q, l)
+                assert _check_violation(result, f, q, l, post=False) is None
+                assert result.witness.deg_z <= 2 * l + 2
 
 
 # --- separable Laplacian --------------------------------------------------------
@@ -498,14 +543,10 @@ def _power_loop_case(case_seed: int, l_values: tuple[int, ...]):
         power = mul(power, f)
         if polyharmonic_order(power) > l:
             return None, m, f
-    for _ in range(6):
-        outer = gen_harmonic(rng.next_u64(), max_m)
-        if polyharmonic_order(compose(outer, f)) > l:
-            return None, max_m, f
     failure = (
-        f"case_seed={case_seed} l={l} f={f}",
-        "some sampled harmonic outer mapping with composition order > l",
-        f"all {max_m + 6} sampled outers stayed within order {l}",
+        f"case_seed={case_seed} l={l} f={canonical_print(f)}",
+        f"some harmonic outer mapping of degree <= {max_m} with composition order > l",
+        f"every power f^m, m = 1..{max_m}, stayed within order {l}",
     )
     return failure, max_m, f
 
