@@ -75,11 +75,16 @@ def _exp_multiplier(text: str) -> int:
     return value
 
 
-def _open_l(text: str) -> int:
-    value = int(text)
-    if value < 3:
-        raise argparse.ArgumentTypeError("must be >= 3; smaller l is settled (see verify --suite thm3)")
-    return value
+# Witness theorem -> (post-composition, fixed q, fixed l); None leaves it to --q or --l.
+_THEOREMS = {
+    "1a": (True, 0, None),
+    "1b": (True, 1, None),
+    "1c": (True, None, None),
+    "2a": (False, 1, None),
+    "2b": (False, None, None),
+    "3b": (False, None, 1),
+    "3c": (False, None, 2),
+}
 
 
 def _fraction(text: str) -> Fraction:
@@ -133,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="check a mapping's form and construct a violating composition partner",
     )
-    p.add_argument("--theorem", required=True, choices=("1a", "1b", "1c", "2a", "2b", "3b", "3c"))
+    p.add_argument("--theorem", required=True, choices=tuple(_THEOREMS))
     p.add_argument("--l", type=_positive_int, default=None)
     p.add_argument("--q", type=_nonnegative_int, default=None)
     p.add_argument("expr")
@@ -142,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, choices=(*theorems.SUITE_NAMES, "all"), help="all: every suite")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument(
-        "--cases", type=_positive_int, default=None, help="per suite (default 200; all: each suite's own)"
+        "--cases", type=_positive_int, default=None, help="per suite (default: each suite's own count)"
     )
     p.add_argument(
         "--case-seed",
@@ -154,11 +159,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "conjecture",
         parents=[common],
-        help="seeded counterexample search for the open pre-composition question (evidence only)",
+        help="seeded counterexample hunt: an exact check of the pre-composition power bound",
     )
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--cases", type=_positive_int, default=1000)
-    p.add_argument("--l", type=_open_l, nargs="+", default=None, help="orders to draw l from (default: 3 4)")
+    p.add_argument(
+        "--cases", type=_positive_int, default=None, help="default: the conjecture_search suite's count"
+    )
+    p.add_argument(
+        "--l", type=_positive_int, nargs="+", default=None, help="orders to draw l from (default: 3 4)"
+    )
 
     p = sub.add_parser(
         "reich",
@@ -279,31 +288,24 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _theorem_arg(theorem: str, flag: str, fixed: int | None, given: int | None, least: int) -> int:
+    """--l or --q for a witness theorem: the value it fixes, or the given one if that is >= least."""
+    if fixed is not None:
+        if given is not None and given != fixed:
+            raise _UsageError(f"--theorem {theorem} fixes {flag} {fixed}")
+        return fixed
+    if given is None or given < least:
+        raise _UsageError(f"--theorem {theorem} requires {flag}" + (f" >= {least}" if least > 1 else ""))
+    return given
+
+
 def _cmd_witness(args) -> int:
     f = parse(args.expr)
     theorem = args.theorem
-    forced_l = {"3b": 1, "3c": 2}.get(theorem)
-    if forced_l is not None:
-        if args.l is not None and args.l != forced_l:
-            raise _UsageError(f"--theorem {theorem} fixes --l {forced_l}")
-        l = forced_l
-    else:
-        if args.l is None:
-            raise _UsageError(f"--theorem {theorem} requires --l")
-        l = args.l
-    fixed_q = {"1a": 0, "1b": 1, "2a": 1}.get(theorem)
-    if fixed_q is not None:
-        if args.q is not None and args.q != fixed_q:
-            raise _UsageError(f"--theorem {theorem} fixes --q {fixed_q}")
-        q = fixed_q
-    else:
-        if args.q is None or args.q < 2:
-            raise _UsageError(f"--theorem {theorem} requires --q >= 2")
-        q = args.q
-    if theorem in ("1a", "1b", "1c"):
-        result = theorems.witness_post(f, q, l)
-    else:
-        result = theorems.witness_pre(f, q, l)
+    post, fixed_q, fixed_l = _THEOREMS[theorem]
+    l = _theorem_arg(theorem, "--l", fixed_l, args.l, 1)
+    q = _theorem_arg(theorem, "--q", fixed_q, args.q, 2)
+    result = (theorems.witness_post if post else theorems.witness_pre)(f, q, l)
     witness_text = unparse(result.witness) if result.witness is not None else None
     payload = {
         "verdict": result.verdict,
@@ -384,32 +386,25 @@ def _cmd_verify(args) -> int:
     if args.case_seed is not None:
         return _replay(args)
     seed = _resolve_seed(args.seed)
-    if args.suite != "all":
-        report = theorems.run_suite(args.suite, seed, args.cases or 200)
-        _emit(args, _suite_payload(report), _suite_human(report))
-        return 0 if report.failures == 0 else 1
-    reports = [theorems.run_suite(name, seed, args.cases or n) for name, n in theorems.DEFAULT_CASES.items()]
-    payload = {"suites": [_suite_payload(report) for report in reports]}
-    _emit(args, payload, "\n".join(_suite_line(report) for report in reports))
+    names = list(theorems.DEFAULT_CASES) if args.suite == "all" else [args.suite]
+    reports = [theorems.run_suite(name, seed, args.cases or theorems.DEFAULT_CASES[name]) for name in names]
+    if args.suite == "all":
+        payload = {"suites": [_suite_payload(report) for report in reports]}
+        _emit(args, payload, "\n".join(_suite_line(report) for report in reports))
+    else:
+        _emit(args, _suite_payload(reports[0]), _suite_human(reports[0]))
     return 1 if any(report.failures for report in reports) else 0
 
 
 def _cmd_conjecture(args) -> int:
     l_values = tuple(args.l or theorems.DEFAULT_L_VALUES)
-    report = theorems.run_conjecture_search(_resolve_seed(args.seed), args.cases, l_values)
-    payload = _suite_payload(report)
-    payload.update(
-        {
-            "candidates": report.failures,
-            "l_values": list(l_values),
-            "conclusive": False,
-        }
-    )
+    cases = args.cases or theorems.DEFAULT_CASES["conjecture_search"]
+    report = theorems.run_conjecture_search(_resolve_seed(args.seed), cases, l_values)
+    payload = {**_suite_payload(report), "candidates": report.failures, "l_values": list(l_values)}
     human = (
         _suite_human(report)
         + f"\ncandidates: {report.failures}"
         + f"\nl_values: {', '.join(str(l) for l in l_values)}"
-        + "\nnote: sampled evidence only; a clean run decides nothing"
     )
     _emit(args, payload, human)
     return 0 if report.failures == 0 else 1

@@ -122,25 +122,27 @@ def _circle_points(count: int) -> tuple[GaussianRational, ...]:
 
 def _post_candidates(f: BiPoly, rep, q: int, l: int):
     d = max(f.deg_z, f.deg_zbar)
-    circle = _circle_points(2 * max(rep.order, 1) + 2)
-    if q == 0:
-        for m in range(l + 1, l + d + 3):
-            yield BiPoly.monomial(m, 0), "z^m"
+    if not rep.is_harmonic:
+        # One candidate, a witness for every non-harmonic f.  F = z^m sends
+        # c_ij*z^i*zbar^j to (m*i, m*j), F = zbar^m to (m*j, m*i), and
+        # F = |z|^(2(q-1))*z^(m(q-1)) to (q-1)*((m+1)*i + j, i + (m+1)*j),
+        # a map of determinant m(m+2) != 0.  So no two terms of f meet, and
+        # a term with min(i, j) >= 1 lands at a min of at least m > l.
+        if q == 0:
+            yield BiPoly.monomial(l + 1, 0), "z^m"
+        elif q == 1:
+            yield BiPoly.monomial(0, l + 1), "zbar^m"
+        else:
+            m = l + d + 1
+            yield BiPoly.monomial((m + 1) * (q - 1), q - 1), "|z|^(2(q-1))*z^(m(q-1))"
         return
+    circle = _circle_points(2 * max(rep.order, 1) + 2)
     if q == 1:
-        if not rep.is_harmonic:
-            for m in range(l + 1, l + d + 3):
-                yield BiPoly.monomial(0, m), "zbar^m"
         for m in range(l + 1, l + d + 3):
             for c in circle:
                 yield BiPoly.monomial(m, 0) + BiPoly.monomial(0, 1, c) ** m, "z^m+(c*zbar)^m"
         return
     weight = BiPoly.monomial(q - 1, q - 1)
-    if not rep.is_harmonic:
-        # Injective on monomials once m > l + d, so this family is
-        # guaranteed for every non-harmonic f.
-        for m in (l + d + 1, l + d + 2):
-            yield mul(weight, BiPoly.monomial(m * (q - 1), 0)), "|z|^(2(q-1))*z^(m(q-1))"
     for c in circle:
         yield weight * c, "c*|z|^(2(q-1))"
     for m in range(l + 1, l + d + 3):
@@ -195,19 +197,20 @@ def _pre_candidates(f: BiPoly, rep, q: int, l: int):
         # The only candidate: composition order is exactly t*(q-1)+1 for degree-t f.
         yield carrier, "|w|^(2(q-1))"
         return
-    suffix = " + |w|^(2(q-1))" if q >= 2 else ""
-    # Outer powers w^m, from the least m for which f's Newton polygon
-    # certifies order(f^m) > l (wirtinger.newton_order_bound), or from
-    # 2l + 2 when no m <= 2l + 1 is certified, as for z^2 + z*zbar + zbar^2.
-    # For q <= 1 the composition is f^m itself, so a certified first
-    # candidate is a witness; for q >= 2 the carrier is added, which keeps
-    # every candidate strictly q-harmonic, and the exact order check
-    # decides each one.
-    start = next((m for m in range(1, 2 * l + 2) if newton_order_bound(f, m) > l), 2 * l + 2)
+    # Outer powers w^m from the least m < 2l for which f's Newton polygon
+    # certifies order(f^m) > l (wirtinger.newton_order_bound), else from 2l,
+    # as for z^2 + z*zbar + zbar^2.  For q <= 1 the composition is f^m, a
+    # witness by the certificate or by the proof below.  For q >= 2 the
+    # carrier keeps each candidate strictly q-harmonic, and the exact order
+    # check decides each power in turn.
+    start = next((m for m in range(1, 2 * l) if newton_order_bound(f, m) > l), 2 * l)
+    if q <= 1:
+        yield BiPoly.monomial(start, 0), "w^m"
+        return
     for m in range(start, 2 * l + 10):
-        yield BiPoly.monomial(m, 0) + carrier, "w^m" + suffix
+        yield BiPoly.monomial(m, 0) + carrier, "w^m + |w|^(2(q-1))"
     # For q <= 1 and f neither analytic nor anti-analytic, order(f^m) > l
-    # for every m >= 2l, so the first candidate is a witness at every l:
+    # for every m >= 2l, so w^(2l) is a witness at every l:
     #   * A vertex v of f's Newton polygon with min(v) >= 1 puts
     #     c_v^m != 0 at m*v (Ostrowski 1921), so m >= l suffices.
     #   * Otherwise every vertex lies on an axis.  As f is neither analytic
@@ -618,23 +621,20 @@ DEFAULT_L_VALUES = (3, 4)
 
 
 def _conjecture_case(case_seed: int, l_values: tuple[int, ...]):
-    """One counterexample probe for pre-composition at q <= 1, l >= 3.
+    """One exact check of the pre-composition power bound at q <= 1.
 
     Draws f of order >= 2 (hence neither analytic nor anti-analytic) and
-    hunts for a harmonic outer mapping whose composition with f exceeds
-    order l.  For polynomial f one exists with degree <= 2l (see
-    _pre_candidates), so a failing case would be a fault in that proof or
-    in the exact arithmetic; the hunt checks the bound independently, on
-    exactly built powers.
+    checks that some power w^m, m = 1..2l, composes with f to order > l,
+    as the Newton-polygon proof in _pre_candidates says w^(2l) does.  A
+    failing case would be a fault in that proof or in the exact arithmetic.
 
-    The outers tried are the powers w^m, m = 1..2l+4.  When a vertex of
-    f's Newton polygon has min(i, j) = mu >= 1, order(f^m) >= 1 + m*mu, so
-    w^l already exceeds order l and the case is decided with no power
-    built; that is the verdict the power loop would reach.  Only f with
-    every vertex on an axis (mu = 0) runs the power loop.
+    When a vertex of f's Newton polygon has min(i, j) = mu >= 1,
+    order(f^m) >= 1 + m*mu, so w^l already exceeds order l and the case is
+    decided with no power built; that is the verdict the power loop would
+    reach.  Only f with every vertex on an axis (mu = 0) runs the loop.
 
-    No other harmonic outer of degree <= 2l+4 can do better: composed with
-    f it is a linear combination of f^k and conj(f)^k for k <= 2l+4, and
+    No other harmonic outer of degree <= 2l can do better: composed with
+    f it is a linear combination of f^k and conj(f)^k for k <= 2l, and
     conj only reflects a support, so when every power stays within order
     l, so does every such composition.
     """
@@ -647,7 +647,7 @@ def _conjecture_case(case_seed: int, l_values: tuple[int, ...]):
         return _fail(case_seed, f"f={f}", f"generator order {q}", str(order))
     if newton_vertex_depth(f) >= 1:
         return None
-    max_m = 2 * l + 4
+    max_m = 2 * l
     power = BiPoly.one()
     for _ in range(max_m):
         power = mul(power, f)
@@ -705,9 +705,11 @@ def replay_case(name: str, case_seed: int):
 
 def run_conjecture_search(seed: int, cases: int, l_values: tuple[int, ...] = DEFAULT_L_VALUES) -> SuiteReport:
     """Counterexample hunt at the given l values: an exact check of the power bound."""
+    if not l_values:
+        raise ValueError("l_values must name at least one order")
     for l in l_values:
-        if l < 3:
-            raise ValueError("the open regime starts at l = 3; smaller l is settled")
+        if not isinstance(l, int) or l < 1:
+            raise ValueError("l must be a positive integer")
     return _run_cases(
         "conjecture_search", lambda case_seed: _conjecture_case(case_seed, tuple(l_values)), seed, cases
     )
@@ -725,6 +727,8 @@ def _run_case(case_fn, case_seed: int):
 
 
 def _run_cases(name: str, case_fn, seed: int, cases: int) -> SuiteReport:
+    if not isinstance(cases, int) or cases < 0:
+        raise ValueError("cases must be a nonnegative integer")
     failures = 0
     first_failure = None
     for index in range(cases):

@@ -91,6 +91,52 @@ def test_witness_q_validation(capsys):
     assert code == 2 and "requires --q" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--theorem", "1a", "--l", "2", "--q", "2"], "--theorem 1a fixes --q 0"),
+        (["--theorem", "1b", "--l", "2", "--q", "0"], "--theorem 1b fixes --q 1"),
+        (["--theorem", "2a", "--l", "2", "--q", "3"], "--theorem 2a fixes --q 1"),
+        (["--theorem", "1c", "--l", "2", "--q", "1"], "--theorem 1c requires --q >= 2"),
+        (["--theorem", "2b", "--l", "2"], "--theorem 2b requires --q >= 2"),
+        (["--theorem", "3b", "--l", "2", "--q", "2"], "--theorem 3b fixes --l 1"),
+        (["--theorem", "3c", "--l", "1", "--q", "2"], "--theorem 3c fixes --l 2"),
+        (["--theorem", "3c", "--q", "1"], "--theorem 3c requires --q >= 2"),
+        (["--theorem", "2b", "--q", "2"], "--theorem 2b requires --l"),
+    ],
+)
+def test_witness_theorem_table_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, "witness", *argv, "z*zbar")
+    assert (code, out, err) == (2, "", f"usage error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "theorem, flags, search",
+    [
+        ("1a", ["--l", "1"], "witness_post"),
+        ("1b", ["--l", "1"], "witness_post"),
+        ("1c", ["--l", "1", "--q", "2"], "witness_post"),
+        ("2a", ["--l", "1"], "witness_pre"),
+        ("2b", ["--l", "1", "--q", "2"], "witness_pre"),
+        ("3b", ["--q", "2"], "witness_pre"),
+        ("3c", ["--q", "3"], "witness_pre"),
+    ],
+)
+def test_witness_theorem_table_routes_each_theorem(capsys, monkeypatch, theorem, flags, search):
+    import polyharm.theorems as theorems
+
+    calls = []
+    fixed = {"1a": (0, 1), "1b": (1, 1), "1c": (2, 1), "2a": (1, 1), "2b": (2, 1), "3b": (2, 1), "3c": (3, 2)}
+
+    def record(f, q, l):
+        calls.append((search, q, l))
+        return theorems.WitnessResult(theorems.COMPLIANT, None, None, l, "")
+
+    monkeypatch.setattr(theorems, search, record)
+    code, _, _ = run_cli(capsys, "witness", "--theorem", theorem, *flags, "z")
+    assert code == 0 and calls == [(search, *fixed[theorem])]
+
+
 def test_witness_forced_l_for_theorem_3(capsys):
     code, out, _ = run_cli(capsys, "witness", "--theorem", "3b", "--q", "2", "z^2", "--json")
     assert code == 1
@@ -134,13 +180,18 @@ def test_conjecture_subcommand(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["candidates"] == 0
-    assert payload["conclusive"] is False
     assert payload["l_values"] == [3, 4]
+    assert sorted(payload) == [
+        "candidates", "cases_run", "failures", "first_failure", "l_values", "seed", "suite",
+    ]
 
 
 def test_conjecture_l_validation(capsys):
-    code, _, err = run_cli(capsys, "conjecture", "--cases", "5", "--l", "2")
-    assert code == 2 and "must be >= 3" in err
+    # Every positive order is a check of the w^(2l) bound, l = 1 and 2 included.
+    code, out, _ = run_cli(capsys, "conjecture", "--cases", "20", "--l", "2")
+    assert code == 0 and "l_values: 2\n" in out and "failures: 0\n" in out
+    code, out, err = run_cli(capsys, "conjecture", "--cases", "5", "--l", "0")
+    assert code == 2 and out == "" and "argument --l: must be a positive integer" in err
 
 
 def test_conjecture_multi_valued_l(capsys):
@@ -148,8 +199,8 @@ def test_conjecture_multi_valued_l(capsys):
     assert run_cli(capsys, "conjecture", "--l", "3", "4", "--cases", "20", "--json") == default
     code, out, _ = run_cli(capsys, "conjecture", "--l", "3", "5", "6", "--cases", "10")
     assert code == 0 and "l_values: 3, 5, 6\n" in out
-    code, out, err = run_cli(capsys, "conjecture", "--cases", "5", "--l", "4", "2")
-    assert code == 2 and out == "" and "argument --l: must be >= 3" in err
+    code, out, err = run_cli(capsys, "conjecture", "--cases", "5", "--l", "4", "0")
+    assert code == 2 and out == "" and "argument --l: must be a positive integer" in err
 
 
 def test_verify_all_uses_the_table_counts_unless_cases_is_given(capsys, monkeypatch):
@@ -164,6 +215,20 @@ def test_verify_all_uses_the_table_counts_unless_cases_is_given(capsys, monkeypa
     code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--seed", "2", "--cases", "3")
     assert code == 0
     assert out.splitlines() == [f"{name:<20} cases=3      failures=0    ok" for name in counts]
+
+
+def test_every_suite_runs_its_table_count_unless_cases_is_given(capsys, monkeypatch):
+    import polyharm.theorems as theorems
+
+    counts = {name: index + 1 for index, name in enumerate(theorems.SUITE_NAMES)}
+    monkeypatch.setattr(theorems, "DEFAULT_CASES", counts)
+    for name in theorems.SUITE_NAMES:
+        code, out, _ = run_cli(capsys, "verify", "--suite", name, "--seed", "2", "--json")
+        assert code == 0 and json.loads(out)["cases_run"] == counts[name]
+        code, out, _ = run_cli(capsys, "verify", "--suite", name, "--seed", "2", "--cases", "2", "--json")
+        assert code == 0 and json.loads(out)["cases_run"] == 2
+    code, out, _ = run_cli(capsys, "conjecture", "--seed", "2", "--json")
+    assert code == 0 and json.loads(out)["cases_run"] == counts["conjecture_search"]
 
 
 def test_verify_all_reports_first_failure_and_exits_1(capsys, monkeypatch):
@@ -451,5 +516,5 @@ def test_entry_point_runs_every_suite_and_the_hunt():
     payload = json.loads(run.stdout)
     assert (payload["cases_run"], payload["candidates"], payload["l_values"]) == (2, 0, [3, 4])
 
-    run = _polyharm("conjecture", "--l", "2", "3")
-    assert run.returncode == 2 and run.stdout == "" and "must be >= 3" in run.stderr
+    run = _polyharm("conjecture", "--l", "0", "3")
+    assert run.returncode == 2 and run.stdout == "" and "must be a positive integer" in run.stderr

@@ -1,13 +1,14 @@
 """Golden transcript of the CLI: stdout, stderr and exit code per call.
 
-The calls are every README CLI example, in text form and with --json
-(the verify and conjecture case counts cut to 20), the same for a few
-calls whose output has fractional, negative and mixed coefficients or
-floating-point errors and for two pre-composition witnesses, plus one
-call down each error path: a parse error with its offset, a usage error
-raised by a handler, an argparse error, and --help.  The whole list is replayed twice
-in one process, forward and then reversed, so that state carried from one
-call to the next through the shared parser would show up as a mismatch.
+The calls are every README CLI example, the full passes included, in text
+form and with --json (the verify and conjecture case counts cut to 20),
+the same for a few calls whose output has fractional, negative and mixed
+coefficients or floating-point errors and for three pre-composition
+witnesses, plus one call down each error path: a parse error with its
+offset, a usage error raised by a handler, an argparse error, and --help.
+The whole list is replayed twice in one process, forward and then
+reversed, so that state carried from one call to the next through the
+shared parser would show up as a mismatch.
 
 argparse wraps usage and help text to the terminal width, so every call
 runs with COLUMNS=80, also when recording, and without POLYHARM_SEED.
@@ -41,6 +42,8 @@ README_CALLS = [
     ["reich", "--alpha", "1", "--c", "-1", "1"],
     ["fdcheck", "z^2*zbar^3", "--points", "5", "--h", "1e-4"],
     ["fdcheck", "z*zbar", "--m", "1"],
+    ["verify", "--suite", "all", "--seed", "0", "--cases", "20"],
+    ["conjecture", "--l", "3", "4", "--cases", "20"],
 ]
 
 # Outputs with fractional, negative, unit-imaginary and mixed coefficients,
@@ -55,10 +58,12 @@ EDGE_CALLS = [
 ]
 
 # Pre-composition witnesses: the outer power starts at the least exponent
-# that f's Newton polygon certifies.
+# below 2l that f's Newton polygon certifies, or at 2l when none is, as
+# for z^2 + z*zbar + zbar^2.
 PRE_WITNESS_CALLS = [
     ["witness", "--theorem", "2a", "--l", "1", "z^2+zbar^2"],
     ["witness", "--theorem", "2b", "--q", "2", "--l", "3", "z^2+zbar"],
+    ["witness", "--theorem", "2a", "--l", "3", "z^2 + z*zbar + zbar^2"],
 ]
 
 ERROR_CALLS = [

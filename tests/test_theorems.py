@@ -187,8 +187,8 @@ def test_find_witness_pre_both_parts_nonconstant():
         (Z**2 + ZBAR**2, 1, 1, Z**2, 3),
         (Z**2 + ZBAR, 2, 3, Z * ZBAR + Z**5, 4),
         # (1, 1) lies inside the only edge, so nothing is certified and the
-        # powers start at 2l + 2.
-        (Z**2 + Z * ZBAR + ZBAR**2, 0, 2, Z**6, 7),
+        # power is w^(2l), a witness by the Newton-polygon proof.
+        (Z**2 + Z * ZBAR + ZBAR**2, 0, 2, Z**4, 5),
     ],
 )
 def test_pre_composition_powers_start_at_the_certified_exponent(f, q, l, witness, order):
@@ -200,7 +200,7 @@ def test_pre_composition_powers_start_at_the_certified_exponent(f, q, l, witness
 
 
 def _certified_start(f, l):
-    return next((m for m in range(1, 2 * l + 2) if newton_order_bound(f, m) > l), 2 * l + 2)
+    return next((m for m in range(1, 2 * l) if newton_order_bound(f, m) > l), 2 * l)
 
 
 @pytest.mark.parametrize("name", ["thm2_nec", "thm3"])
@@ -232,6 +232,43 @@ def test_pre_composition_searches_hit_on_their_first_candidate(monkeypatch, name
             m = max(i for i, j in res.witness.numerators if j == 0)
             assert m == _certified_start(f, l)
     assert powers > 0
+
+
+def test_each_proven_family_yields_one_candidate_and_it_is_a_witness():
+    # Post-composition with non-harmonic f, and pre-composition at q <= 1
+    # or with analytic or anti-analytic f, have one proven candidate each
+    # (see theorems._post_candidates and _pre_candidates).
+    import polyharm.theorems as theorems
+
+    gens = [
+        lambda seed: gen_bipoly(seed, 3),
+        lambda seed: gen_strict_q_harmonic(seed, 2 + seed % 2, 1 + seed % 3 // 2),
+        lambda seed: gen_harmonic(seed, 3, both_parts_nonconstant=True),
+        lambda seed: gen_analytic(seed, 3, exact_degree=True),
+        lambda seed: gen_analytic(seed, 3, exact_degree=True).conjugate(),
+    ]
+    checked = {True: 0, False: 0}
+    for index in range(12):
+        seed = spawn(4343, index)
+        for gen in gens:
+            f = gen(seed)
+            rep = classify(f)
+            for q in range(5):
+                for l in range(1, 7):
+                    searches = []
+                    if not rep.is_harmonic:
+                        searches.append(True)
+                    single_pre = q <= 1 or rep.is_analytic or rep.is_antianalytic
+                    if single_pre and not allowed_form_pre(f, q, l):
+                        searches.append(False)
+                    for post in searches:
+                        family = theorems._post_candidates if post else theorems._pre_candidates
+                        [(candidate, tag)] = list(family(f, rep, q, l))
+                        composed = compose(f, candidate) if post else compose(candidate, f)
+                        res = WitnessResult(VIOLATION, candidate, polyharmonic_order(composed), l, tag)
+                        assert _check_violation(res, f, q, l, post) is None, (post, canonical_print(f), q, l)
+                        checked[post] += 1
+    assert checked[True] > 500 and checked[False] > 500
 
 
 def test_witness_searches_classify_f_once(monkeypatch):
@@ -359,7 +396,7 @@ def _axis_vertex_polygon(seed: int) -> BiPoly:
 
 def test_pre_composition_is_decided_for_every_polynomial_f():
     # For q <= 1 every f that is neither analytic nor anti-analytic has a
-    # power witness w^m with m <= 2l + 2, at every l (Ostrowski and Hajos,
+    # power witness w^m with m <= 2l, at every l (Ostrowski and Hajos,
     # see theorems._pre_candidates).
     polygons = [Z**2 + Z * ZBAR + ZBAR**2] + [_axis_vertex_polygon(spawn(33, index)) for index in range(30)]
     assert all(newton_vertex_depth(f) == 0 for f in polygons)
@@ -373,7 +410,7 @@ def test_pre_composition_is_decided_for_every_polynomial_f():
                 assert allowed_form_pre(f, q, l) is False
                 result = find_witness_pre(f, q, l)
                 assert _check_violation(result, f, q, l, post=False) is None
-                assert result.witness.deg_z <= 2 * l + 2
+                assert result.witness.deg_z <= 2 * l
 
 
 # --- separable Laplacian --------------------------------------------------------
@@ -513,8 +550,27 @@ def test_run_conjecture_search_custom_l():
     report = run_conjecture_search(9, 40, (3,))
     assert report.failures == 0
     assert report.suite_name == "conjecture_search"
+    # l = 1 and 2 check the same w^(2l) bound.
+    assert run_conjecture_search(9, 40, (1, 2)).failures == 0
+
+
+@pytest.mark.parametrize("l_values", [(), (0,), (3, -1), [3.5], ("3",)])
+def test_run_conjecture_search_rejects_bad_l_values(l_values):
     with pytest.raises(ValueError):
-        run_conjecture_search(9, 10, (2,))
+        run_conjecture_search(1, 2, l_values)
+
+
+@pytest.mark.parametrize("cases", [-3, -1, 2.0, "5", None])
+def test_suite_runners_reject_bad_case_counts(cases):
+    with pytest.raises(ValueError, match="cases must be a nonnegative integer"):
+        run_suite("thm1_nec", 1, cases)
+    with pytest.raises(ValueError, match="cases must be a nonnegative integer"):
+        run_conjecture_search(1, cases)
+
+
+def test_suite_runners_run_zero_cases():
+    assert run_suite("thm1_nec", 1, 0).cases_run == 0
+    assert run_conjecture_search(1, 0).cases_run == 0
 
 
 def test_witness_searches_inside_suites_recheck_strictness():
@@ -537,7 +593,7 @@ def _power_loop_case(case_seed: int, l_values: tuple[int, ...]):
     l = l_values[rng.below(len(l_values))]
     q = rng.between(2, 4)
     f = gen_strict_q_harmonic(rng.next_u64(), q, rng.between(1, 2))
-    max_m = 2 * l + 4
+    max_m = 2 * l
     power = BiPoly.one()
     for m in range(1, max_m + 1):
         power = mul(power, f)
