@@ -3,8 +3,8 @@
 The calls are every README CLI example, the full passes included, in text
 form and with --json (the verify and conjecture case counts cut to 20),
 the same for a few calls whose output has fractional, negative and mixed
-coefficients or floating-point errors and for three pre-composition
-witnesses, plus one call down each error path: a parse error with its
+coefficients or floating-point errors, for a few parser-heavy inputs and
+for three pre-composition witnesses, plus one call down each error path: a parse error with its
 offset, a usage error raised by a handler, an argparse error, and --help.
 The whole list is replayed twice in one process, forward and then
 reversed, so that state carried from one call to the next through the
@@ -55,6 +55,11 @@ EDGE_CALLS = [
     ["laplacian", "(1/2 - 3/4*i)*z^2*zbar^3 - 5/3*z*zbar^3 - 1/3*i*z^2*zbar^2 + 7/2*z*zbar - i*z*zbar^2"],
     ["fdcheck", "z^3*zbar^2 - 1/2*z*zbar^2 + (1/3 + i)*z", "--points", "7", "--seed", "11"],
     ["fdcheck", "z^2*zbar - 1/2*z*zbar^2 + (1/3 + i)*z", "--m", "2", "--points", "7", "--seed", "11"],
+    # Parser-heavy input: a leading minus, conj and abs2 around sums,
+    # powers of brackets, and a parse error inside nested brackets.
+    ["order", "-z^2*zbar + conj(1/2 - i*z)^2*abs2(z + zbar)"],
+    ["compose", "-conj(z)^3 + abs2(z)", "(1 - i)*z + 2/3"],
+    ["order", "abs2(z + (1 - ))"],
 ]
 
 # Pre-composition witnesses: the outer power starts at the least exponent
