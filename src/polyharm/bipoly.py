@@ -360,16 +360,6 @@ class BiPoly:
         """Swap z and zbar and conjugate every coefficient (an involution)."""
         return _make({(j, i): (re, -im) for (i, j), (re, im) in self._num.items()}, self._den)
 
-    def compose(self, inner: "BiPoly") -> "BiPoly":
-        """Substitute z -> inner and zbar -> conjugate(inner).
-
-        This computes self(inner(z)), i.e. self applied after inner.
-        """
-        return compose(self, inner)
-
-    def eval_exact(self, point: GaussianRational) -> GaussianRational:
-        return eval_exact(self, point)
-
     def __str__(self) -> str:
         return canonical_print(self)
 
@@ -503,7 +493,7 @@ def _mul_items(a_items, b_items: list) -> list:
 
 
 def compose(f: BiPoly, inner: BiPoly) -> BiPoly:
-    """Exact substitution z -> inner, zbar -> conjugate(inner) in f.
+    """Exact substitution z -> inner, zbar -> conjugate(inner) in f: f after inner.
 
     With inner = N/d, f's numerators c_ij over den_f and top = max(i + j),
     this is sum c_ij * d^(top-i-j) * N^i * conj(N)^j over den_f * d^top,

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import numeric, theorems
-from .bipoly import GaussianRational, format_scalar
+from .bipoly import GaussianRational, compose, eval_exact, format_scalar
 from .classify import classify
 from .errors import FloatOverflow, IntegerTooLong, NotAnalytic, ParseError
 from .parser import parse, unparse
@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="check the exp(m*f) identity instead (exact for biharmonic mappings)",
     )
-    p.add_argument("--tol-abs", type=_tolerance, default=None)
+    p.add_argument("--tol-abs", type=_tolerance, default=None, help="Laplacian check only; not with --m")
     p.add_argument("--tol-rel", type=_tolerance, default=None)
 
     return parser
@@ -278,7 +278,7 @@ def _cmd_almansi(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    return _result(args, parse(args.outer).compose(parse(args.inner)))
+    return _result(args, compose(parse(args.outer), parse(args.inner)))
 
 
 def _cmd_classify(args) -> int:
@@ -436,13 +436,15 @@ def _cmd_eval(args) -> int:
         point = GaussianRational(Fraction(parts[0].strip()), Fraction(parts[1].strip()))
     except (ValueError, ZeroDivisionError) as exc:
         raise _UsageError(f"bad --at point: {exc}")
-    value = parse(args.expr).eval_exact(point)
+    value = eval_exact(parse(args.expr), point)
     text = format_scalar(value)
     _emit(args, {"value": text}, text)
     return 0
 
 
 def _cmd_fdcheck(args) -> int:
+    if args.m is not None and args.tol_abs is not None:
+        raise _UsageError("--tol-abs sets the Laplacian check's tolerance; the --m check takes --tol-rel only")
     f = parse(args.expr)
     points = numeric.sample_points(_resolve_seed(args.seed), args.points)
     if args.m is not None:

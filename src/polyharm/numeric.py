@@ -158,8 +158,9 @@ def exp_within_tolerance(report: FdReport, f: BiPoly, m: int, rel_tol: float = E
     return report.abs_error <= max(rel_tol * abs(report.symbolic_value), rel_tol * scale)
 
 
-def sample_points(seed: int, count: int, radius: float = 0.6) -> list[complex]:
-    """Deterministic points in the square (-radius, radius)^2 inside the disk."""
+def sample_points(seed: int, count: int) -> list[complex]:
+    """Deterministic points in the square (-0.6, 0.6)^2 inside the unit disk."""
+    radius = 0.6
     rng = SplitMix64(seed)
     return [
         complex(radius * (2.0 * rng.unit() - 1.0), radius * (2.0 * rng.unit() - 1.0))

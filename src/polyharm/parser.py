@@ -9,24 +9,30 @@ Grammar (whitespace insignificant):
               | "conj" "(" expr ")" | "abs2" "(" expr ")" | "(" expr ")"
     rational := uint ("/" uint)?
 
-There is no unary minus node: a leading "-" is binary subtraction with an
-implicit 0 on the left.  Implicit multiplication ("2z") is rejected.
-Rejections carry a byte offset and the set of expected tokens.
+Implicit multiplication ("2z") is rejected.  Rejections carry a byte
+offset and the set of expected tokens.
 
-While parsing, each node carries upper bounds of its degrees in z and in
-zbar.  A "^", "*" or "abs2" whose result could hold more than TERM_BUDGET
-terms, (deg_z + 1) * (deg_zbar + 1) by those bounds, is rejected at its
-offset before anything is built.  A "(", "conj(" or "abs2(" nested more
-than NESTING_LIMIT levels deep is rejected at its offset, so recursion
-depth stays bounded: sums and products are loops, only brackets and calls
-recurse.
+parse_ast reads the whole text into a postfix program before any
+arithmetic, so a syntax error anywhere is reported without building
+anything.  The program is a flat list in which each item follows its
+operands: a BiPoly leaf (z, zbar, i or a rational literal), one of the
+operators "+", "-", "*", "conj" and "abs2", or an int n for "^n".  There
+is no unary minus: a leading "-" is emitted as 0, the term, then "-".
+lower runs the program on a stack in one loop.
+
+While parsing, each subexpression carries upper bounds of its degrees in
+z and in zbar.  A "^", "*" or "abs2" whose result could hold more than
+TERM_BUDGET terms, (deg_z + 1) * (deg_zbar + 1) by those bounds, is
+rejected at its offset.  A "(", "conj(" or "abs2(" nested more than
+NESTING_LIMIT levels deep is rejected at its offset.  Only the parser
+recurses, and only on brackets and calls: sums and products are loops,
+and lower does not recurse at all.
 """
 
 import operator
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .bipoly import BiPoly, GR_I, canonical_print
 from .errors import DivisionByZero, ParseError
@@ -34,68 +40,18 @@ from .errors import DivisionByZero, ParseError
 # (1+z+zbar)^63 is the largest power of that trinomial within the budget.
 TERM_BUDGET = 4096
 
-# Each level costs at most four frames in the parser and four in lower(),
-# well inside Python's default recursion limit of 1000.
+# Each level costs at most four parser frames, well inside Python's
+# default recursion limit of 1000.
 NESTING_LIMIT = 100
 
-# --- AST -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Add:
-    left: "ExprAst"
-    right: "ExprAst"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "ExprAst"
-    right: "ExprAst"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "ExprAst"
-    right: "ExprAst"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "ExprAst"
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Conj:
-    operand: "ExprAst"
-
-
-@dataclass(frozen=True)
-class Abs2:
-    operand: "ExprAst"
-
-
-@dataclass(frozen=True)
-class VarZ:
-    pass
-
-
-@dataclass(frozen=True)
-class VarZbar:
-    pass
-
-
-@dataclass(frozen=True)
-class ImagUnit:
-    pass
-
-
-@dataclass(frozen=True)
-class RationalLit:
-    value: Fraction
-
-
-ExprAst = Union[Add, Sub, Mul, Pow, Conj, Abs2, VarZ, VarZbar, ImagUnit, RationalLit]
+# Leaves shared by every program, with their degree bounds; BiPoly values
+# are immutable.
+_ZERO = BiPoly.zero()
+_LEAVES = {
+    "z": (BiPoly.z(), (1, 0)),
+    "zbar": (BiPoly.zbar(), (0, 1)),
+    "i": (BiPoly.constant(GR_I), (0, 0)),
+}
 
 # --- Lexer -----------------------------------------------------------------
 
@@ -170,6 +126,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.depth = 0  # open "(", "conj(" and "abs2(" around the current token
+        self.program: list[BiPoly | str | int] = []
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -199,41 +156,43 @@ class _Parser:
             )
         return degrees
 
-    # Each parse_* returns (node, (deg_z bound, deg_zbar bound)).
+    # Each parse_* appends its postfix code to self.program and returns
+    # (deg_z bound, deg_zbar bound).
 
-    def parse_expr(self) -> tuple[ExprAst, tuple[int, int]]:
-        if self.peek().kind == "-":
+    def parse_expr(self) -> tuple[int, int]:
+        negate = self.peek().kind == "-"
+        if negate:
             self.advance()
-            right, degrees = self.parse_term()
-            node: ExprAst = Sub(RationalLit(Fraction(0)), right)
-        else:
-            node, degrees = self.parse_term()
+            self.program.append(_ZERO)
+        degrees = self.parse_term()
+        if negate:
+            self.program.append("-")
         while self.peek().kind in ("+", "-"):
             op = self.advance().kind
-            right, (dz, dzbar) = self.parse_term()
-            node = Add(node, right) if op == "+" else Sub(node, right)
+            dz, dzbar = self.parse_term()
+            self.program.append(op)
             degrees = (max(degrees[0], dz), max(degrees[1], dzbar))
-        return node, degrees
+        return degrees
 
-    def parse_term(self) -> tuple[ExprAst, tuple[int, int]]:
-        node, degrees = self.parse_factor()
+    def parse_term(self) -> tuple[int, int]:
+        degrees = self.parse_factor()
         while self.peek().kind == "*":
             star = self.advance()
-            right, (dz, dzbar) = self.parse_factor()
-            node = Mul(node, right)
+            dz, dzbar = self.parse_factor()
+            self.program.append("*")
             degrees = self.check_budget(star, (degrees[0] + dz, degrees[1] + dzbar))
-        return node, degrees
+        return degrees
 
-    def parse_factor(self) -> tuple[ExprAst, tuple[int, int]]:
-        node, degrees = self.parse_atom()
+    def parse_factor(self) -> tuple[int, int]:
+        degrees = self.parse_atom()
         if self.peek().kind == "^":
             caret = self.advance()
             n = _int_value(self.expect("int", "integer exponent"))
-            node = Pow(node, n)
+            self.program.append(n)
             degrees = self.check_budget(caret, (degrees[0] * n, degrees[1] * n))
-        return node, degrees
+        return degrees
 
-    def parse_atom(self) -> tuple[ExprAst, tuple[int, int]]:
+    def parse_atom(self) -> tuple[int, int]:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
@@ -244,16 +203,13 @@ class _Parser:
                 den = _int_value(den_tok)
                 if den == 0:
                     raise DivisionByZero(den_tok.position)
-            return RationalLit(Fraction(num, den)), (0, 0)
-        if tok.kind == "z":
+            self.program.append(BiPoly.constant(Fraction(num, den)))
+            return (0, 0)
+        if tok.kind in _LEAVES:
             self.advance()
-            return VarZ(), (1, 0)
-        if tok.kind == "zbar":
-            self.advance()
-            return VarZbar(), (0, 1)
-        if tok.kind == "i":
-            self.advance()
-            return ImagUnit(), (0, 0)
+            leaf, degrees = _LEAVES[tok.kind]
+            self.program.append(leaf)
+            return degrees
         if tok.kind in ("conj", "abs2", "("):
             self.advance()
             if tok.kind != "(":
@@ -261,14 +217,15 @@ class _Parser:
             if self.depth == NESTING_LIMIT:
                 raise ParseError(f"{tok.text!r} nests deeper than {NESTING_LIMIT} levels", tok.position)
             self.depth += 1
-            inner, (dz, dzbar) = self.parse_expr()
+            dz, dzbar = self.parse_expr()
             self.depth -= 1
             self.expect(")")
+            if tok.kind == "(":
+                return (dz, dzbar)
+            self.program.append(tok.kind)
             if tok.kind == "conj":
-                return Conj(inner), (dzbar, dz)
-            if tok.kind == "abs2":
-                return Abs2(inner), self.check_budget(tok, (dz + dzbar, dz + dzbar))
-            return inner, (dz, dzbar)
+                return (dzbar, dz)
+            return self.check_budget(tok, (dz + dzbar, dz + dzbar))
         raise ParseError(
             f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
             tok.position,
@@ -276,10 +233,14 @@ class _Parser:
         )
 
 
-def parse_ast(text: str) -> ExprAst:
-    """Parse text to an ExprAst, or raise ParseError with a byte offset."""
+def parse_ast(text: str) -> list[BiPoly | str | int]:
+    """Parse text to a postfix program, or raise ParseError with a byte offset.
+
+    Each item of the program follows its operands: a BiPoly leaf, one of
+    the operators "+", "-", "*", "conj" and "abs2", or an int n for "^n".
+    """
     parser = _Parser(_tokenize(text))
-    node, _ = parser.parse_expr()
+    parser.parse_expr()
     trailing = parser.peek()
     if trailing.kind != "end":
         raise ParseError(
@@ -287,42 +248,29 @@ def parse_ast(text: str) -> ExprAst:
             trailing.position,
             ("+", "-", "*", "^", "end of input"),
         )
-    return node
+    return parser.program
 
 
-_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
-def lower(node: ExprAst) -> BiPoly:
-    """Evaluate an ExprAst to a BiPoly by exact ring operations.
-
-    A chain of Add, Sub and Mul nodes is walked down .left in a loop and
-    recursion is only on .right and on operands, so a long sum or product
-    costs no stack depth.
-    """
-    chain = []
-    while type(node) in _BINARY:
-        chain.append(node)
-        node = node.left
-    if isinstance(node, Pow):
-        out = lower(node.base) ** node.exponent
-    elif isinstance(node, Conj):
-        out = lower(node.operand).conjugate()
-    elif isinstance(node, Abs2):
-        inner = lower(node.operand)
-        out = inner * inner.conjugate()
-    elif isinstance(node, VarZ):
-        out = BiPoly.z()
-    elif isinstance(node, VarZbar):
-        out = BiPoly.zbar()
-    elif isinstance(node, ImagUnit):
-        out = BiPoly.constant(GR_I)
-    elif isinstance(node, RationalLit):
-        out = BiPoly.constant(node.value)
-    else:
-        raise TypeError(f"unknown AST node {node!r}")
-    for op in reversed(chain):
-        out = _BINARY[type(op)](out, lower(op.right))
+def lower(program: list[BiPoly | str | int]) -> BiPoly:
+    """Run a postfix program on a stack to a BiPoly by exact ring operations."""
+    stack = []
+    for item in program:
+        if isinstance(item, BiPoly):
+            stack.append(item)
+        elif isinstance(item, int):
+            stack[-1] = stack[-1] ** item
+        elif item == "conj":
+            stack[-1] = stack[-1].conjugate()
+        elif item == "abs2":
+            inner = stack[-1]
+            stack[-1] = inner * inner.conjugate()
+        else:
+            right = stack.pop()
+            stack[-1] = _BINARY[item](stack[-1], right)
+    (out,) = stack
     return out
 
 

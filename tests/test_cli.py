@@ -324,6 +324,16 @@ def test_fdcheck_exp_mode(capsys):
     assert payload["m"] == 1 and payload["within_tolerance"] is True
 
 
+def test_fdcheck_tol_abs_with_m_is_usage_error(capsys):
+    # The exp identity check has only a relative tolerance, so --tol-abs
+    # with --m would be silently ignored.
+    code, out, err = run_cli(capsys, "fdcheck", "z*zbar", "--m", "1", "--tol-abs", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: --tol-abs") and "--m" in err
+    code, out, _ = run_cli(capsys, "fdcheck", "z*zbar", "--m", "1", "--tol-rel", "5")
+    assert code == 0 and out.endswith("ok\n")
+
+
 @pytest.mark.parametrize("argv", [("fdcheck", "10^400*z"), ("fdcheck", "1000*z", "--m", "3")])
 def test_fdcheck_beyond_float_range_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

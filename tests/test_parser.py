@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from hypothesis import given
 from polyharm.bipoly import BiPoly, GR_I, GaussianRational
 from polyharm.errors import DivisionByZero, ParseError
 from polyharm import parser
-from polyharm.parser import NESTING_LIMIT, TERM_BUDGET, Pow, RationalLit, Sub, parse, parse_ast, unparse
+from polyharm.parser import NESTING_LIMIT, TERM_BUDGET, parse, parse_ast, unparse
 from strategies import bipoly_any
 
 Z = BiPoly.z()
@@ -43,13 +44,14 @@ def test_head_minus_is_binary_with_implicit_zero():
     assert parse("(-1/2 + i)*z") == BiPoly(
         {(1, 0): GaussianRational(Fraction(-1, 2), Fraction(1))}
     )
-    node = parse_ast("-z")
-    assert isinstance(node, Sub) and node.left == RationalLit(Fraction(0))
+    # The implicit 0 is subtracted from the whole first term, not its first factor.
+    assert parse("-z^2") == -(Z**2)
+    assert parse("-z*zbar") == -(Z * ZBAR)
 
 
 def test_pow_exponent_is_literal():
-    node = parse_ast("z^3")
-    assert isinstance(node, Pow) and node.exponent == 3
+    assert parse("z^3") == Z**3
+    assert parse("2*z^3") == Z**3 * 2
 
 
 def test_imaginary_unit():
@@ -162,6 +164,48 @@ def test_nesting_past_the_limit_is_rejected_at_the_opening_token(opener, depth):
     assert f"deeper than {NESTING_LIMIT} levels" in str(info.value)
 
 
+def test_nesting_at_the_limit_is_accepted_under_the_benchmark_tracer():
+    # The tracer rebinds parser.lower with a wrapper; a lower that recursed
+    # through that global cost three frames per level and overflowed the
+    # stack on this input.
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        from tracer import LAYERS, Tracer
+    finally:
+        sys.path.pop(0)
+    # A module first imported during install would keep the wrappers.
+    for module_name, _ in LAYERS.values():
+        importlib.import_module(module_name)
+    from polyharm import cli
+
+    text = "z"
+    for _ in range(NESTING_LIMIT):
+        text = f"conj(1 + 1*{text}^1)"
+    tracer = Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["order", text])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.missing == []
+    assert tracer.calls["parser.parse_ast"] == tracer.calls["parser.lower"] == 1
+
+
+def test_syntax_error_is_found_before_any_arithmetic(monkeypatch):
+    # parse("(1+z)^2000") alone takes seconds of exact arithmetic; the stray
+    # ")" after it must be reported without running any of it.
+    def no_lowering(program):
+        raise AssertionError("lower ran on text with a syntax error")
+
+    monkeypatch.setattr(parser, "lower", no_lowering)
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as info:
+        parse("(1+z)^2000 )")
+    assert time.perf_counter() - start < 0.1
+    assert info.value.position == 11
+
+
 # --- size budget ---------------------------------------------------------------
 
 
@@ -178,7 +222,7 @@ def test_nesting_past_the_limit_is_rejected_at_the_opening_token(opener, depth):
     ],
 )
 def test_budget_rejects_at_the_operator(monkeypatch, text, offset):
-    def no_lowering(node):
+    def no_lowering(program):
         raise AssertionError("lower ran on an input over the budget")
 
     monkeypatch.setattr(parser, "lower", no_lowering)
