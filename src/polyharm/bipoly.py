@@ -25,19 +25,27 @@ operand, and a product with the unit monomial 1 (``_shift`` at (0, 0) by
 1) returns the other factor.  A power of a one-term mapping is one key
 scaling and one Gaussian-integer power of its numerator over den^n,
 reduced by one gcd pass, which den = 1 (a unit monomial among them)
-skips; other powers go through binary powering.
+skips; other powers go through binary powering.  Composing f with a unit
+monomial z^p * zbar^r, p != r, only moves f's keys, injectively, so f's
+normal form carries over with no gcd pass.
 
 Composition substitutes inner = N/d into f in one accumulation: every
 term c_ij * d^(top-i-j) * N^i * conj(N)^j is added into one set of sums
 over den_f * d^top, where top is the largest i + j among f's keys, and the
 sum is reduced once.  The powers N^i come from one chain of unreduced
 products, and conj(N)^j is read off N^j by reflection (swap each key,
-negate the imaginary part), so no second chain is built.
+negate the imaginary part), so no second chain is built.  A one-term
+N = (a + b*i) * z^p * zbar^r makes no product: each term goes to
+c_ij * (a+bi)^i * (a-bi)^j * d^(top-i-j) at (i*p + j*r, i*r + j*p), with
+the powers of a + bi from one Gaussian-integer chain; keys meet only when
+p == r, as for c * |z|^(2k) and constants.
 
 A general sum adds each side, as its product with the unit 1, into the
 [re, im] sums that products use.  Evaluation is composition: ``eval_exact``
-is the constant term of f composed with the constant point.  The printer
-reads the numerators and reduces each coefficient part with one gcd.
+is the constant term of f composed with the constant point, a one-term
+inner with p = r = 0, so it is one key substitution onto (0, 0) and one
+reduction.  The printer reads the numerators and reduces each coefficient
+part with one gcd.
 GaussianRational, the exact scalar with Fraction parts, appears only at
 the edges: coefficients given to BiPoly(...) and to scalar products, the
 ``terms`` and ``coefficient`` views, and the value ``eval_exact`` returns.
@@ -403,9 +411,12 @@ def _collect(out: dict, den: int) -> BiPoly:
 def _from_parts(terms: dict) -> BiPoly:
     """BiPoly of {(i, j): (re, im, den)} for distinct keys and den > 0; zero values are dropped."""
     den = lcm(*(d for _, _, d in terms.values()))
-    return _reduced(
-        {key: (re * (den // d), im * (den // d)) for key, (re, im, d) in terms.items() if re or im}, den
-    )
+    num = {}
+    for key, (re, im, d) in terms.items():
+        if re or im:
+            scale = den // d
+            num[key] = (re * scale, im * scale)
+    return _reduced(num, den)
 
 
 def _part_sum(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -499,19 +510,50 @@ def compose(f: BiPoly, inner: BiPoly) -> BiPoly:
     this is sum c_ij * d^(top-i-j) * N^i * conj(N)^j over den_f * d^top,
     added up in one set of sums and reduced once.  N^i comes from one
     unreduced chain; conj(N)^j is N^j reflected (keys swapped, im negated).
+    A one-term N = (a + b*i) * z^p * zbar^r is a key substitution instead.
     """
+    deg_z = deg_zbar = top = 0
+    for i, j in f._num:
+        if i > deg_z:
+            deg_z = i
+        if j > deg_zbar:
+            deg_zbar = j
+        if i + j > top:
+            top = i + j
+    d_pow = [inner._den**k for k in range(top + 1)]
+    den = f._den * d_pow[top]
+    if len(inner._num) == 1:
+        ((p, r), (a, b)), = inner._num.items()
+        if a == 1 and not b and inner._den == 1 and p != r:
+            # A unit monomial with p != r maps (i, j) to (i*p + j*r, i*r + j*p)
+            # injectively (the determinant is p^2 - r^2), so f's normal form
+            # carries over, as in _shift.
+            return _make({(i * p + j * r, i * r + j * p): c for (i, j), c in f._num.items()}, f._den)
+        # c_ij * z^i * zbar^j goes to c_ij * (a+bi)^i * (a-bi)^j * d^(top-i-j)
+        # at (i*p + j*r, i*r + j*p); keys meet only when p == r.
+        chain = [(1, 0)]
+        for _ in range(max(deg_z, deg_zbar)):
+            x, y = chain[-1]
+            chain.append((x * a - y * b, x * b + y * a))
+        sums: dict = {}
+        for (i, j), (cr, ci) in f._num.items():
+            (x, y), (u, v), scale = chain[i], chain[j], d_pow[top - i - j]
+            sr, si = (x * u + y * v) * scale, (y * u - x * v) * scale
+            re, im = cr * sr - ci * si, cr * si + ci * sr
+            key = (i * p + j * r, i * r + j * p)
+            acc = sums.get(key)
+            sums[key] =(re, im) if acc is None else (acc[0] + re, acc[1] + im)
+        return _collect(sums, den)
     inner_items = list(inner._num.items())
     powers = [[((0, 0), (1, 0))]]
-    for _ in range(max(f.deg_z, f.deg_zbar)):
+    for _ in range(max(deg_z, deg_zbar)):
         powers.append(_mul_items(powers[-1], inner_items))
-    conj_powers = [[((b, a), (r, -m)) for (a, b), (r, m) in p] for p in powers[: f.deg_zbar + 1]]
-    top = max((i + j for i, j in f._num), default=0)
-    d_pow = [inner._den**k for k in range(top + 1)]
+    conj_powers = [[((b, a), (r, -m)) for (a, b), (r, m) in p] for p in powers[: deg_zbar + 1]]
     out: dict = {}
     for (i, j), (re, im) in f._num.items():
         scale = d_pow[top - i - j]
         _mul_into(out, powers[i], conj_powers[j], re * scale, im * scale)
-    return _collect(out, f._den * d_pow[top])
+    return _collect(out, den)
 
 
 def eval_exact(f: BiPoly, point: GaussianRational) -> GaussianRational:

@@ -94,6 +94,13 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r} ({exc})")
 
 
+def _point(text: str) -> GaussianRational:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"expects X,Y with rational X and Y, got {text!r}")
+    return GaussianRational(*(_fraction(part.strip()) for part in parts))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyharm",
@@ -180,7 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", parents=[common], help="exact evaluation at a rational point")
     p.add_argument("expr")
-    p.add_argument("--at", required=True, metavar="X,Y", help="point x + y*i with rational x, y")
+    p.add_argument(
+        "--at", required=True, type=_point, metavar="X,Y", help="point x + y*i with rational x, y"
+    )
 
     p = sub.add_parser(
         "fdcheck",
@@ -429,14 +438,7 @@ def _cmd_reich(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    parts = args.at.split(",")
-    if len(parts) != 2:
-        raise _UsageError("--at expects X,Y with rational X and Y")
-    try:
-        point = GaussianRational(Fraction(parts[0].strip()), Fraction(parts[1].strip()))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _UsageError(f"bad --at point: {exc}")
-    value = eval_exact(parse(args.expr), point)
+    value = eval_exact(parse(args.expr), args.at)
     text = format_scalar(value)
     _emit(args, {"value": text}, text)
     return 0

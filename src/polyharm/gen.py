@@ -38,6 +38,8 @@ def spawn(seed: int, index: int) -> int:
 class SplitMix64:
     """Deterministic 64-bit stream; the only randomness source in the package."""
 
+    __slots__ = ("_state",)
+
     def __init__(self, seed: int):
         self._state = seed & _MASK
 

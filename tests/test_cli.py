@@ -308,6 +308,18 @@ def test_eval_bad_point(capsys):
     assert code == 2 and "X,Y" in err
 
 
+def test_eval_zero_denominator_names_the_coordinate(capsys):
+    code, out, err = run_cli(capsys, "eval", "z", "--at", "1/0,1")
+    assert code == 2 and not out
+    assert "argument --at: not a rational number: '1/0'" in err
+
+
+def test_eval_empty_coordinates_are_named(capsys):
+    code, out, err = run_cli(capsys, "eval", "z", "--at", ",")
+    assert code == 2 and not out
+    assert "argument --at: not a rational number: ''" in err
+
+
 def test_fdcheck(capsys):
     code, out, _ = run_cli(capsys, "fdcheck", "z^2*zbar^3", "--points", "3", "--json")
     assert code == 0

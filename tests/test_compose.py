@@ -1,6 +1,7 @@
-"""Exact composition: a pinned digest, a differential test and the single reduction."""
+"""Exact composition: a pinned digest, a differential test, the single reduction and the one-term substitution."""
 
 import hashlib
+from fractions import Fraction
 from math import gcd
 
 import hypothesis.strategies as st
@@ -84,7 +85,12 @@ _outers = st.one_of(
     bipolys(max_exp=5, max_terms=1),  # one-term outers
     bipolys(max_exp=3, max_terms=6),
 )
-_inners = st.one_of(st.just(BiPoly.zero()), st.just(_CANCELLING), bipolys(max_exp=2, max_terms=4))
+_inners = st.one_of(
+    st.just(BiPoly.zero()),
+    st.just(_CANCELLING),
+    bipolys(max_exp=2, max_terms=4),
+    bipolys(max_exp=3, max_terms=1),  # one-term inners: the key substitution
+)
 
 
 @given(_outers, _inners)
@@ -93,6 +99,18 @@ _inners = st.one_of(st.just(BiPoly.zero()), st.just(_CANCELLING), bipolys(max_ex
 @example(Z**3 * ZBAR * 5 + BiPoly.constant(GaussianRational(1, 1) / 2), BiPoly.zero())
 @example(Z**4 + ZBAR**3 * 2 + Z * ZBAR, _CANCELLING)
 @example(BiPoly.monomial(0, 4, GaussianRational(0, 1) / 3), _CANCELLING)
+# Unit inner with p != r: a pure re-key.
+@example(Z**3 + ZBAR * 2 - Z * ZBAR, BiPoly.monomial(2, 1))
+# Gaussian c over d > 1 with p != r: every key distinct.
+@example(Z**3 + ZBAR * 2 - Z * ZBAR, BiPoly.monomial(2, 1, GaussianRational(-1, 2) / 3))
+# p == r: z and zbar land on one key and cancel to zero.
+@example(Z - ZBAR, BiPoly.monomial(1, 1, Fraction(3, 2)))
+# Unit inner with p == r: keys meet, so it is no re-key.
+@example(Z - ZBAR + Z * ZBAR, BiPoly.monomial(1, 1))
+# Gaussian c over d > 1 at p == r, f of mixed total degrees.
+@example(Z**2 + ZBAR * GaussianRational(3, 1) + 1, BiPoly.monomial(1, 1, GaussianRational(1, 2) / 3))
+# A constant point: the path eval_exact takes.
+@example(Z**2 * ZBAR - ZBAR * 3 + 2, BiPoly.constant(GaussianRational(1, -2) / 3))
 def test_compose_matches_term_by_term(f, inner):
     result = compose(f, inner)
     assert result == _compose_term_by_term(f, inner)
@@ -124,3 +142,33 @@ def test_compose_reduces_once(monkeypatch):
     monkeypatch.setattr(bipoly, "_reduced", counting)
     compose(outer, inner)
     assert len(calls) == 1
+
+
+def test_one_term_inner_substitutes_keys(monkeypatch):
+    rng = SplitMix64(7)
+    f = BiPoly({(i, j): rng.coeff(nonzero=True) for i in range(3) for j in range(3)})
+    inners = [
+        BiPoly.monomial(1, 1, Fraction(3, 2)),
+        BiPoly.monomial(2, 0, GaussianRational(1, -2) / 5),
+        BiPoly.constant(GaussianRational(1, 1)),
+        BiPoly.monomial(1, 1),
+    ]
+    unit = BiPoly.monomial(0, 3)
+    expected = _compose_term_by_term(f, unit)
+    calls = []
+    for name in ("_mul_items", "_mul_into", "_reduced"):
+        original = getattr(bipoly, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(bipoly, name, counting)
+    for inner in inners:
+        compose(f, inner)
+    # A one-term inner makes no product and reduces once.
+    assert calls == ["_reduced"] * len(inners)
+    # The unit monomial with p != r only moves the keys: no gcd pass.
+    calls.clear()
+    assert compose(f, unit) == expected
+    assert not calls
