@@ -3,8 +3,9 @@
 The calls are every README CLI example, the full passes included, in text
 form and with --json (the verify and conjecture case counts cut to 20),
 the same for a few calls whose output has fractional, negative and mixed
-coefficients or floating-point errors, for a few parser-heavy inputs and
-for three pre-composition witnesses, plus one call down each error path: a parse error with its
+coefficients or floating-point errors, for a few parser-heavy inputs, for
+two Reich checks with a non-real alpha and for three pre-composition
+witnesses, plus one call down each error path: a parse error with its
 offset, a usage error raised by a handler, an argparse error, and --help.
 The whole list is replayed twice in one process, forward and then
 reversed, so that state carried from one call to the next through the
@@ -60,6 +61,9 @@ EDGE_CALLS = [
     ["order", "-z^2*zbar + conj(1/2 - i*z)^2*abs2(z + zbar)"],
     ["compose", "-conj(z)^3 + abs2(z)", "(1 - i)*z + 2/3"],
     ["order", "abs2(z + (1 - ))"],
+    # Reich's condition with a non-real alpha, which no README call has.
+    ["reich", "--alpha", "1 + i", "--c", "0", "1"],
+    ["reich", "--alpha", "1/2 + 3/4*i", "--c", "2", "z^2 + 1"],
 ]
 
 # Pre-composition witnesses: the outer power starts at the least exponent
