@@ -46,9 +46,12 @@ is the constant term of f composed with the constant point, a one-term
 inner with p = r = 0, so it is one key substitution onto (0, 0) and one
 reduction.  The printer reads the numerators and reduces each coefficient
 part with one gcd.
-GaussianRational, the exact scalar with Fraction parts, appears only at
-the edges: coefficients given to BiPoly(...) and to scalar products, the
-``terms`` and ``coefficient`` views, and the value ``eval_exact`` returns.
+
+GaussianRational, the exact scalar with Fraction parts, is a value type
+with no arithmetic: BiPoly is the one ring, and a computation on scalars
+is done on BiPoly.constant(c).  It appears only at the edges: coefficients
+given to BiPoly(...) and to scalar products, the ``terms`` and
+``coefficient`` views, and the value ``eval_exact`` returns.
 
 Every value is immutable after construction and every operation is a pure
 function, so objects can be shared freely across workers.
@@ -71,7 +74,8 @@ class GaussianRational:
     """Exact complex scalar with rational real and imaginary parts.
 
     Fraction keeps both components in lowest terms with a positive
-    denominator, so structural equality is exact value equality.
+    denominator, so structural equality is exact value equality.  It is a
+    value type with no arithmetic operators; compute on BiPoly.constant(c).
     """
 
     re: Fraction
@@ -92,58 +96,8 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
-    def abs2(self) -> Fraction:
-        """Squared modulus, exact."""
-        return self.re * self.re + self.im * self.im
-
     def __bool__(self) -> bool:
         return not self.is_zero
-
-    def __add__(self, other) -> "GaussianRational":
-        other = _as_scalar(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "GaussianRational":
-        other = _as_scalar(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other) -> "GaussianRational":
-        other = _as_scalar(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __mul__(self, other) -> "GaussianRational":
-        other = _as_scalar(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "GaussianRational":
-        other = _as_scalar(other)
-        if other is None:
-            return NotImplemented
-        norm = other.abs2()
-        if not norm:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return self * other.conjugate() * GaussianRational(Fraction(1, 1) / norm)
-
-    def __pow__(self, n: int) -> "GaussianRational":
-        return _power(self, n, GR_ONE)
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
@@ -153,20 +107,6 @@ class GaussianRational:
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
-
-
-def _power(base, n: int, one):
-    """base**n by binary powering; one is the identity of base's ring."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("exponent must be a nonnegative integer")
-    out = one
-    while n:
-        if n & 1:
-            out = out * base
-        n >>= 1
-        if n:
-            base = base * base
-    return out
 
 
 def _gaussian_pow(re: int, im: int, n: int) -> tuple[int, int]:
@@ -183,16 +123,7 @@ def _gaussian_pow(re: int, im: int, n: int) -> tuple[int, int]:
     return out_re, out_im
 
 
-def _as_scalar(value) -> "GaussianRational | None":
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(Fraction(value))
-    return None
-
-
 GR_ZERO = GaussianRational(Fraction(0))
-GR_ONE = GaussianRational(Fraction(1))
 GR_I = GaussianRational(Fraction(0), Fraction(1))
 
 
@@ -354,10 +285,10 @@ class BiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "BiPoly":
-        if len(self._num) != 1:
-            return _power(self, n, BiPoly.one())
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        if len(self._num) != 1:
+            return _power(self, n)
         # One term c * z^i * zbar^j with c = (re + im*i)/den: its n-th power
         # is (re + im*i)^n / den^n at (n*i, n*j), brought to normal form by
         # one gcd pass, which _reduced skips over den = 1.
@@ -474,6 +405,18 @@ def mul(a: BiPoly, b: BiPoly) -> BiPoly:
     out: dict = {}
     _mul_into(out, a._num.items(), list(b._num.items()))
     return _collect(out, a._den * b._den)
+
+
+def _power(base: BiPoly, n: int) -> BiPoly:
+    """base**n for n >= 0 by binary powering."""
+    out = BiPoly.one()
+    while n:
+        if n & 1:
+            out = mul(out, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return out
 
 
 def _mul_into(out: dict, a_items, b_items, cr: int = 1, ci: int = 0) -> None:

@@ -188,7 +188,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", parents=[common], help="exact evaluation at a rational point")
     p.add_argument("expr")
     p.add_argument(
-        "--at", required=True, type=_point, metavar="X,Y", help="point x + y*i with rational x, y"
+        "--at",
+        required=True,
+        type=_point,
+        metavar="X,Y",
+        help="point x + y*i with rational x, y; a negative X needs the form --at=X,Y",
     )
 
     p = sub.add_parser(

@@ -343,16 +343,13 @@ def a_m(f: BiPoly, m: int) -> BiPoly:
     return _collect(out, den2 * den2)
 
 
-def reich_condition_check(g: BiPoly, alpha: GaussianRational, c) -> bool:
+def reich_condition_check(g: BiPoly, alpha: "int | Fraction | GaussianRational", c) -> bool:
     """Polynomial identity test (g')^2 == alpha^2 g^4 + 2c g^3 + conj(alpha)^2 g^2."""
     _require_analytic("G", g)
-    if isinstance(alpha, (int, Fraction)):
-        alpha = GaussianRational(Fraction(alpha))
-    c = Fraction(c)
+    a = BiPoly.constant(alpha)
     gp = d_dz(g)
-    lhs = mul(gp, gp)
-    rhs = g**4 * (alpha * alpha) + g**3 * (2 * c) + g**2 * (alpha.conjugate() ** 2)
-    return (lhs - rhs).is_zero
+    rhs = g**4 * a**2 + g**3 * (2 * Fraction(c)) + g**2 * a.conjugate() ** 2
+    return (mul(gp, gp) - rhs).is_zero
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Shared hypothesis strategies for exact-arithmetic property tests."""
 
+from fractions import Fraction
+
 import hypothesis.strategies as st
 
 from polyharm.bipoly import BiPoly, GaussianRational
@@ -30,3 +32,21 @@ analytic_polys = st.builds(
 harmonic_polys = st.builds(
     lambda h, g: h + g.conjugate(), analytic_polys, analytic_polys
 )
+
+
+# GaussianRational has no arithmetic, so reference values are computed on
+# its Fraction parts here, independently of polyharm's ring.
+
+
+def gr_mul(*factors) -> GaussianRational:
+    """The exact product of int, Fraction and GaussianRational factors."""
+    re, im = Fraction(1), Fraction(0)
+    for c in factors:
+        c = c if isinstance(c, GaussianRational) else GaussianRational(c)
+        re, im = re * c.re - im * c.im, re * c.im + im * c.re
+    return GaussianRational(re, im)
+
+
+def gr_sum(*terms: GaussianRational) -> GaussianRational:
+    """The exact sum of GaussianRational terms."""
+    return GaussianRational(sum(c.re for c in terms), sum(c.im for c in terms))

@@ -303,6 +303,16 @@ def test_eval(capsys):
     assert code == 0 and json.loads(out) == {"value": "5/2"}
 
 
+def test_eval_negative_x_needs_the_equals_form(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "eval", "z", "--at=-1,2")
+    assert code == 0 and out.strip() == "-1 + 2*i"
+    code, _, err = run_cli(capsys, "eval", "z", "--at", "-1,2")
+    assert code == 2 and "argument --at: expected one argument" in err
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = run_cli(capsys, "eval", "--help")
+    assert code == 0 and "a negative X needs the form --at=X,Y" in " ".join(out.split())
+
+
 def test_eval_bad_point(capsys):
     code, _, err = run_cli(capsys, "eval", "z", "--at", "1;2")
     assert code == 2 and "X,Y" in err

@@ -77,7 +77,7 @@ def _assert_normal_form(f: BiPoly) -> None:
 
 
 # Whose square has a cancelled z^2 term: the raw chain must drop it.
-_CANCELLING = BiPoly({(0, 0): 1, (1, 0): 1, (2, 0): GaussianRational(-1, 0) / 2})
+_CANCELLING = BiPoly({(0, 0): 1, (1, 0): 1, (2, 0): GaussianRational(Fraction(-1, 2))})
 
 _outers = st.one_of(
     st.just(BiPoly.zero()),
@@ -95,22 +95,22 @@ _inners = st.one_of(
 
 @given(_outers, _inners)
 @example(BiPoly.zero(), _CANCELLING)
-@example(BiPoly.constant(GaussianRational(3, -2) / 7), BiPoly.zero())
-@example(Z**3 * ZBAR * 5 + BiPoly.constant(GaussianRational(1, 1) / 2), BiPoly.zero())
+@example(BiPoly.constant(GaussianRational(Fraction(3, 7), Fraction(-2, 7))), BiPoly.zero())
+@example(Z**3 * ZBAR * 5 + BiPoly.constant(GaussianRational(Fraction(1, 2), Fraction(1, 2))), BiPoly.zero())
 @example(Z**4 + ZBAR**3 * 2 + Z * ZBAR, _CANCELLING)
-@example(BiPoly.monomial(0, 4, GaussianRational(0, 1) / 3), _CANCELLING)
+@example(BiPoly.monomial(0, 4, GaussianRational(0, Fraction(1, 3))), _CANCELLING)
 # Unit inner with p != r: a pure re-key.
 @example(Z**3 + ZBAR * 2 - Z * ZBAR, BiPoly.monomial(2, 1))
 # Gaussian c over d > 1 with p != r: every key distinct.
-@example(Z**3 + ZBAR * 2 - Z * ZBAR, BiPoly.monomial(2, 1, GaussianRational(-1, 2) / 3))
+@example(Z**3 + ZBAR * 2 - Z * ZBAR, BiPoly.monomial(2, 1, GaussianRational(Fraction(-1, 3), Fraction(2, 3))))
 # p == r: z and zbar land on one key and cancel to zero.
 @example(Z - ZBAR, BiPoly.monomial(1, 1, Fraction(3, 2)))
 # Unit inner with p == r: keys meet, so it is no re-key.
 @example(Z - ZBAR + Z * ZBAR, BiPoly.monomial(1, 1))
 # Gaussian c over d > 1 at p == r, f of mixed total degrees.
-@example(Z**2 + ZBAR * GaussianRational(3, 1) + 1, BiPoly.monomial(1, 1, GaussianRational(1, 2) / 3))
+@example(Z**2 + ZBAR * GaussianRational(3, 1) + 1, BiPoly.monomial(1, 1, GaussianRational(Fraction(1, 3), Fraction(2, 3))))
 # A constant point: the path eval_exact takes.
-@example(Z**2 * ZBAR - ZBAR * 3 + 2, BiPoly.constant(GaussianRational(1, -2) / 3))
+@example(Z**2 * ZBAR - ZBAR * 3 + 2, BiPoly.constant(GaussianRational(Fraction(1, 3), Fraction(-2, 3))))
 def test_compose_matches_term_by_term(f, inner):
     result = compose(f, inner)
     assert result == _compose_term_by_term(f, inner)
@@ -130,7 +130,7 @@ def test_cancelling_inner_square_has_no_z2_term():
 def test_compose_reduces_once(monkeypatch):
     rng = SplitMix64(5)
     outer = BiPoly({(i, j): rng.coeff(nonzero=True) for i in range(3) for j in range(3)})
-    inner = BiPoly({(0, 0): GaussianRational(1, 2) / 3, (1, 0): 2, (1, 1): GaussianRational(0, -1) / 5})
+    inner = BiPoly({(0, 0): GaussianRational(Fraction(1, 3), Fraction(2, 3)), (1, 0): 2, (1, 1): GaussianRational(0, Fraction(-1, 5))})
     assert len(outer.numerators) >= 8
     reduced = bipoly._reduced
     calls = []
@@ -149,7 +149,7 @@ def test_one_term_inner_substitutes_keys(monkeypatch):
     f = BiPoly({(i, j): rng.coeff(nonzero=True) for i in range(3) for j in range(3)})
     inners = [
         BiPoly.monomial(1, 1, Fraction(3, 2)),
-        BiPoly.monomial(2, 0, GaussianRational(1, -2) / 5),
+        BiPoly.monomial(2, 0, GaussianRational(Fraction(1, 5), Fraction(-2, 5))),
         BiPoly.constant(GaussianRational(1, 1)),
         BiPoly.monomial(1, 1),
     ]

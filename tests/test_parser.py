@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from polyharm.bipoly import BiPoly, GR_I, GaussianRational
+from polyharm.bipoly import BiPoly, GaussianRational
 from polyharm.errors import DivisionByZero, ParseError
 from polyharm import parser
 from polyharm.parser import NESTING_LIMIT, TERM_BUDGET, parse, parse_ast, unparse
@@ -56,7 +56,7 @@ def test_pow_exponent_is_literal():
 
 def test_imaginary_unit():
     assert parse("i*i") == BiPoly.constant(-1)
-    assert parse("conj(i)") == BiPoly.constant(-GR_I)
+    assert parse("conj(i)") == BiPoly.constant(GaussianRational(0, -1))
 
 
 def test_whitespace_insignificant():

@@ -482,8 +482,21 @@ def test_reich_identity_mapping_fails():
 
 
 def test_reich_constant_solution():
-    # alpha = 1, c = -1: 1 - 2 + 1 = 0, so the constant 1 satisfies the ODE
-    assert reich_condition_check(BiPoly.one(), GaussianRational(1), Fraction(-1)) is True
+    # alpha = 1, c = -1: 1 - 2 + 1 = 0, so the constant 1 satisfies the ODE,
+    # whether alpha is given as an int, a Fraction or a GaussianRational.
+    for alpha in (1, Fraction(1), GaussianRational(1)):
+        assert reich_condition_check(BiPoly.one(), alpha, Fraction(-1)) is True
+    # alpha = 1 + i: alpha^2 = 2i and conj(alpha)^2 = -2i, so G = 1 gives 2c.
+    alpha = GaussianRational(1, 1)
+    assert reich_condition_check(BiPoly.one(), alpha, 0) is True
+    assert reich_condition_check(BiPoly.one(), alpha, 1) is False
+    # G = i, c = 2: 2i*i^4 + 4*i^3 - 2i*i^2 = 2i - 4i + 2i = 0.  With alpha^2
+    # and conj(alpha)^2 swapped it would read -2i - 4i - 2i.
+    assert reich_condition_check(BiPoly.constant(GaussianRational(0, 1)), alpha, 2) is True
+    # GaussianRational is a value with no arithmetic: BiPoly is the one ring.
+    for op in (lambda c: c + 1, lambda c: c * 2, lambda c: -c, lambda c: c**2):
+        with pytest.raises(TypeError):
+            op(GaussianRational(1))
 
 
 def test_reich_rejects_mixed_input():

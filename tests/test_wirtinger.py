@@ -20,7 +20,7 @@ from polyharm.wirtinger import (
     newton_vertex_depth,
     polyharmonic_order,
 )
-from strategies import bipoly_any
+from strategies import bipoly_any, gr_mul
 
 Z = BiPoly.z()
 ZBAR = BiPoly.zbar()
@@ -205,7 +205,7 @@ def test_powers_keep_the_newton_vertices(seed):
         if m > 1:
             power = mul(power, f)
         for i, j in vertices:
-            assert power.coefficient(m * i, m * j) == f.coefficient(i, j) ** m
+            assert power.coefficient(m * i, m * j) == gr_mul(*[f.coefficient(i, j)] * m)
         assert polyharmonic_order(power) >= 1 + m * mu
 
 
@@ -264,12 +264,12 @@ def test_newton_order_bound_is_certified_by_the_powers(kind, seed, q):
             power = mul(power, f)
         certified = {}
         for i, j in vertices:
-            certified[(m * i, m * j)] = f.coefficient(i, j) ** m
+            certified[(m * i, m * j)] = gr_mul(*[f.coefficient(i, j)] * m)
         for (i1, j1), (i2, j2) in edges:
             c1, c2 = f.coefficient(i1, j1), f.coefficient(i2, j2)
             for k in range(m + 1):
                 point = ((m - k) * i1 + k * i2, (m - k) * j1 + k * j2)
-                certified[point] = c1 ** (m - k) * c2**k * comb(m, k)
+                certified[point] = gr_mul(*[c1] * (m - k), *[c2] * k, comb(m, k))
         for (i, j), c in certified.items():
             assert power.coefficient(i, j) == c
         bound = 1 + max(map(min, certified), default=-1)
