@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -87,8 +88,18 @@ _THEOREMS = {
 }
 
 
+# The decimal exponent of a Fraction literal such as "1.5e-3".
+_EXPONENT = re.compile(r"e([-+]?[0-9_]+)\s*\Z", re.IGNORECASE)
+
+
 def _fraction(text: str) -> Fraction:
+    # Fraction expands 1e10000000 into a 33-million-bit integer, so an
+    # exponent past the int/str digit limit is refused before it is built.
+    exponent = _EXPONENT.search(text)
+    limit = sys.get_int_max_str_digits()
     try:
+        if exponent and 0 < limit < abs(int(exponent[1])):
+            raise argparse.ArgumentTypeError(f"exponent of {text!r} is over the limit of {limit}")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r} ({exc})")

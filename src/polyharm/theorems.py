@@ -9,18 +9,17 @@ effective surfaces are exposed instead:
   (f, q, l); the pre-composition case q <= 1, l >= 3, which the paper
   leaves open, is decided for polynomial f by f's Newton polygon
   (Ostrowski's product rule and Hajos' lemma, see _pre_candidates);
-* ``find_witness_post`` / ``find_witness_pre`` -- constructors that search
-  the explicit violating families from the necessity arguments and
-  re-verify every candidate by exact order computation before returning it
-  (a search that exhausts raises InternalInconsistency loudly, since it
-  would contradict a theorem);
+* ``find_witness_post`` / ``find_witness_pre`` -- constructors that try
+  the finite, proven violating families of the necessity arguments (at
+  most three inner or two outer mappings) and re-verify every candidate by
+  exact order computation before returning it (a family that exhausts
+  raises InternalInconsistency loudly, since it would contradict a proof);
 * ``run_suite`` -- seeded sampled suites for the sufficiency directions,
   the structural propositions, and the counterexample hunt, an independent
   exact check of the Newton-polygon bound on f's powers;
   ``replay_case`` reruns the one case a failure names by its case seed.
 """
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -111,13 +110,10 @@ def _allowed_post(rep, q: int, l: int) -> bool:
     return rep.is_harmonic and rep.harmonic_degree <= bound
 
 
-@functools.cache
-def _circle_points(count: int) -> tuple[GaussianRational, ...]:
-    # t = 0, 1 give the torsion points 1 and i, whose powers can collide;
-    # the points for t >= 2 have infinite multiplicative order, which is
-    # what the distinct-powers (Vandermonde-style) arguments need.
-    # Cached: the points depend only on t, and every witness search needs them.
-    return tuple(unit_circle_point(t) for t in range(count))
+# 1, i and (-3+4i)/5, in the order the post-composition families try them.
+# (-3+4i)/5 has modulus 1 and is no root of unity, since its n-th power has
+# denominator 5^n; so c^n differs at c = 1 and c = (-3+4i)/5 for every n >= 1.
+_UNITS = tuple(map(unit_circle_point, range(3)))
 
 
 def _post_candidates(f: BiPoly, rep, q: int, l: int):
@@ -136,28 +132,41 @@ def _post_candidates(f: BiPoly, rep, q: int, l: int):
             m = l + d + 1
             yield BiPoly.monomial((m + 1) * (q - 1), q - 1), "|z|^(2(q-1))*z^(m(q-1))"
         return
-    circle = _circle_points(2 * max(rep.order, 1) + 2)
+    # Harmonic f = h + conj(g) of degree d, m = l + 1, one c per candidate
+    # from _UNITS.  Each family below is homogeneous, so the top total
+    # degree of f(F) holds only multiples of h_d*c^n + conj(g_d), with
+    # n = m*d for q = 1 and n = 2d for q >= 2.  That factor vanishes for at
+    # most one of c = 1 and c = (-3+4i)/5, so one of the three succeeds.
+    m = l + 1
     if q == 1:
-        for m in range(l + 1, l + d + 3):
-            for c in circle:
-                yield BiPoly.monomial(m, 0) + BiPoly.monomial(0, 1, c) ** m, "z^m+(c*zbar)^m"
+        # z^m + (c*zbar)^m puts the factor at (m(d-1), m), and d >= 2
+        # because f is not affine.
+        for c in _UNITS:
+            yield BiPoly.monomial(m, 0) + BiPoly.monomial(0, 1, c) ** m, "z^m+(c*zbar)^m"
         return
     weight = BiPoly.monomial(q - 1, q - 1)
-    for c in circle:
-        yield weight * c, "c*|z|^(2(q-1))"
-    for m in range(l + 1, l + d + 3):
-        pair = BiPoly.monomial(2 * m, 0) + BiPoly.monomial(0, 2 * m)
-        for c in circle:
-            yield mul(weight, pair) * c, "c*|z|^(2(q-1))*(z^(2m)+zbar^(2m))"
+    if d * (q - 1) + 1 > l:
+        # c*|z|^(2(q-1)) puts the factor at (d(q-1), d(q-1)).  Otherwise its
+        # order d(q-1) + 1 <= l, so it can never succeed.
+        for c in _UNITS:
+            yield weight * c, "c*|z|^(2(q-1))"
+        return
+    # Here d >= 2: a non-allowed f of degree 1 has l < q, so d(q-1) + 1 > l.
+    # c*|z|^(2(q-1))*(z^(2m)+zbar^(2m)), whose conjugate has the same shape,
+    # puts the factor at d(q-1) + 2m*(d-1, 1), with min >= 2m > l.
+    pair = mul(weight, BiPoly.monomial(2 * m, 0) + BiPoly.monomial(0, 2 * m))
+    for c in _UNITS:
+        yield pair * c, "c*|z|^(2(q-1))*(z^(2m)+zbar^(2m))"
 
 
 def find_witness_post(f: BiPoly, q: int, l: int) -> WitnessResult:
     """Concrete inner mapping F with order(f after F) > l, exactly verified.
 
-    Raises NotApplicable when the form is compliant and
-    InternalInconsistency if the finite family search exhausts.
+    The finite family of _post_candidates is proven to hold one.  Raises
+    NotApplicable when the form is compliant and InternalInconsistency if
+    no candidate passes the exact order check.
     """
-    return _violation(_search(f, q, l, post=True))
+    return _search(f, q, l, post=True)
 
 
 # ---------------------------------------------------------------------------
@@ -192,25 +201,28 @@ def _allowed_pre(f: BiPoly, rep, q: int, l: int) -> bool:
 
 
 def _pre_candidates(f: BiPoly, rep, q: int, l: int):
-    carrier = BiPoly.monomial(q - 1, q - 1) if q >= 2 else BiPoly.zero()
     if q >= 2 and (rep.is_analytic or rep.is_antianalytic):
         # The only candidate: composition order is exactly t*(q-1)+1 for degree-t f.
-        yield carrier, "|w|^(2(q-1))"
+        yield BiPoly.monomial(q - 1, q - 1), "|w|^(2(q-1))"
         return
-    # Outer powers w^m from the least m < 2l for which f's Newton polygon
-    # certifies order(f^m) > l (wirtinger.newton_order_bound), else from 2l,
+    # An outer power w^m at the least m < 2l for which f's Newton polygon
+    # certifies order(f^m) > l (wirtinger.newton_order_bound), else at 2l,
     # as for z^2 + z*zbar + zbar^2.  For q <= 1 the composition is f^m, a
-    # witness by the certificate or by the proof below.  For q >= 2 the
-    # carrier keeps each candidate strictly q-harmonic, and the exact order
-    # check decides each power in turn.
+    # witness by the certificate or by the proof below.
     start = next((m for m in range(1, 2 * l) if newton_order_bound(f, m) > l), 2 * l)
+    power = BiPoly.monomial(start, 0)
     if q <= 1:
-        yield BiPoly.monomial(start, 0), "w^m"
+        yield power, "w^m"
         return
-    for m in range(start, 2 * l + 10):
-        yield BiPoly.monomial(m, 0) + carrier, "w^m + |w|^(2(q-1))"
-    # For q <= 1 and f neither analytic nor anti-analytic, order(f^m) > l
-    # for every m >= 2l, so w^(2l) is a witness at every l:
+    # For q >= 2, F = w^m + lam*|w|^(2(q-1)), strictly q-harmonic for
+    # lam != 0, composes to f^m + lam*(f*conj(f))^(q-1).  f^m has a term
+    # with min(i, j) >= l: the certificate gives one, and at m = 2l the
+    # proof below does.  At most one lam cancels that term, so if lam = 1
+    # fails, lam = 2 succeeds.
+    yield power + BiPoly.monomial(q - 1, q - 1), "w^m + |w|^(2(q-1))"
+    yield power + BiPoly.monomial(q - 1, q - 1, 2), "w^m + 2*|w|^(2(q-1))"
+    # For f neither analytic nor anti-analytic, order(f^m) > l for every
+    # m >= 2l, so w^(2l) is a witness at every l:
     #   * A vertex v of f's Newton polygon with min(v) >= 1 puts
     #     c_v^m != 0 at m*v (Ostrowski 1921), so m >= l suffices.
     #   * Otherwise every vertex lies on an axis.  As f is neither analytic
@@ -231,10 +243,11 @@ def _pre_candidates(f: BiPoly, rep, q: int, l: int):
 def find_witness_pre(f: BiPoly, q: int, l: int) -> WitnessResult:
     """Concrete outer mapping F of class q with order(F after f) > l.
 
-    Raises NotApplicable exactly when the form is compliant
-    (allowed_form_pre is True); InternalInconsistency if the search exhausts.
+    The finite family of _pre_candidates is proven to hold one.  Raises
+    NotApplicable exactly when the form is compliant (allowed_form_pre is
+    True); InternalInconsistency if no candidate passes the exact order check.
     """
-    return _violation(_search(f, q, l, post=False))
+    return _search(f, q, l, post=False)
 
 
 def witness_post(f: BiPoly, q: int, l: int) -> WitnessResult:
@@ -246,35 +259,31 @@ def witness_post(f: BiPoly, q: int, l: int) -> WitnessResult:
 
 
 def witness_pre(f: BiPoly, q: int, l: int) -> WitnessResult:
-    """allowed_form_pre folded with the find_witness_pre search into one verdict."""
-    return _search(f, q, l, post=False)
+    """allowed_form_pre folded with find_witness_pre into one verdict."""
+    try:
+        return find_witness_pre(f, q, l)
+    except NotApplicable:
+        return WitnessResult(COMPLIANT, None, None, l, "")
 
 
 def _search(f: BiPoly, q: int, l: int, post: bool) -> WitnessResult:
     """The witness search after f (post) or before it (pre), from one classify(f).
 
-    A compliant form gives the Compliant verdict; otherwise the first
-    candidate whose composition with f has exact order > l.  Every
-    candidate is of class q by construction.
+    NotApplicable for a compliant form; otherwise the first candidate
+    whose composition with f has exact order > l.  Every candidate is of
+    class q by construction.
     """
     _require_params(q, l)
     rep = classify(f)
     allowed = _allowed_post(rep, q, l) if post else _allowed_pre(f, rep, q, l)
     if allowed:
-        return WitnessResult(COMPLIANT, None, None, l, "")
+        raise NotApplicable("the mapping already has the allowed form")
     for candidate, tag in (_post_candidates if post else _pre_candidates)(f, rep, q, l):
         order = polyharmonic_order(compose(f, candidate) if post else compose(candidate, f))
         if order > l:
             return WitnessResult(VIOLATION, candidate, order, l, tag)
     side = "inner" if post else "outer"
     raise InternalInconsistency(f"no violating {side} mapping found for q={q}, l={l}, f={canonical_print(f)}")
-
-
-def _violation(res: WitnessResult) -> WitnessResult:
-    """res when it is a Violation; NotApplicable for a compliant form."""
-    if res.verdict == VIOLATION:
-        return res
-    raise NotApplicable("the mapping already has the allowed form")
 
 
 # ---------------------------------------------------------------------------

@@ -513,6 +513,31 @@ def test_integers_past_int_str_digit_limit_exit_2(capsys):
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, flag, text",
+    [
+        (["reich", "--alpha", "1", "--c", "1e100000000", "1"], "--c", "1e100000000"),
+        (["eval", "z", "--at", "1e-100000000,0"], "--at", "1e-100000000"),
+    ],
+    ids=["reich_c", "eval_at"],
+)
+def test_oversized_decimal_exponents_fail_fast(capsys, argv, flag, text):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert f"argument {flag}: exponent of {text!r} is over the limit of {sys.get_int_max_str_digits()}" in err
+
+
+def test_small_decimal_exponents_and_fractions_are_accepted(capsys):
+    code, out, _ = run_cli(capsys, "eval", "z", "--at", "1e3,-1/2")
+    assert code == 0 and out.strip() == "1000 - 1/2*i"
+    code, out, _ = run_cli(capsys, "eval", "z", "--at", "25e-2,1.5E+1")
+    assert code == 0 and out.strip() == "1/4 + 15*i"
+    code, out, _ = run_cli(capsys, "reich", "--alpha", "1", "--c=-1e0", "1")
+    assert code == 0 and out.strip() == "holds: true"
+
+
 # Full passes run through `python -m polyharm`, as a user runs them.
 
 SUITE_ORDER = [

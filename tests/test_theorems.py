@@ -7,6 +7,7 @@ from polyharm.bipoly import BiPoly, GaussianRational, canonical_print, compose, 
 from polyharm.classify import classify, is_strictly_q_harmonic
 from polyharm.errors import NotAnalytic, NotApplicable, UnknownSuite
 from polyharm.gen import SplitMix64, gen_analytic, gen_bipoly, gen_harmonic, gen_strict_q_harmonic, spawn
+from polyharm.parser import parse
 from polyharm.theorems import (
     COMPLIANT,
     DEFAULT_L_VALUES,
@@ -131,6 +132,7 @@ def test_find_witness_post_torsion_resistant_circle_points():
     # mapping, so the search must reach an infinite-order circle point.
     f = Z**2 - ZBAR**2
     result = find_witness_post(f, 2, 2)
+    assert result.witness == Z * ZBAR * GaussianRational(Fraction(-3, 5), Fraction(4, 5))
     _assert_verified_post(f, 2, 2, result)
 
 
@@ -235,19 +237,22 @@ def test_pre_composition_searches_hit_on_their_first_candidate(monkeypatch, name
 
 
 def test_each_proven_family_yields_one_candidate_and_it_is_a_witness():
-    # Post-composition with non-harmonic f, and pre-composition at q <= 1
-    # or with analytic or anti-analytic f, have one proven candidate each
-    # (see theorems._post_candidates and _pre_candidates).
+    # Every witness family is the finite candidate list its proof needs
+    # (see theorems._post_candidates and _pre_candidates): one candidate for
+    # non-harmonic f after composition and for the single pre families, at
+    # most three c for harmonic f after composition, and the pair lam = 1, 2
+    # before a q >= 2 outer.  The first candidate of order > l is a witness.
     import polyharm.theorems as theorems
 
     gens = [
         lambda seed: gen_bipoly(seed, 3),
         lambda seed: gen_strict_q_harmonic(seed, 2 + seed % 2, 1 + seed % 3 // 2),
+        lambda seed: gen_harmonic(seed, 3),
         lambda seed: gen_harmonic(seed, 3, both_parts_nonconstant=True),
         lambda seed: gen_analytic(seed, 3, exact_degree=True),
         lambda seed: gen_analytic(seed, 3, exact_degree=True).conjugate(),
     ]
-    checked = {True: 0, False: 0}
+    checked = {}
     for index in range(12):
         seed = spawn(4343, index)
         for gen in gens:
@@ -255,20 +260,84 @@ def test_each_proven_family_yields_one_candidate_and_it_is_a_witness():
             rep = classify(f)
             for q in range(5):
                 for l in range(1, 7):
-                    searches = []
-                    if not rep.is_harmonic:
-                        searches.append(True)
-                    single_pre = q <= 1 or rep.is_analytic or rep.is_antianalytic
-                    if single_pre and not allowed_form_pre(f, q, l):
-                        searches.append(False)
-                    for post in searches:
-                        family = theorems._post_candidates if post else theorems._pre_candidates
-                        [(candidate, tag)] = list(family(f, rep, q, l))
-                        composed = compose(f, candidate) if post else compose(candidate, f)
-                        res = WitnessResult(VIOLATION, candidate, polyharmonic_order(composed), l, tag)
+                    for post, allowed in ((True, allowed_form_post), (False, allowed_form_pre)):
+                        if allowed(f, q, l):
+                            continue
+                        if post:
+                            family = list(theorems._post_candidates(f, rep, q, l))
+                            assert len(family) == (3 if rep.is_harmonic else 1)
+                        else:
+                            family = list(theorems._pre_candidates(f, rep, q, l))
+                            single = q <= 1 or rep.is_analytic or rep.is_antianalytic
+                            assert len(family) == (1 if single else 2)
+                        for candidate, tag in family:
+                            composed = compose(f, candidate) if post else compose(candidate, f)
+                            res = WitnessResult(VIOLATION, candidate, polyharmonic_order(composed), l, tag)
+                            if res.composition_order > l:
+                                break
                         assert _check_violation(res, f, q, l, post) is None, (post, canonical_print(f), q, l)
-                        checked[post] += 1
-    assert checked[True] > 500 and checked[False] > 500
+                        checked[tag] = checked.get(tag, 0) + 1
+    # Random coefficients hit on the first candidate.  The later ones are
+    # reached by the torsion test above and the corner and lam = 2 tests below.
+    assert set(checked) == {
+        "z^m", "zbar^m", "|z|^(2(q-1))*z^(m(q-1))", "z^m+(c*zbar)^m", "c*|z|^(2(q-1))",
+        "c*|z|^(2(q-1))*(z^(2m)+zbar^(2m))", "w^m", "|w|^(2(q-1))", "w^m + |w|^(2(q-1))",
+    }
+    assert min(checked.values()) > 100
+
+
+@pytest.mark.parametrize(
+    "f, q, l, witness, order",
+    [
+        # The top factor h_3*c^6 + conj(g_3) = c^6 - 1 vanishes at c = 1,
+        # where f(|z|^2) = 2*|z|^4 has order 3 = l; so c = i.
+        ("z^3 - zbar^3 + z^2 + zbar^2", 2, 3, "i*z*zbar", 4),
+        # d(q-1) + 1 = 4 = l, so c*|z|^2 can never succeed and the paired
+        # family runs at m = 5.  The top factor c^6 - 1 vanishes at c = 1,
+        # but 5*z^2 + zbar^2 keeps 5*c^4 + 1 != 0 one total degree lower.
+        ("z^3 - zbar^3 + 5*z^2 + zbar^2", 2, 4, "z*zbar^11 + z^11*zbar", 13),
+        # With z^2 - zbar^2 every degree of f(F) cancels at c = 1, so c = i.
+        ("z^3 - zbar^3 + z^2 - zbar^2", 2, 4, "i*z*zbar^11 + i*z^11*zbar", 14),
+        # q = 1: the factor c^9 - 1 vanishes at c = 1, but (z^3 + zbar^3)^2 from
+        # z^2 + zbar^2 holds 2*z^3*zbar^3, so c = 1 is a witness all the same ...
+        ("z^3 - zbar^3 + z^2 + zbar^2", 1, 2, "zbar^3 + z^3", 4),
+        # ... and with z^2 - zbar^2 it is not, so c = i.
+        ("z^3 - zbar^3 + z^2 - zbar^2", 1, 2, "-i*zbar^3 + z^3", 4),
+    ],
+)
+def test_post_witness_corners(f, q, l, witness, order):
+    f = parse(f)
+    result = find_witness_post(f, q, l)
+    assert (canonical_print(result.witness), result.composition_order) == (witness, order)
+    _assert_verified_post(f, q, l, result)
+
+
+def test_pre_witness_takes_lambda_two_where_lambda_one_cancels():
+    # The vertex -7i*z^3*zbar^3 of f gives (-7i)^2 + |-7i|^2 = 0 at (6, 6) in
+    # the composition with w^2 + |w|^2, so lam = 2 is the witness.
+    f = gen_strict_q_harmonic(spawn(42, 170), 4, 1)
+    result = find_witness_pre(f, 2, 6)
+    assert (canonical_print(result.witness), result.composition_order) == ("2*z*zbar + z^2", 7)
+    assert result.family_tag == "w^m + 2*|w|^(2(q-1))"
+    _assert_verified_pre(f, 2, 6, result)
+    assert polyharmonic_order(compose(Z**2 + Z * ZBAR, f)) == 6
+
+
+def test_witness_cli_records_find_witness_pre(capsys, monkeypatch):
+    import polyharm.theorems as theorems
+    from polyharm.cli import main
+
+    calls = []
+    plain_find = theorems.find_witness_pre
+
+    def recording_find(f, q, l):
+        calls.append((canonical_print(f), q, l))
+        return plain_find(f, q, l)
+
+    monkeypatch.setattr(theorems, "find_witness_pre", recording_find)
+    assert main(["witness", "--theorem", "2b", "--q", "2", "--l", "3", "z^2+zbar"]) == 1
+    assert calls == [("zbar + z^2", 2, 3)]
+    assert "witness: z*zbar + z^5" in capsys.readouterr().out
 
 
 def test_witness_searches_classify_f_once(monkeypatch):
