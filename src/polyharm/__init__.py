@@ -1,7 +1,6 @@
 """Exact symbolic toolkit for polyharmonic polynomial mappings of one complex variable."""
 
 from .bipoly import (
-    AlmansiForm,
     BiPoly,
     GaussianRational,
     canonical_print,
@@ -23,7 +22,7 @@ from .errors import (
 )
 from .gen import gen_analytic, gen_bipoly, gen_harmonic, gen_strict_q_harmonic, spawn
 from .numeric import FdReport, eval_float, exp_identity_check, fd_laplacian
-from .parser import parse, parse_ast, unparse
+from .parser import parse, parse_ast
 from .theorems import (
     SuiteReport,
     WitnessResult,

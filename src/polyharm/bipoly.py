@@ -504,23 +504,6 @@ def eval_exact(f: BiPoly, point: GaussianRational) -> GaussianRational:
     return compose(f, BiPoly.constant(point)).coefficient(0, 0)
 
 
-@dataclass(frozen=True)
-class AlmansiForm:
-    """Ordered harmonic components [G_1, ..., G_p].
-
-    The represented mapping is sum_k (z*zbar)^(k-1) * G_k.  An empty tuple
-    represents the zero mapping.
-    """
-
-    components: tuple[BiPoly, ...]
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-    def __iter__(self):
-        return iter(self.components)
-
-
 # ---------------------------------------------------------------------------
 # Canonical text form.  This is the interchange format for the CLI and the
 # parser: terms sorted by (i+j, i) ascending, coefficients in lowest terms,

@@ -1,6 +1,6 @@
 """Structural classification of a mapping against the theorem categories."""
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .bipoly import BiPoly, _reduced
 from .wirtinger import polyharmonic_order
@@ -19,9 +19,6 @@ class ClassReport:
     is_affine: bool
     analytic_degree: int | None
     harmonic_degree: int | None
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def classify(f: BiPoly) -> ClassReport:

@@ -9,6 +9,7 @@ so it computes OUTER after INNER.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -17,10 +18,10 @@ import sys
 from fractions import Fraction
 
 from . import numeric, theorems
-from .bipoly import GaussianRational, compose, eval_exact, format_scalar
+from .bipoly import GaussianRational, canonical_print, compose, eval_exact, format_scalar
 from .classify import classify
 from .errors import FloatOverflow, IntegerTooLong, NotAnalytic, ParseError
-from .parser import parse, unparse
+from .parser import parse
 from .wirtinger import almansi_decompose, d_dz, d_dzbar, laplacian, polyharmonic_order
 
 SEED_ENV_VAR = "POLYHARM_SEED"
@@ -252,11 +253,12 @@ class _UsageError(Exception):
     pass
 
 
-def _emit(args, payload: dict, human: str) -> None:
+def _emit(args, payload: dict, human: str | None = None) -> None:
+    """Print the payload as JSON, or as the human text, which defaults to _key_value_text(payload)."""
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
-        print(human)
+        print(_key_value_text(payload) if human is None else human)
 
 
 def _bool_text(value) -> str:
@@ -267,6 +269,23 @@ def _bool_text(value) -> str:
     return str(value)
 
 
+def _key_value_text(payload: dict) -> str:
+    """One `key: value` line per field, in payload order.
+
+    A list prints as its items joined by ", "; first_failure prints as
+    its `first_failure input/expected/got` lines, or as nothing when null.
+    """
+    lines = []
+    for key, value in payload.items():
+        if key == "first_failure":
+            lines += [f"{key} {part}: {text}" for part, text in (value or {}).items()]
+        elif isinstance(value, list):
+            lines.append(f"{key}: {', '.join(map(str, value))}")
+        else:
+            lines.append(f"{key}: {_bool_text(value)}")
+    return "\n".join(lines)
+
+
 def _cmd_order(args) -> int:
     order = polyharmonic_order(parse(args.expr))
     _emit(args, {"order": order}, str(order))
@@ -275,7 +294,7 @@ def _cmd_order(args) -> int:
 
 def _result(args, value) -> int:
     """Print a mapping as {"result": text}: the dz, dzbar, laplacian and compose verbs."""
-    text = unparse(value)
+    text = canonical_print(value)
     _emit(args, {"result": text}, text)
     return 0
 
@@ -293,8 +312,7 @@ def _cmd_laplacian(args) -> int:
 
 
 def _cmd_almansi(args) -> int:
-    form = almansi_decompose(parse(args.expr))
-    components = [unparse(g) for g in form.components]
+    components = [canonical_print(g) for g in almansi_decompose(parse(args.expr))]
     human_lines = [f"order: {len(components)}"]
     human_lines += [f"G_{k + 1} = {text}" for k, text in enumerate(components)]
     _emit(args, {"order": len(components), "components": components}, "\n".join(human_lines))
@@ -306,9 +324,7 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    report = classify(parse(args.expr)).as_dict()
-    human = "\n".join(f"{key}: {_bool_text(value)}" for key, value in report.items())
-    _emit(args, report, human)
+    _emit(args, dataclasses.asdict(classify(parse(args.expr))))
     return 0
 
 
@@ -330,38 +346,20 @@ def _cmd_witness(args) -> int:
     l = _theorem_arg(theorem, "--l", fixed_l, args.l, 1)
     q = _theorem_arg(theorem, "--q", fixed_q, args.q, 2)
     result = (theorems.witness_post if post else theorems.witness_pre)(f, q, l)
-    witness_text = unparse(result.witness) if result.witness is not None else None
+    violation = result.verdict == theorems.VIOLATION
     payload = {
         "verdict": result.verdict,
-        "witness": witness_text,
+        "witness": canonical_print(result.witness) if violation else None,
         "composition_order": result.composition_order,
         "required_bound": result.required_bound,
         "family": result.family_tag,
     }
-    human_lines = [f"verdict: {result.verdict}"]
-    if result.verdict == theorems.VIOLATION:
-        human_lines += [
-            f"witness: {witness_text}",
-            f"composition_order: {result.composition_order}",
-            f"required_bound: {result.required_bound}",
-            f"family: {result.family_tag}",
-        ]
-    _emit(args, payload, "\n".join(human_lines))
-    return 1 if result.verdict == theorems.VIOLATION else 0
+    _emit(args, payload, None if violation else f"verdict: {result.verdict}")
+    return 1 if violation else 0
 
 
 def _failure_payload(first) -> dict | None:
     return None if first is None else {"input": first[0], "expected": first[1], "got": first[2]}
-
-
-def _failure_lines(first) -> list[str]:
-    if first is None:
-        return []
-    return [
-        f"first_failure input: {first[0]}",
-        f"first_failure expected: {first[1]}",
-        f"first_failure got: {first[2]}",
-    ]
 
 
 def _suite_payload(report) -> dict:
@@ -372,16 +370,6 @@ def _suite_payload(report) -> dict:
         "seed": report.seed,
         "first_failure": _failure_payload(report.first_failure),
     }
-
-
-def _suite_human(report) -> str:
-    lines = [
-        f"suite: {report.suite_name}",
-        f"cases_run: {report.cases_run}",
-        f"failures: {report.failures}",
-        f"seed: {report.seed}",
-    ]
-    return "\n".join(lines + _failure_lines(report.first_failure))
 
 
 def _suite_line(report) -> str:
@@ -401,8 +389,7 @@ def _replay(args) -> int:
         "failures": failures,
         "first_failure": _failure_payload(first),
     }
-    lines = [f"suite: {args.suite}", f"case_seed: {args.case_seed}", f"failures: {failures}"]
-    _emit(args, payload, "\n".join(lines + _failure_lines(first)))
+    _emit(args, payload)
     return failures
 
 
@@ -416,7 +403,7 @@ def _cmd_verify(args) -> int:
         payload = {"suites": [_suite_payload(report) for report in reports]}
         _emit(args, payload, "\n".join(_suite_line(report) for report in reports))
     else:
-        _emit(args, _suite_payload(reports[0]), _suite_human(reports[0]))
+        _emit(args, _suite_payload(reports[0]))
     return 1 if any(report.failures for report in reports) else 0
 
 
@@ -424,13 +411,7 @@ def _cmd_conjecture(args) -> int:
     l_values = tuple(args.l or theorems.DEFAULT_L_VALUES)
     cases = args.cases or theorems.DEFAULT_CASES["conjecture_search"]
     report = theorems.run_conjecture_search(_resolve_seed(args.seed), cases, l_values)
-    payload = {**_suite_payload(report), "candidates": report.failures, "l_values": list(l_values)}
-    human = (
-        _suite_human(report)
-        + f"\ncandidates: {report.failures}"
-        + f"\nl_values: {', '.join(str(l) for l in l_values)}"
-    )
-    _emit(args, payload, human)
+    _emit(args, {**_suite_payload(report), "candidates": report.failures, "l_values": list(l_values)})
     return 0 if report.failures == 0 else 1
 
 
@@ -448,7 +429,7 @@ def _cmd_reich(args) -> int:
         holds = theorems.reich_condition_check(g, alpha, args.c)
     except NotAnalytic as exc:
         raise _UsageError(str(exc))
-    _emit(args, {"holds": holds}, f"holds: {_bool_text(holds)}")
+    _emit(args, {"holds": holds})
     return 0 if holds else 1
 
 

@@ -34,7 +34,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .bipoly import BiPoly, GR_I, canonical_print
+from .bipoly import BiPoly, GR_I
 from .errors import DivisionByZero, ParseError
 
 # (1+z+zbar)^63 is the largest power of that trinomial within the budget.
@@ -278,7 +278,3 @@ def parse(text: str) -> BiPoly:
     """Parse the grammar above down to a canonical BiPoly."""
     return lower(parse_ast(text))
 
-
-def unparse(f: BiPoly) -> str:
-    """Canonical text for f; parse(unparse(f)) == f for every f."""
-    return canonical_print(f)

@@ -184,20 +184,17 @@ def allowed_form_pre(f: BiPoly, q: int, l: int) -> bool:
     _pre_candidates proves it.
     """
     _require_params(q, l)
-    return _allowed_pre(f, classify(f), q, l)
+    return _allowed_pre(classify(f), q, l)
 
 
-def _allowed_pre(f: BiPoly, rep, q: int, l: int) -> bool:
+def _allowed_pre(rep, q: int, l: int) -> bool:
     # allowed_form_pre from f's ClassReport.  Analytic and anti-analytic
-    # mappings are harmonic, so q <= 1 needs no separate harmonicity test.
+    # mappings are harmonic, so q <= 1 needs no separate harmonicity test,
+    # and their harmonic_degree is deg_z or deg_zbar.
+    split = rep.is_analytic or rep.is_antianalytic
     if q <= 1:
-        return rep.is_analytic or rep.is_antianalytic
-    bound = (l - 1) // (q - 1)
-    if rep.is_analytic:
-        return f.deg_z <= bound
-    if rep.is_antianalytic:
-        return f.deg_zbar <= bound
-    return False
+        return split
+    return split and rep.harmonic_degree <= (l - 1) // (q - 1)
 
 
 def _pre_candidates(f: BiPoly, rep, q: int, l: int):
@@ -275,7 +272,7 @@ def _search(f: BiPoly, q: int, l: int, post: bool) -> WitnessResult:
     """
     _require_params(q, l)
     rep = classify(f)
-    allowed = _allowed_post(rep, q, l) if post else _allowed_pre(f, rep, q, l)
+    allowed = (_allowed_post if post else _allowed_pre)(rep, q, l)
     if allowed:
         raise NotApplicable("the mapping already has the allowed form")
     for candidate, tag in (_post_candidates if post else _pre_candidates)(f, rep, q, l):

@@ -6,7 +6,7 @@ laplacian(f, p) == 0 therefore has the closed form 1 + max(min(i, j))
 over the support, which makes order detection exact and decidable.
 """
 
-from .bipoly import AlmansiForm, BiPoly, _from_parts, _reduced
+from .bipoly import BiPoly, _from_parts, _reduced
 from .errors import NonHarmonicComponent
 
 
@@ -125,12 +125,13 @@ def newton_order_bound(f: BiPoly, m: int) -> int:
     return best + 1
 
 
-def almansi_decompose(f: BiPoly) -> AlmansiForm:
-    """Split f into harmonic components G_k with f = sum (z*zbar)^(k-1) G_k.
+def almansi_decompose(f: BiPoly) -> tuple[BiPoly, ...]:
+    """Split f into harmonic components (G_1, ..., G_p) with f = sum (z*zbar)^(k-1) G_k.
 
     Each monomial c * z^i * zbar^j with m = min(i, j) is routed to
     component G_(m+1) as c * z^(i-m) when i >= j and as c * zbar^(j-m)
-    otherwise.  The component count equals the polyharmonic order.
+    otherwise.  The component count p equals the polyharmonic order, so
+    the zero mapping gives the empty tuple.
     """
     order = polyharmonic_order(f)
     buckets: list[dict] = [{} for _ in range(order)]
@@ -138,17 +139,17 @@ def almansi_decompose(f: BiPoly) -> AlmansiForm:
         m = min(i, j)
         key = (i - m, 0) if i >= j else (0, j - m)
         buckets[m][key] = c
-    return AlmansiForm(tuple(_reduced(b, f.denominator) for b in buckets))
+    return tuple(_reduced(b, f.denominator) for b in buckets)
 
 
-def almansi_recompose(form: AlmansiForm) -> BiPoly:
-    """Evaluate sum_k (z*zbar)^(k-1) * G_k exactly.
+def almansi_recompose(components: tuple[BiPoly, ...]) -> BiPoly:
+    """Evaluate sum_k (z*zbar)^(k-1) * G_k exactly; no components give zero.
 
     Raises NonHarmonicComponent if any component has a mixed monomial.
     """
     # Each key (i + k, j + k) has min k, so the keys of different components are distinct.
     parts = {}
-    for k, g in enumerate(form.components):
+    for k, g in enumerate(components):
         for (i, j), (re, im) in g.numerators.items():
             if min(i, j) >= 1:
                 raise NonHarmonicComponent(
