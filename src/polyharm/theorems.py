@@ -204,18 +204,25 @@ def _pre_candidates(f: BiPoly, rep, q: int, l: int):
         return
     # An outer power w^m at the least m < 2l for which f's Newton polygon
     # certifies order(f^m) > l (wirtinger.newton_order_bound), else at 2l,
-    # as for z^2 + z*zbar + zbar^2.  For q <= 1 the composition is f^m, a
-    # witness by the certificate or by the proof below.
+    # as for z^2 + z*zbar + zbar^2.  f^m has a term with min(i, j) >= l:
+    # the certificate gives one, and at m = 2l the proof below does.  For
+    # q = 0 the composition is f^m, a witness.
     start = next((m for m in range(1, 2 * l) if newton_order_bound(f, m) > l), 2 * l)
     power = BiPoly.monomial(start, 0)
-    if q <= 1:
+    if q == 0:
         yield power, "w^m"
         return
+    if q == 1:
+        # F = w^m + eps*conj(w), harmonic and not analytic for eps != 0,
+        # composes to f^m + eps*conj(f).  At most one eps cancels the term
+        # of f^m with min(i, j) >= l, so if eps = 1 fails, eps = 2 succeeds.
+        yield power + BiPoly.zbar(), "w^m + conj(w)"
+        yield power + BiPoly.monomial(0, 1, 2), "w^m + 2*conj(w)"
+        return
     # For q >= 2, F = w^m + lam*|w|^(2(q-1)), strictly q-harmonic for
-    # lam != 0, composes to f^m + lam*(f*conj(f))^(q-1).  f^m has a term
-    # with min(i, j) >= l: the certificate gives one, and at m = 2l the
-    # proof below does.  At most one lam cancels that term, so if lam = 1
-    # fails, lam = 2 succeeds.
+    # lam != 0, composes to f^m + lam*(f*conj(f))^(q-1).  At most one lam
+    # cancels the term of f^m with min(i, j) >= l, so if lam = 1 fails,
+    # lam = 2 succeeds.
     yield power + BiPoly.monomial(q - 1, q - 1), "w^m + |w|^(2(q-1))"
     yield power + BiPoly.monomial(q - 1, q - 1, 2), "w^m + 2*|w|^(2(q-1))"
     # For f neither analytic nor anti-analytic, order(f^m) > l for every
@@ -232,9 +239,6 @@ def _pre_candidates(f: BiPoly, rep, q: int, l: int):
     #     m + 1 nonzero terms.  At most ceil(l/a) + ceil(l/b) <= 2l
     #     positions (mA - k*a, k*b) on m times the edge have min(i, j) < l,
     #     so for m >= 2l one term of f^m has min(i, j) >= l.
-    # This also decides q = 1, whose outers are harmonic and not analytic:
-    # F = w^m + eps*conj(w) composes to f^m + eps*conj(f), and for all but
-    # finitely many rational eps a term of f^m with min(i, j) >= l survives.
 
 
 def find_witness_pre(f: BiPoly, q: int, l: int) -> WitnessResult:
@@ -398,10 +402,8 @@ def _check_violation(res: WitnessResult, f: BiPoly, q: int, l: int, post: bool):
     wrep = classify(res.witness)
     if q == 0 and not wrep.is_analytic:
         return (context, "analytic witness for q=0", canonical_print(res.witness))
-    if q == 1 and post and (not wrep.is_harmonic or wrep.is_analytic):
+    if q == 1 and (not wrep.is_harmonic or wrep.is_analytic):
         return (context, "harmonic non-analytic witness for q=1", canonical_print(res.witness))
-    if q == 1 and not post and not wrep.is_harmonic:
-        return (context, "harmonic witness for q=1", canonical_print(res.witness))
     if q >= 2 and wrep.order != q:
         return (context, f"strictly {q}-harmonic witness", str(wrep.order))
     return None

@@ -78,11 +78,11 @@ def test_witness_pre_decided_for_large_l(capsys):
     assert code == 1
     payload = json.loads(out)
     assert payload["verdict"] == "Violation"
-    assert payload["witness"] == "z^3" and payload["composition_order"] == 4
+    assert payload["witness"] == "zbar + z^3" and payload["composition_order"] == 4
     code, out, _ = run_cli(capsys, "witness", "--theorem", "2a", "--l", "3", "z*zbar + z")
     assert code == 1
     assert out == (
-        "verdict: Violation\nwitness: z^3\ncomposition_order: 4\nrequired_bound: 3\nfamily: w^m\n"
+        "verdict: Violation\nwitness: zbar + z^3\ncomposition_order: 4\nrequired_bound: 3\nfamily: w^m + conj(w)\n"
     )
 
 

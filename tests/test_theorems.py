@@ -178,7 +178,7 @@ def test_find_witness_post_not_applicable():
 
 def test_find_witness_pre_both_parts_nonconstant():
     result = find_witness_pre(Z + ZBAR, 1, 1)
-    assert result.witness == Z**2
+    assert result.witness == Z**2 + ZBAR
     assert result.composition_order == 2
     _assert_verified_pre(Z + ZBAR, 1, 1, result)
 
@@ -186,7 +186,7 @@ def test_find_witness_pre_both_parts_nonconstant():
 @pytest.mark.parametrize(
     "f, q, l, witness, order",
     [
-        (Z**2 + ZBAR**2, 1, 1, Z**2, 3),
+        (Z**2 + ZBAR**2, 1, 1, Z**2 + ZBAR, 3),
         (Z**2 + ZBAR, 2, 3, Z * ZBAR + Z**5, 4),
         # (1, 1) lies inside the only edge, so nothing is certified and the
         # power is w^(2l), a witness by the Newton-polygon proof.
@@ -240,8 +240,8 @@ def test_each_proven_family_yields_one_candidate_and_it_is_a_witness():
     # Every witness family is the finite candidate list its proof needs
     # (see theorems._post_candidates and _pre_candidates): one candidate for
     # non-harmonic f after composition and for the single pre families, at
-    # most three c for harmonic f after composition, and the pair lam = 1, 2
-    # before a q >= 2 outer.  The first candidate of order > l is a witness.
+    # most three c for harmonic f after composition, the pair eps = 1, 2
+    # before a q = 1 outer and the pair lam = 1, 2 before a q >= 2 outer.  The first candidate of order > l is a witness.
     import polyharm.theorems as theorems
 
     gens = [
@@ -268,7 +268,7 @@ def test_each_proven_family_yields_one_candidate_and_it_is_a_witness():
                             assert len(family) == (3 if rep.is_harmonic else 1)
                         else:
                             family = list(theorems._pre_candidates(f, rep, q, l))
-                            single = q <= 1 or rep.is_analytic or rep.is_antianalytic
+                            single = q == 0 or rep.is_analytic or rep.is_antianalytic
                             assert len(family) == (1 if single else 2)
                         for candidate, tag in family:
                             composed = compose(f, candidate) if post else compose(candidate, f)
@@ -281,7 +281,7 @@ def test_each_proven_family_yields_one_candidate_and_it_is_a_witness():
     # reached by the torsion test above and the corner and lam = 2 tests below.
     assert set(checked) == {
         "z^m", "zbar^m", "|z|^(2(q-1))*z^(m(q-1))", "z^m+(c*zbar)^m", "c*|z|^(2(q-1))",
-        "c*|z|^(2(q-1))*(z^(2m)+zbar^(2m))", "w^m", "|w|^(2(q-1))", "w^m + |w|^(2(q-1))",
+        "c*|z|^(2(q-1))*(z^(2m)+zbar^(2m))", "w^m", "w^m + conj(w)", "|w|^(2(q-1))", "w^m + |w|^(2(q-1))",
     }
     assert min(checked.values()) > 100
 
@@ -321,6 +321,18 @@ def test_pre_witness_takes_lambda_two_where_lambda_one_cancels():
     assert result.family_tag == "w^m + 2*|w|^(2(q-1))"
     _assert_verified_pre(f, 2, 6, result)
     assert polyharmonic_order(compose(Z**2 + Z * ZBAR, f)) == 6
+
+
+def test_pre_witness_takes_eps_two_where_eps_one_cancels():
+    # f + conj(f) = 0 for f = i*z^2*zbar^2, so w + conj(w) composes to 0 and
+    # eps = 2 is the witness: f + 2*conj(f) = -i*z^2*zbar^2.
+    f = parse("i*z^2*zbar^2")
+    result = find_witness_pre(f, 1, 1)
+    assert (canonical_print(result.witness), result.composition_order) == ("2*zbar + z", 3)
+    assert result.family_tag == "w^m + 2*conj(w)"
+    _assert_verified_pre(f, 1, 1, result)
+    assert _check_violation(result, f, 1, 1, post=False) is None
+    assert compose(Z + ZBAR, f).is_zero
 
 
 def test_witness_cli_records_find_witness_pre(capsys, monkeypatch):
@@ -429,14 +441,14 @@ def test_find_witness_pre_not_applicable():
         find_witness_pre(ZBAR**3, 1, 3)
     # q <= 1, l >= 3 with f neither analytic nor anti-analytic is a Violation, not NotApplicable.
     result = find_witness_pre(Z * ZBAR, 1, 3)
-    assert result.witness == Z**3 and result.composition_order == 4
+    assert result.witness == Z**3 + ZBAR and result.composition_order == 4
 
 
 def test_witness_wrappers():
     assert witness_post(Z + ZBAR, 0, 1).verdict == COMPLIANT
     assert witness_post(Z**2, 1, 1).verdict == VIOLATION
     result = witness_pre(Z * ZBAR, 1, 3)
-    assert (result.verdict, result.witness, result.composition_order) == (VIOLATION, Z**3, 4)
+    assert (result.verdict, result.witness, result.composition_order) == (VIOLATION, Z**3 + ZBAR, 4)
     assert witness_pre(Z**9, 0, 1).verdict == COMPLIANT
 
 
