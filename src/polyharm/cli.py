@@ -185,7 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--cases", type=_positive_int, default=None, help="default: the conjecture_search suite's count"
     )
     p.add_argument(
-        "--l", type=_positive_int, nargs="+", default=None, help="orders to draw l from (default: 3 4)"
+        "--l",
+        type=_positive_int,
+        nargs="+",
+        default=None,
+        help=f"orders to draw l from (default: {' '.join(map(str, theorems.DEFAULT_L_VALUES))})",
     )
 
     p = sub.add_parser(
@@ -193,8 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="test the harmonicity ODE (G')^2 == alpha^2 G^4 + 2c G^3 + conj(alpha)^2 G^2",
     )
-    p.add_argument("--alpha", required=True, help="constant expression, e.g. '1/2 + 3/4*i'")
-    p.add_argument("--c", required=True, type=_fraction, help="real rational constant")
+    p.add_argument(
+        "--alpha",
+        required=True,
+        help="constant expression, e.g. '1/2 + 3/4*i'; a negative value needs the form --alpha=X",
+    )
+    p.add_argument(
+        "--c", required=True, type=_fraction, help="real rational constant; a negative value needs the form --c=X"
+    )
     p.add_argument("expr", help="analytic mapping G")
 
     p = sub.add_parser("eval", parents=[common], help="exact evaluation at a rational point")

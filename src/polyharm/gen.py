@@ -94,6 +94,8 @@ class SplitMix64:
 
 def gen_bipoly(seed: int, max_degree: int) -> BiPoly:
     """Random nonzero mapping with deg_z <= max_degree and deg_zbar <= max_degree."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
     rng = SplitMix64(seed)
     terms = {}
     for _ in range(rng.between(1, 8)):

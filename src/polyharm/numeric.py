@@ -98,6 +98,14 @@ def _stencil(fn, point: complex, h: float) -> complex:
     ) / (h * h)
 
 
+def _report(point: complex, h: float, symbolic: complex, fd: complex) -> FdReport:
+    """The report at one point; FloatOverflow if a value or the error is not finite."""
+    error = abs(symbolic - fd)
+    if not (cmath.isfinite(symbolic) and cmath.isfinite(fd) and math.isfinite(error)):
+        raise FloatOverflow(f"the check at w = {complex(point):.6g} with h = {h!r} overflows a double")
+    return FdReport(complex(point), h, symbolic, fd, error)
+
+
 def fd_laplacian(f: BiPoly, points: Sequence[complex], h: float = DEFAULT_H) -> list[FdReport]:
     """Compare the symbolic Laplacian with the 5-point stencil at each point."""
     if not step_in_range(h):
@@ -108,7 +116,7 @@ def fd_laplacian(f: BiPoly, points: Sequence[complex], h: float = DEFAULT_H) -> 
     for point in points:
         symbolic = _eval_rows(symbolic_rows, point)
         fd = _stencil(lambda w: _eval_rows(rows, w), point, h)
-        reports.append(FdReport(complex(point), h, symbolic, fd, abs(symbolic - fd)))
+        reports.append(_report(point, h, symbolic, fd))
     return reports
 
 
@@ -143,7 +151,7 @@ def exp_identity_check(
     for point in points:
         fd = _stencil(lambda w: _stencil(phi, w, h), point, h)
         symbolic = 16.0 * m * m * phi(complex(point)) * _eval_rows(obstruction_rows, point)
-        reports.append(FdReport(complex(point), h, symbolic, fd, abs(symbolic - fd)))
+        reports.append(_report(point, h, symbolic, fd))
     return reports
 
 

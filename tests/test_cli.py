@@ -296,6 +296,19 @@ def test_reich_alpha_must_be_constant(capsys):
     assert code == 2 and "constant" in err
 
 
+def test_reich_negative_values_need_the_equals_form(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "reich", "--alpha=-1/2", "--c=-1/2", "1")
+    assert code == 1 and out == "holds: false\n"
+    for flag, argv in (("--alpha", ["--alpha", "-1/2", "--c", "0"]), ("--c", ["--alpha", "1", "--c", "-1/2"])):
+        code, _, err = run_cli(capsys, "reich", *argv, "1")
+        assert code == 2 and f"argument {flag}: expected one argument" in err
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = run_cli(capsys, "reich", "--help")
+    text = " ".join(out.split())
+    assert code == 0
+    assert "a negative value needs the form --alpha=X" in text and "a negative value needs the form --c=X" in text
+
+
 def test_eval(capsys):
     code, out, _ = run_cli(capsys, "eval", "z^2*zbar^3 + z", "--at", "1,1")
     assert code == 0 and out.strip() == "5 - 3*i"
@@ -356,7 +369,18 @@ def test_fdcheck_tol_abs_with_m_is_usage_error(capsys):
     assert code == 0 and out.endswith("ok\n")
 
 
-@pytest.mark.parametrize("argv", [("fdcheck", "10^400*z"), ("fdcheck", "1000*z", "--m", "3")])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fdcheck", "10^400*z"),
+        ("fdcheck", "1000*z", "--m", "3"),
+        # A value or error past a double's range reads nan or inf, not FAIL.
+        ("fdcheck", "z^400", "--h", "10"),
+        ("fdcheck", "z^400", "--h", "10", "--json"),
+        ("fdcheck", "z^3*zbar^3", "--h", "1e60"),
+        ("fdcheck", "z^3*zbar^3", "--h", "1e60", "--m", "1"),
+    ],
+)
 def test_fdcheck_beyond_float_range_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""

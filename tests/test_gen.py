@@ -166,3 +166,9 @@ def test_draw_streams_are_pinned():
     for seed in (0, 1, 42, 2**64 - 1, 2**64 + 5, -3) + tuple(_SEEDS[:20]):
         h.update(repr(_stream(seed)).encode())
     assert h.hexdigest() == _STREAM_DIGEST
+
+
+@pytest.mark.parametrize("gen", [gen_bipoly, gen_analytic, gen_harmonic])
+def test_negative_max_degree_is_rejected(gen):
+    with pytest.raises(ValueError, match="max_degree must be nonnegative"):
+        gen(1, -1)
