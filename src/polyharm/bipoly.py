@@ -58,7 +58,6 @@ function, so objects can be shared freely across workers.
 """
 
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
@@ -69,21 +68,40 @@ from .errors import IntegerTooLong
 Rationalish = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """Exact complex scalar with rational real and imaginary parts.
+    """Exact complex scalar with rational real and imaginary parts: an immutable value class.
 
     Fraction keeps both components in lowest terms with a positive
-    denominator, so structural equality is exact value equality.  It is a
-    value type with no arithmetic operators; compute on BiPoly.constant(c).
+    denominator, so structural equality is exact value equality; equal
+    values hash equally, and a GaussianRational equals no other type.  The
+    parts cannot be reassigned.  It has no arithmetic operators; compute on
+    BiPoly.constant(c).
     """
 
-    re: Fraction
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+    def __init__(self, re: Rationalish, im: Rationalish = Fraction(0)):
+        object.__setattr__(self, "re", Fraction(re))
+        object.__setattr__(self, "im", Fraction(im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: GaussianRational is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: GaussianRational is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
+    # Pickling and copy rebuild the value through the constructor, since
+    # the slots cannot be set after it.
+    def __reduce__(self):
+        return GaussianRational, (self.re, self.im)
 
     @property
     def is_zero(self) -> bool:

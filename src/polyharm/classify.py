@@ -1,6 +1,6 @@
 """Structural classification of a mapping against the theorem categories."""
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bipoly import BiPoly, _reduced
 from .wirtinger import polyharmonic_order
@@ -8,8 +8,7 @@ from .wirtinger import polyharmonic_order
 _AFFINE_SUPPORT = {(0, 0), (1, 0), (0, 1)}
 
 
-@dataclass(frozen=True)
-class ClassReport:
+class ClassReport(NamedTuple):
     """Verdict of classify(); constants count as both analytic and anti-analytic."""
 
     order: int

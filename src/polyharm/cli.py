@@ -9,7 +9,6 @@ so it computes OUTER after INNER.
 """
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -334,7 +333,7 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    _emit(args, dataclasses.asdict(classify(parse(args.expr))))
+    _emit(args, classify(parse(args.expr))._asdict())
     return 0
 
 

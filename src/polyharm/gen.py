@@ -43,8 +43,8 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = seed & _MASK
 
-    # next_u64, below and between each step the state and mix it inline:
-    # one Python frame per draw, the same values as _mix(state).
+    # Every draw steps the state and mixes it inline: one Python frame per
+    # draw (per coefficient in coeff_parts), the same values as _mix(state).
 
     def next_u64(self) -> int:
         x = self._state = (self._state + _GAMMA) & _MASK
@@ -65,7 +65,10 @@ class SplitMix64:
         return lo + (x ^ (x >> 31)) % (hi - lo + 1)
 
     def chance(self, num: int, den: int) -> bool:
-        return self.below(den) < num
+        x = self._state = (self._state + _GAMMA) & _MASK
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+        return (x ^ (x >> 31)) % den < num
 
     def coeff(self, limit: int = COEFF_LIMIT, nonzero: bool = False) -> GaussianRational:
         re, im, den = self.coeff_parts(limit, nonzero)
@@ -79,13 +82,24 @@ class SplitMix64:
         1/2 and is 0 otherwise.  With nonzero=True a zero value is redrawn.
         No Fraction is built.
         """
+        # The draws of between(-limit, limit), between(1, limit),
+        # chance(1, 2) and, when it is true, two more betweens, each stepped
+        # and mixed inline: one Python frame per coefficient.
+        sizes = (2 * limit + 1, limit, 2, 2 * limit + 1, limit)
+        state = self._state
         while True:
-            re, re_den = self.between(-limit, limit), self.between(1, limit)
-            if self.chance(1, 2):
-                im, im_den = self.between(-limit, limit), self.between(1, limit)
-            else:
-                im, im_den = 0, 1
+            drawn = [0, 0, 0, limit, 0]  # the last two give im = 0 over 1 when not drawn
+            k = 0
+            while k < 5:
+                state = (state + _GAMMA) & _MASK
+                x = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+                x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+                drawn[k] = (x ^ (x >> 31)) % sizes[k]
+                # The coin is chance(1, 2): a draw of 1 means no imaginary part.
+                k = 5 if k == 2 and drawn[2] else k + 1
+            re, re_den, im, im_den = drawn[0] - limit, drawn[1] + 1, drawn[3] - limit, drawn[4] + 1
             if re or im or not nonzero:
+                self._state = state
                 return re * im_den, im * re_den, re_den * im_den
 
     def unit(self) -> float:

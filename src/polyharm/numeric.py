@@ -13,8 +13,7 @@ once per call, not once per point.
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .bipoly import BiPoly
 from .errors import FloatOverflow
@@ -29,8 +28,7 @@ FD_REL_TOL = 1e-6
 EXP_REL_TOL = 1e-2
 
 
-@dataclass(frozen=True)
-class FdReport:
+class FdReport(NamedTuple):
     point: complex
     h: float
     symbolic_value: complex

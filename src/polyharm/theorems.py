@@ -20,8 +20,8 @@ effective surfaces are exposed instead:
   ``replay_case`` reruns the one case a failure names by its case seed.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bipoly import (
     BiPoly,
@@ -53,8 +53,7 @@ COMPLIANT = "Compliant"
 VIOLATION = "Violation"
 
 
-@dataclass(frozen=True)
-class WitnessResult:
+class WitnessResult(NamedTuple):
     """Outcome of a witness search.
 
     A Violation carries the concrete mapping F together with the exactly
@@ -68,8 +67,7 @@ class WitnessResult:
     family_tag: str
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     suite_name: str
     cases_run: int
     failures: int
@@ -621,6 +619,18 @@ def _case_prop22(case_seed: int):
     return None
 
 
+def _has_off_axis_vertex(f: BiPoly) -> bool:
+    """newton_vertex_depth(f) >= 1, read off one vertex first.
+
+    The support point largest in (i + j, i) is the only one that maximises
+    i + j + eps*i for a small eps > 0, so it is a vertex of f's Newton
+    polygon; min(i, j) >= 1 there decides mu >= 1 with no hull built.
+    Otherwise the hull decides.
+    """
+    total, i = max(((i + j, i) for i, j in f.numerators), default=(0, 0))
+    return min(i, total - i) >= 1 or newton_vertex_depth(f) >= 1
+
+
 # The orders the counterexample hunt draws l from unless it is given others.
 DEFAULT_L_VALUES = (3, 4)
 
@@ -636,7 +646,9 @@ def _conjecture_case(case_seed: int, l_values: tuple[int, ...]):
     When a vertex of f's Newton polygon has min(i, j) = mu >= 1,
     order(f^m) >= 1 + m*mu, so w^l already exceeds order l and the case is
     decided with no power built; that is the verdict the power loop would
-    reach.  Only f with every vertex on an axis (mu = 0) runs the loop.
+    reach.  _has_off_axis_vertex usually finds such a vertex before any
+    hull is built.  Only f with every vertex on an axis (mu = 0) runs the
+    loop.
 
     No other harmonic outer of degree <= 2l can do better: composed with
     f it is a linear combination of f^k and conj(f)^k for k <= 2l, and
@@ -650,7 +662,7 @@ def _conjecture_case(case_seed: int, l_values: tuple[int, ...]):
     order = polyharmonic_order(f)
     if order != q:
         return _fail(case_seed, f"f={f}", f"generator order {q}", str(order))
-    if newton_vertex_depth(f) >= 1:
+    if _has_off_axis_vertex(f):
         return None
     max_m = 2 * l
     power = BiPoly.one()

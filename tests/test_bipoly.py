@@ -36,6 +36,20 @@ def test_scalar_normalized_to_lowest_terms():
     assert c.conjugate().conjugate() == c
 
 
+def test_scalar_is_an_immutable_value():
+    c = GaussianRational(1)
+    with pytest.raises(AttributeError):
+        c.re = Fraction(2)
+    with pytest.raises(AttributeError):
+        del c.im
+    assert c.re == 1 and c.im == 0
+    same = GaussianRational(Fraction(2, 2), Fraction(0, 5))
+    assert same == c and hash(same) == hash(c)
+    assert len({c, same, GaussianRational(1, 1)}) == 2
+    assert c != (Fraction(1), Fraction(0))
+    assert GaussianRational(Fraction(1, 2), -1) != GaussianRational(Fraction(1, 2), 1)
+
+
 def test_unit_circle_points_have_modulus_one():
     seen = set()
     for t in range(8):

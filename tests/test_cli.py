@@ -578,6 +578,18 @@ def _polyharm(*argv):
     )
 
 
+@pytest.mark.parametrize("module", ["polyharm.cli", "polyharm.theorems"])
+def test_import_loads_neither_dataclasses_nor_inspect(module):
+    # Each CLI call pays for what its import loads; the result records are
+    # NamedTuples, which need neither module.
+    code = f"import sys, {module}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    env = dict(os.environ)
+    src = str(Path(polyharm.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (run.returncode, run.stderr, run.stdout) == (0, "", "[]\n")
+
+
 def test_entry_point_runs_every_suite_and_the_hunt():
     run = _polyharm("verify", "--suite", "all", "--cases", "1")
     assert (run.returncode, run.stderr) == (0, "")

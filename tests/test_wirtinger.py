@@ -10,7 +10,9 @@ from polyharm.errors import NonHarmonicComponent
 from polyharm.bipoly import mul
 from polyharm.classify import classify
 from polyharm.gen import gen_bipoly, gen_harmonic, gen_strict_q_harmonic, spawn
+from polyharm.theorems import _has_off_axis_vertex
 from polyharm.wirtinger import (
+    _newton_vertices,
     almansi_decompose,
     almansi_recompose,
     d_dz,
@@ -191,6 +193,48 @@ def test_newton_vertex_depth_examples():
 @example(Z + Z**2 * ZBAR + Z**3 * ZBAR**2 + Z**4 * ZBAR**3)
 def test_newton_vertex_depth_matches_the_vertex_oracle(f):
     assert newton_vertex_depth(f) == max(map(min, newton_vertices(f)), default=0)
+
+
+_points = st.tuples(st.integers(0, 4), st.integers(0, 4))
+
+# Supports in [0, 4]^2 that stress the diagonal-extreme check: any points,
+# points on one line (so some lie inside an edge), points on the axes
+# only, and several points tied on the top diagonal i + j = s.
+_supports = st.one_of(
+    st.sets(_points, min_size=1, max_size=6),
+    st.builds(
+        lambda start, step, n: {(start[0] + k * step[0], start[1] + k * step[1]) for k in range(n)},
+        _points,
+        st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1), (2, -1), (1, 2)]),
+        st.integers(1, 5),
+    ).filter(lambda support: all(0 <= x <= 4 and 0 <= y <= 4 for x, y in support)),
+    st.sets(
+        st.one_of(st.tuples(st.integers(0, 4), st.just(0)), st.tuples(st.just(0), st.integers(0, 4))),
+        min_size=1,
+        max_size=6,
+    ),
+    st.builds(
+        lambda s, tied, rest: {(x, s - x) for x in tied if x <= s} | {p for p in rest if sum(p) < s},
+        st.integers(1, 4),
+        st.sets(st.integers(0, 4), min_size=2, max_size=4),
+        st.sets(_points, max_size=4),
+    ).filter(bool),
+)
+
+
+@given(_supports)
+@example({(2, 0), (1, 1), (0, 2)})  # z^2 + z*zbar + zbar^2: (1, 1) lies inside the top edge; mu = 0
+@example({(4, 0), (1, 1), (0, 4)})  # the extreme point is on an axis, but (1, 1) is a vertex
+@example({(2, 3)})  # a single point
+@example({(0, 3), (0, 1), (2, 0)})  # axis-only
+@example({(1, 3), (2, 2), (3, 1), (0, 0)})  # ties on the top diagonal
+def test_the_diagonal_extreme_point_is_a_newton_vertex(support):
+    f = BiPoly({key: 1 for key in support})
+    top = max(support, key=lambda key: (key[0] + key[1], key[0]))
+    assert top in _newton_vertices(f)
+    assert top in newton_vertices(f)
+    # The hunt's vertex check, which reads top before any hull is built.
+    assert _has_off_axis_vertex(f) == (newton_vertex_depth(f) >= 1)
 
 
 @given(st.integers(0, 2**64 - 1))
