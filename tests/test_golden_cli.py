@@ -4,7 +4,7 @@ The calls are every README CLI example, the full passes included, in text
 form and with --json (the verify and conjecture case counts cut to 20),
 the same for a few calls whose output has fractional, negative and mixed
 coefficients or floating-point errors, for a few parser-heavy inputs, for
-two Reich checks with a non-real alpha and for three pre-composition
+two Reich checks with a non-real alpha and for five pre-composition
 witnesses, plus one call down each error path: a parse error with its
 offset, a usage error raised by a handler, an argparse error, and --help.
 The whole list is replayed twice in one process, forward and then
@@ -73,6 +73,11 @@ PRE_WITNESS_CALLS = [
     ["witness", "--theorem", "2a", "--l", "1", "z^2+zbar^2"],
     ["witness", "--theorem", "2b", "--q", "2", "--l", "3", "z^2+zbar"],
     ["witness", "--theorem", "2a", "--l", "3", "z^2 + z*zbar + zbar^2"],
+    # The vertex (1, 1) alone certifies m = 3.
+    ["witness", "--theorem", "2a", "--l", "3", "z*zbar + z"],
+    # The edge from (4, 0) to (0, 4) certifies m = 2, before the vertex
+    # (1, 1) can at m = 3: the least face wins.
+    ["witness", "--theorem", "2a", "--l", "3", "z^4 + z*zbar + zbar^4"],
 ]
 
 ERROR_CALLS = [
