@@ -46,7 +46,7 @@ from .gen import (
     spawn,
 )
 from .wirtinger import (
-    _derivative, d_dz, d_dzbar, newton_order_bound, newton_vertex_depth, polyharmonic_order
+    _derivative, d_dz, d_dzbar, has_off_axis_vertex, newton_certificate, polyharmonic_order
 )
 
 COMPLIANT = "Compliant"
@@ -201,11 +201,11 @@ def _pre_candidates(f: BiPoly, rep, q: int, l: int):
         yield BiPoly.monomial(q - 1, q - 1), "|w|^(2(q-1))"
         return
     # An outer power w^m at the least m < 2l for which f's Newton polygon
-    # certifies order(f^m) > l (wirtinger.newton_order_bound), else at 2l,
+    # certifies order(f^m) > l (wirtinger.newton_certificate), else at 2l,
     # as for z^2 + z*zbar + zbar^2.  f^m has a term with min(i, j) >= l:
     # the certificate gives one, and at m = 2l the proof below does.  For
     # q = 0 the composition is f^m, a witness.
-    start = next((m for m in range(1, 2 * l) if newton_order_bound(f, m) > l), 2 * l)
+    start = newton_certificate(f, l) or 2 * l
     power = BiPoly.monomial(start, 0)
     if q == 0:
         yield power, "w^m"
@@ -619,18 +619,6 @@ def _case_prop22(case_seed: int):
     return None
 
 
-def _has_off_axis_vertex(f: BiPoly) -> bool:
-    """newton_vertex_depth(f) >= 1, read off one vertex first.
-
-    The support point largest in (i + j, i) is the only one that maximises
-    i + j + eps*i for a small eps > 0, so it is a vertex of f's Newton
-    polygon; min(i, j) >= 1 there decides mu >= 1 with no hull built.
-    Otherwise the hull decides.
-    """
-    total, i = max(((i + j, i) for i, j in f.numerators), default=(0, 0))
-    return min(i, total - i) >= 1 or newton_vertex_depth(f) >= 1
-
-
 # The orders the counterexample hunt draws l from unless it is given others.
 DEFAULT_L_VALUES = (3, 4)
 
@@ -643,12 +631,10 @@ def _conjecture_case(case_seed: int, l_values: tuple[int, ...]):
     as the Newton-polygon proof in _pre_candidates says w^(2l) does.  A
     failing case would be a fault in that proof or in the exact arithmetic.
 
-    When a vertex of f's Newton polygon has min(i, j) = mu >= 1,
-    order(f^m) >= 1 + m*mu, so w^l already exceeds order l and the case is
-    decided with no power built; that is the verdict the power loop would
-    reach.  _has_off_axis_vertex usually finds such a vertex before any
-    hull is built.  Only f with every vertex on an axis (mu = 0) runs the
-    loop.
+    When f's Newton polygon has a vertex off the axes
+    (wirtinger.has_off_axis_vertex), w^l already exceeds order l, so the
+    case is decided with no power built; that is the verdict the power
+    loop would reach.  Only f with every vertex on an axis runs the loop.
 
     No other harmonic outer of degree <= 2l can do better: composed with
     f it is a linear combination of f^k and conj(f)^k for k <= 2l, and
@@ -662,7 +648,7 @@ def _conjecture_case(case_seed: int, l_values: tuple[int, ...]):
     order = polyharmonic_order(f)
     if order != q:
         return _fail(case_seed, f"f={f}", f"generator order {q}", str(order))
-    if _has_off_axis_vertex(f):
+    if has_off_axis_vertex(f):
         return None
     max_m = 2 * l
     power = BiPoly.one()

@@ -86,43 +86,53 @@ def _newton_vertices(f: BiPoly) -> list[tuple[int, int]]:
     return half_hull(points)[:-1] + half_hull(reversed(points))[:-1]
 
 
-def newton_vertex_depth(f: BiPoly) -> int:
-    """mu = the largest min(i, j) over the vertices of f's Newton polygon; 0 for f = 0.
+def has_off_axis_vertex(f: BiPoly) -> bool:
+    """Whether a vertex v of f's Newton polygon has min(v) >= 1; False for f = 0.
 
-    Its vertices survive in every power: the Newton polygon of f^m is m
-    times that of f, and the coefficient of f^m at m*v is c_v^m != 0 for
-    each vertex v (Ostrowski 1921), so order(f^m) >= 1 + m*mu.  A support
-    point on an edge but not at its end is not a vertex: in
-    z^2 + z*zbar + zbar^2 the point (1, 1) lies on an edge, and mu = 0.
+    f^m has c_v^m != 0 at m*v (see newton_certificate), so then
+    order(f^m) >= 1 + m*min(v).  The support point largest in (i + j, i)
+    is the only one that maximises i + j + eps*i for a small eps > 0, so it
+    is a vertex, read with no hull built; the hull decides only when that
+    point lies on an axis.
     """
-    return max(map(min, _newton_vertices(f)), default=0)
+    total, i = max(((i + j, i) for i, j in f.numerators), default=(0, 0))
+    return min(i, total - i) >= 1 or any(min(v) >= 1 for v in _newton_vertices(f))
 
 
-def newton_order_bound(f: BiPoly, m: int) -> int:
-    """A lower bound on polyharmonic_order(f**m) read off f's Newton polygon; 0 for f = 0.
+def newton_certificate(f: BiPoly, l: int) -> int | None:
+    """The least m < 2l for which f's Newton polygon certifies order(f^m) > l, or None.
 
-    It is 1 + the largest min(i, j) over points that f^m certainly has in
-    its support.  Proof: for a weight w, the initial form of f^m on the
-    face of its Newton polygon that w selects is the initial form of f on
-    that face, raised to the power m (Ostrowski 1921: the Newton polygon of
-    a product is the Minkowski sum of the factors' polygons).
+    f^m certainly has in its support the points below, and m is certified
+    when one of them has both coordinates >= l.  Proof: for a weight w, the
+    initial form of f^m on the face of its Newton polygon that w selects is
+    the initial form of f on that face, raised to the power m (Ostrowski
+    1921: the Newton polygon of a product is the Minkowski sum of the
+    factors' polygons).
       * At a vertex v of f with coefficient c_v, the initial form is a
         monomial, so f^m has c_v^m != 0 at m*v.
       * On an edge v1 v2 whose only support points are its two ends, the
         initial form is the binomial c1*x^v1 + c2*x^v2, whose m-th power
         puts binom(m, k) * c1^(m-k) * c2^k != 0 at (m-k)*v1 + k*v2 for
         k = 0..m; these exponents are distinct, so nothing cancels.
-    A support on one line is one edge.  An edge with a support point
-    inside it certifies only its ends.
+    A vertex v is the face (v, v), so one rule reads both.  A support on
+    one line is one edge.  An edge with a support point inside it
+    certifies only its ends.
     """
     vertices = _newton_vertices(f)
-    best = max((m * min(v) for v in vertices), default=-1)
     cycle = vertices + vertices[:1] if len(vertices) > 2 else vertices
-    for (x1, y1), (x2, y2) in zip(cycle, cycle[1:]):
-        # Support points on an edge's line lie on the edge; its two ends are two of them.
-        if sum((x2 - x1) * (y - y1) == (y2 - y1) * (x - x1) for x, y in f.numerators) == 2:
-            best = max(best, *(min((m - k) * x1 + k * x2, (m - k) * y1 + k * y2) for k in range(m + 1)))
-    return best + 1
+    inner = f.numerators.keys() - set(vertices)
+    # A support point on an edge's line lies on the edge, between its ends.
+    faces = [(v, v) for v in vertices] + [
+        ((x1, y1), (x2, y2))
+        for (x1, y1), (x2, y2) in zip(cycle, cycle[1:])
+        if not any((x2 - x1) * (y - y1) == (y2 - y1) * (x - x1) for x, y in inner)
+    ]
+    for m in range(1, 2 * l):
+        for (x1, y1), (x2, y2) in faces:
+            for k in range(m + 1):
+                if min((m - k) * x1 + k * x2, (m - k) * y1 + k * y2) >= l:
+                    return m
+    return None
 
 
 def almansi_decompose(f: BiPoly) -> tuple[BiPoly, ...]:

@@ -28,7 +28,8 @@ from polyharm.theorems import (
     witness_post,
     witness_pre,
 )
-from polyharm.wirtinger import d_dz, d_dzbar, laplacian, newton_order_bound, newton_vertex_depth, polyharmonic_order
+from polyharm.wirtinger import d_dz, d_dzbar, has_off_axis_vertex, laplacian, polyharmonic_order
+from newton_oracle import certified_start
 from strategies import analytic_polys, harmonic_polys
 
 Z = BiPoly.z()
@@ -201,10 +202,6 @@ def test_pre_composition_powers_start_at_the_certified_exponent(f, q, l, witness
     assert witness_pre(f, q, l) == result
 
 
-def _certified_start(f, l):
-    return next((m for m in range(1, 2 * l) if newton_order_bound(f, m) > l), 2 * l)
-
-
 @pytest.mark.parametrize("name", ["thm2_nec", "thm3"])
 def test_pre_composition_searches_hit_on_their_first_candidate(monkeypatch, name):
     import polyharm.theorems as theorems
@@ -232,8 +229,24 @@ def test_pre_composition_searches_hit_on_their_first_candidate(monkeypatch, name
         if res.family_tag.startswith("w^m"):
             powers += 1
             m = max(i for i, j in res.witness.numerators if j == 0)
-            assert m == _certified_start(f, l)
+            assert m == (certified_start(f, l) or 2 * l)
     assert powers > 0
+
+
+def test_a_pre_composition_search_builds_the_hull_once(monkeypatch):
+    import polyharm.wirtinger as wirtinger
+
+    built = []
+    plain_vertices = wirtinger._newton_vertices
+
+    def counting_vertices(f):
+        built.append(1)
+        return plain_vertices(f)
+
+    monkeypatch.setattr(wirtinger, "_newton_vertices", counting_vertices)
+    result = find_witness_pre(parse("z^2 + z*zbar + zbar^2"), 1, 6)
+    assert result.witness == parse("z^12 + zbar")
+    assert len(built) == 1
 
 
 def test_each_proven_family_yields_one_candidate_and_it_is_a_witness():
@@ -480,7 +493,7 @@ def test_pre_composition_is_decided_for_every_polynomial_f():
     # power witness w^m with m <= 2l, at every l (Ostrowski and Hajos,
     # see theorems._pre_candidates).
     polygons = [Z**2 + Z * ZBAR + ZBAR**2] + [_axis_vertex_polygon(spawn(33, index)) for index in range(30)]
-    assert all(newton_vertex_depth(f) == 0 for f in polygons)
+    assert not any(has_off_axis_vertex(f) for f in polygons)
     fs = polygons + [gen_bipoly(spawn(31, index), 3) for index in range(30)]
     fs += [gen_strict_q_harmonic(spawn(32, index), 2 + index % 2, 1 + index % 3 // 2) for index in range(30)]
     fs = [f for f in fs if not classify(f).is_harmonic]
@@ -716,9 +729,9 @@ MU_ZERO_SEEDS = (
 def test_mu_zero_seeds_are_mu_zero():
     for case_seed in MU_ZERO_SEEDS:
         _, _, f = _power_loop_case(case_seed, DEFAULT_L_VALUES)
-        assert newton_vertex_depth(f) == 0
+        assert not has_off_axis_vertex(f)
     _, _, f = _power_loop_case(spawn(7, 0), DEFAULT_L_VALUES)
-    assert newton_vertex_depth(f) >= 1
+    assert has_off_axis_vertex(f)
 
 
 def test_conjecture_case_matches_the_plain_power_loop(monkeypatch):
@@ -739,9 +752,10 @@ def test_conjecture_case_matches_the_plain_power_loop(monkeypatch):
             expected, powers, f = _power_loop_case(case_seed, l_values)
             built.clear()
             assert _conjecture_case(case_seed, l_values) == expected
-            # A case with mu >= 1 builds no power; one with mu = 0 builds
-            # exactly the powers the plain loop builds.
-            if newton_vertex_depth(f) >= 1:
+            # A case with a vertex off the axes builds no power; one with
+            # every vertex on an axis builds exactly the powers the plain
+            # loop builds.
+            if has_off_axis_vertex(f):
                 assert len(built) == 0
                 shortcut += 1
             else:

@@ -1,5 +1,4 @@
 import time
-from math import comb
 
 import pytest
 import hypothesis.strategies as st
@@ -10,18 +9,18 @@ from polyharm.errors import NonHarmonicComponent
 from polyharm.bipoly import mul
 from polyharm.classify import classify
 from polyharm.gen import gen_bipoly, gen_harmonic, gen_strict_q_harmonic, spawn
-from polyharm.theorems import _has_off_axis_vertex
 from polyharm.wirtinger import (
     _newton_vertices,
     almansi_decompose,
     almansi_recompose,
     d_dz,
     d_dzbar,
+    has_off_axis_vertex,
     laplacian,
-    newton_order_bound,
-    newton_vertex_depth,
+    newton_certificate,
     polyharmonic_order,
 )
+from newton_oracle import certified_points, certified_start, newton_vertices
 from strategies import bipoly_any, gr_mul
 
 Z = BiPoly.z()
@@ -150,49 +149,29 @@ def test_conjugation_preserves_order(f):
 # --- Newton polygon ------------------------------------------------------------
 
 
-def newton_vertices(f: BiPoly) -> set:
-    """Independent oracle: the support points that some direction maximises alone.
-
-    A vertex of a lattice polygon in [0, 4]^2 is the unique maximiser of
-    the sum of its two edge normals, and an end of a segment of the
-    direction along it; all of these have integer components within 8.
-    """
-    points = list(f.numerators)
-    vertices = set()
-    if not points:
-        return vertices
-    for a in range(-9, 10):
-        for b in range(-9, 10):
-            values = [a * i + b * j for i, j in points]
-            top = max(values)
-            if values.count(top) == 1:
-                vertices.add(points[values.index(top)])
-    return vertices
-
-
-def test_newton_vertex_depth_examples():
+def test_off_axis_vertex_examples():
     cases = [
-        (BiPoly.zero(), 0),
-        (BiPoly.constant(5), 0),
-        (Z**2 * ZBAR**3 * 7, 2),  # a single point
-        (Z**3 * ZBAR + Z**2 * ZBAR**2, 2),  # two points
-        (Z**3 + Z**2 * ZBAR + Z * ZBAR**2 + ZBAR**3, 0),  # collinear; the inner points are not vertices
-        (Z * ZBAR + Z**2 * ZBAR**2 + Z**3 * ZBAR**3, 3),  # collinear on the diagonal
-        (Z**2 + Z * ZBAR + ZBAR**2, 0),  # (1, 1) lies on the edge from (2, 0) to (0, 2)
-        (Z**2 + Z * ZBAR * 3 + ZBAR**2 + 1, 0),  # (1, 1) inside the triangle
-        (1 + Z**2 + ZBAR**2 + Z**2 * ZBAR**2 + Z * ZBAR, 2),  # a square with an inner point
-        (Z**4 + Z * ZBAR + ZBAR**4, 1),  # (1, 1) is a vertex below the edge
+        (BiPoly.zero(), False),
+        (BiPoly.constant(5), False),
+        (Z**2 * ZBAR**3 * 7, True),  # a single point
+        (Z**3 * ZBAR + Z**2 * ZBAR**2, True),  # two points
+        (Z**3 + Z**2 * ZBAR + Z * ZBAR**2 + ZBAR**3, False),  # collinear; the inner points are not vertices
+        (Z * ZBAR + Z**2 * ZBAR**2 + Z**3 * ZBAR**3, True),  # collinear on the diagonal
+        (Z**2 + Z * ZBAR + ZBAR**2, False),  # (1, 1) lies on the edge from (2, 0) to (0, 2)
+        (Z**2 + Z * ZBAR * 3 + ZBAR**2 + 1, False),  # (1, 1) inside the triangle
+        (1 + Z**2 + ZBAR**2 + Z**2 * ZBAR**2 + Z * ZBAR, True),  # a square with an inner point
+        (Z**4 + Z * ZBAR + ZBAR**4, True),  # (1, 1) is a vertex below the edge
     ]
-    for f, mu in cases:
-        assert newton_vertex_depth(f) == mu, str(f)
-        assert newton_vertex_depth(f.conjugate()) == mu
+    for f, off_axis in cases:
+        assert has_off_axis_vertex(f) is off_axis, str(f)
+        assert has_off_axis_vertex(f.conjugate()) is off_axis
 
 
 @given(bipoly_any)
 @example(Z**2 + Z * ZBAR + ZBAR**2)
 @example(Z + Z**2 * ZBAR + Z**3 * ZBAR**2 + Z**4 * ZBAR**3)
-def test_newton_vertex_depth_matches_the_vertex_oracle(f):
-    assert newton_vertex_depth(f) == max(map(min, newton_vertices(f)), default=0)
+def test_off_axis_vertex_matches_the_vertex_oracle(f):
+    assert has_off_axis_vertex(f) == any(min(v) >= 1 for v in newton_vertices(f))
 
 
 _points = st.tuples(st.integers(0, 4), st.integers(0, 4))
@@ -234,7 +213,7 @@ def test_the_diagonal_extreme_point_is_a_newton_vertex(support):
     assert top in _newton_vertices(f)
     assert top in newton_vertices(f)
     # The hunt's vertex check, which reads top before any hull is built.
-    assert _has_off_axis_vertex(f) == (newton_vertex_depth(f) >= 1)
+    assert has_off_axis_vertex(f) == any(min(v) >= 1 for v in newton_vertices(f))
 
 
 @given(st.integers(0, 2**64 - 1))
@@ -242,8 +221,8 @@ def test_powers_keep_the_newton_vertices(seed):
     # The fact the counterexample hunt relies on: the coefficient of f^m at
     # m*v is c_v^m for every vertex v, so order(f^m) >= 1 + m*mu.
     f = gen_bipoly(seed, 4)
-    mu = newton_vertex_depth(f)
     vertices = newton_vertices(f)
+    mu = max(map(min, vertices), default=0)
     power = f
     for m in range(1, 5):
         if m > 1:
@@ -253,36 +232,28 @@ def test_powers_keep_the_newton_vertices(seed):
         assert polyharmonic_order(power) >= 1 + m * mu
 
 
-def binomial_edges(f: BiPoly, vertices: set) -> set:
-    """Pairs of vertices whose line bounds the support and holds no other support point."""
-    points = list(f.numerators)
-    edges = set()
-    for x1, y1 in vertices:
-        for x2, y2 in vertices:
-            if (x1, y1) >= (x2, y2):
-                continue
-            sides = [(x2 - x1) * (y - y1) - (y2 - y1) * (x - x1) for x, y in points]
-            if (min(sides) >= 0 or max(sides) <= 0) and sides.count(0) == 2:
-                edges.add(((x1, y1), (x2, y2)))
-    return edges
-
-
-def test_newton_order_bound_examples():
-    cases = [
-        (BiPoly.zero(), [0, 0, 0, 0]),
-        (BiPoly.constant(5), [1, 1, 1, 1]),
-        (Z + ZBAR, [1, 2, 2, 3]),  # the binomial edge gives (k, m - k)
-        (Z**2 + ZBAR**2, [1, 3, 3, 5]),
-        (Z**2 + ZBAR, [1, 2, 3, 3]),  # (2(m - k), k): order 4 first at m = 5
-        (Z**2 + Z * ZBAR + ZBAR**2, [1, 1, 1, 1]),  # (1, 1) inside the one edge: only the ends count
-        (Z * ZBAR + Z, [2, 3, 4, 5]),
-        (Z**4 + Z * ZBAR + ZBAR**4, [2, 5, 5, 9]),  # the edge from (4, 0) to (0, 4) beats the vertex (1, 1)
+def test_newton_certificate_examples():
+    none_at_every_l = [
+        BiPoly.zero(),
+        BiPoly.constant(5),
+        Z + ZBAR,  # the binomial edge puts (k, m - k) into f^m: min(i, j) >= l first at m = 2l
+        Z**2 + Z * ZBAR + ZBAR**2,  # (1, 1) inside the one edge: only the ends count
     ]
-    for f, bounds in cases:
-        got = [newton_order_bound(f, m) for m in range(1, 5)]
-        assert got == bounds, str(f)
-        assert [newton_order_bound(f.conjugate(), m) for m in range(1, 5)] == bounds
-    assert newton_order_bound(Z**2 + ZBAR, 5) == 4
+    cases = [(f, l, None) for f in none_at_every_l for l in range(1, 5)] + [
+        (Z**2 + ZBAR**2, 1, None),
+        (Z**2 + ZBAR**2, 2, 2),
+        (Z**2 + ZBAR**2, 3, 4),
+        (Z**2 + ZBAR, 2, 3),
+        (Z**2 + ZBAR, 3, 5),  # (2(m - k), k): min(i, j) >= 3 first at m = 5
+        (Z * ZBAR + Z, 3, 3),  # the vertex (1, 1) alone
+        (Z**2 * ZBAR**3 * 7, 3, 2),  # a single point
+        (Z**4 + Z * ZBAR + ZBAR**4, 1, 1),  # the vertex (1, 1) at m = 1 ...
+        (Z**4 + Z * ZBAR + ZBAR**4, 3, 2),  # ... but at l = 3 the edge from (4, 0) to (0, 4), before the vertex at m = 3
+        (Z**4 + Z * ZBAR + ZBAR**4, 5, 4),
+    ]
+    for f, l, m in cases:
+        assert newton_certificate(f, l) == m, (str(f), l)
+        assert newton_certificate(f.conjugate(), l) == m
 
 
 @given(
@@ -290,9 +261,9 @@ def test_newton_order_bound_examples():
     st.integers(0, 2**64 - 1),
     st.integers(2, 4),
 )
-def test_newton_order_bound_is_certified_by_the_powers(kind, seed, q):
-    # The points newton_order_bound reads, found from the brute-force vertex
-    # oracle: m*v with c_v^m for each vertex, and (m-k)*v1 + k*v2 with
+def test_newton_certificate_is_certified_by_the_powers(kind, seed, q):
+    # The points the certificate reads, found from the brute-force oracle:
+    # m*v with c_v^m for each vertex, and (m-k)*v1 + k*v2 with
     # binom(m, k)*c1^(m-k)*c2^k for each edge with no other support point.
     if kind == "bipoly":
         f = gen_bipoly(seed, 4)
@@ -300,25 +271,18 @@ def test_newton_order_bound_is_certified_by_the_powers(kind, seed, q):
         f = gen_harmonic(seed, 3, both_parts_nonconstant=True)
     else:
         f = gen_strict_q_harmonic(seed, q, 2)
-    vertices = newton_vertices(f)
-    edges = binomial_edges(f, vertices)
-    power = f
+    powers = [BiPoly.one(), f]
+    for m in range(2, 5):
+        powers.append(mul(powers[-1], f))
     for m in range(1, 5):
-        if m > 1:
-            power = mul(power, f)
-        certified = {}
-        for i, j in vertices:
-            certified[(m * i, m * j)] = gr_mul(*[f.coefficient(i, j)] * m)
-        for (i1, j1), (i2, j2) in edges:
-            c1, c2 = f.coefficient(i1, j1), f.coefficient(i2, j2)
-            for k in range(m + 1):
-                point = ((m - k) * i1 + k * i2, (m - k) * j1 + k * j2)
-                certified[point] = gr_mul(*[c1] * (m - k), *[c2] * k, comb(m, k))
-        for (i, j), c in certified.items():
-            assert power.coefficient(i, j) == c
-        bound = 1 + max(map(min, certified), default=-1)
-        assert newton_order_bound(f, m) == bound
-        assert polyharmonic_order(power) >= bound
+        for (i, j), c in certified_points(f, m).items():
+            assert powers[m].coefficient(i, j) == c
+    # At l <= 2 a certified m is at most 3, within the powers built.
+    for l in (1, 2):
+        m = newton_certificate(f, l)
+        assert m == certified_start(f, l)
+        if m is not None:
+            assert polyharmonic_order(powers[m]) > l
 
 
 # --- Almansi ------------------------------------------------------------------
