@@ -46,6 +46,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# conjecture --l limit: a case whose Newton polygon has every vertex on an
+# axis builds up to 2l powers of f, so the worst case grows steeply with l.
+MAX_HUNT_L = 40
+
+
+def _hunt_order(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_HUNT_L:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_HUNT_L}")
+    return value
+
+
 def _nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -185,10 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--l",
-        type=_positive_int,
+        type=_hunt_order,
         nargs="+",
         default=None,
-        help=f"orders to draw l from (default: {' '.join(map(str, theorems.DEFAULT_L_VALUES))})",
+        help=f"orders to draw l from, 1 to {MAX_HUNT_L} (default: {' '.join(map(str, theorems.DEFAULT_L_VALUES))})",
     )
 
     p = sub.add_parser(

@@ -361,12 +361,20 @@ def reich_condition_check(g: BiPoly, alpha: "int | Fraction | GaussianRational",
 
 
 # ---------------------------------------------------------------------------
-# Sampled suites.
+# Sampled suites.  A case function takes its draw stream and returns
+# nothing; a failed check raises _CaseFailure, and _run_case turns that
+# into the case's error triple.
 # ---------------------------------------------------------------------------
 
 
-def _fail(case_seed: int, context: str, expected: str, got: str):
-    return (f"case_seed={case_seed} {context}", expected, got)
+class _CaseFailure(Exception):
+    """A failed check of a sampled case: its (context, expected, got)."""
+
+
+def _split(rng: SplitMix64, degree: int, exact_degree: bool) -> BiPoly:
+    """An analytic mapping of the given degree, or its conjugate with chance 1/2."""
+    f = gen_analytic(rng.next_u64(), degree, exact_degree=exact_degree)
+    return f.conjugate() if rng.chance(1, 2) else f
 
 
 def _harmonic_with_degree_at_least(rng: SplitMix64, lo: int, hi: int) -> BiPoly:
@@ -388,6 +396,20 @@ def _nonconstant_affine(rng: SplitMix64) -> BiPoly:
     )
 
 
+def _check_order(name: str, f: BiPoly, q: int) -> None:
+    """A generated mapping has the order it was drawn for."""
+    order = polyharmonic_order(f)
+    if order != q:
+        raise _CaseFailure(f"{name}={f}", f"generator order {q}", str(order))
+
+
+def _check_bound(outer: BiPoly, inner: BiPoly, bound: int) -> None:
+    """The order of outer after inner is at most bound."""
+    got = polyharmonic_order(compose(outer, inner))
+    if got > bound:
+        raise _CaseFailure(f"outer={outer} inner={inner}", f"order <= {bound}", str(got))
+
+
 def _check_violation(res: WitnessResult, f: BiPoly, q: int, l: int, post: bool):
     """Re-verify a Violation from scratch; returns an error triple or None."""
     context = f"q={q} l={l} f={canonical_print(f)}"
@@ -404,130 +426,93 @@ def _check_violation(res: WitnessResult, f: BiPoly, q: int, l: int, post: bool):
         return (context, "harmonic non-analytic witness for q=1", canonical_print(res.witness))
     if q >= 2 and wrep.order != q:
         return (context, f"strictly {q}-harmonic witness", str(wrep.order))
-    return None
 
 
-def _violation_fail(case_seed: int, res: WitnessResult, f: BiPoly, q: int, l: int, post: bool):
-    """_check_violation's error triple with the case_seed= prefix, or None."""
+def _check_witness(f: BiPoly, q: int, l: int, post: bool) -> WitnessResult:
+    """find_witness_post (post) or find_witness_pre on (f, q, l), re-verified by _check_violation."""
+    res = (find_witness_post if post else find_witness_pre)(f, q, l)
     err = _check_violation(res, f, q, l, post)
-    return err and _fail(case_seed, *err)
+    if err:
+        raise _CaseFailure(*err)
+    return res
 
 
-def _case_thm1_suff(case_seed: int):
-    rng = SplitMix64(case_seed)
+def _check_split_witness(f: BiPoly, t: int, q: int, l: int) -> None:
+    """_check_witness before split f of degree t, whose composition has order exactly t(q-1)+1."""
+    got = _check_witness(f, q, l, post=False).composition_order
+    exact = t * (q - 1) + 1
+    if got != exact:
+        raise _CaseFailure(f"q={q} l={l} f={f}", f"composition order exactly {exact}", str(got))
+
+
+def _case_thm1_suff(rng: SplitMix64) -> None:
     # (a) harmonic outer after analytic inner stays harmonic
-    f = gen_harmonic(rng.next_u64(), 4)
-    inner = gen_analytic(rng.next_u64(), 4)
-    got = polyharmonic_order(compose(f, inner))
-    if got > 1:
-        return _fail(case_seed, f"f={f} inner={inner}", "order <= 1", str(got))
+    _check_bound(gen_harmonic(rng.next_u64(), 4), gen_analytic(rng.next_u64(), 4), 1)
     # (b) affine outer after harmonic inner stays harmonic
     affine = _nonconstant_affine(rng)
-    inner_h = gen_harmonic(rng.next_u64(), 4)
-    got = polyharmonic_order(compose(affine, inner_h))
-    if got > 1:
-        return _fail(case_seed, f"f={affine} inner={inner_h}", "order <= 1", str(got))
+    _check_bound(affine, gen_harmonic(rng.next_u64(), 4), 1)
     # (c) affine outer after strictly q-harmonic inner stays within order q
     q = rng.between(2, 4)
-    inner_q = gen_strict_q_harmonic(rng.next_u64(), q, 2)
-    if polyharmonic_order(inner_q) != q:
-        return _fail(case_seed, f"inner={inner_q}", f"generator order {q}", str(polyharmonic_order(inner_q)))
-    got = polyharmonic_order(compose(affine, inner_q))
-    if got > q:
-        return _fail(case_seed, f"f={affine} inner={inner_q}", f"order <= {q}", str(got))
-    return None
+    inner = gen_strict_q_harmonic(rng.next_u64(), q, 2)
+    _check_order("inner", inner, q)
+    _check_bound(affine, inner, q)
 
 
-def _case_thm1_nec(case_seed: int):
-    rng = SplitMix64(case_seed)
+def _case_thm1_nec(rng: SplitMix64) -> None:
     # branch (a): non-harmonic f, analytic inners
     f = gen_strict_q_harmonic(rng.next_u64(), rng.between(2, 3), 2)
-    l = rng.between(1, 4)
-    err = _violation_fail(case_seed, find_witness_post(f, 0, l), f, 0, l, post=True)
-    if err:
-        return err
+    _check_witness(f, 0, rng.between(1, 4), post=True)
     # branch (b): non-affine f, harmonic non-analytic inners
     if rng.chance(1, 2):
-        fb = _harmonic_with_degree_at_least(rng, 2, 4)
+        f = _harmonic_with_degree_at_least(rng, 2, 4)
     else:
-        fb = gen_strict_q_harmonic(rng.next_u64(), rng.between(2, 3), 2)
-    l = rng.between(1, 4)
-    err = _violation_fail(case_seed, find_witness_post(fb, 1, l), fb, 1, l, post=True)
-    if err:
-        return err
+        f = gen_strict_q_harmonic(rng.next_u64(), rng.between(2, 3), 2)
+    _check_witness(f, 1, rng.between(1, 4), post=True)
     # branch (c): outside the degree-bounded harmonic polynomial form
     q = rng.between(2, 4)
     mode = rng.below(3)
     if mode == 0:
-        fc = _harmonic_with_degree_at_least(rng, 2, 4)
+        f = _harmonic_with_degree_at_least(rng, 2, 4)
         l = rng.between(1, 5)
     elif mode == 1:
-        fc = gen_strict_q_harmonic(rng.next_u64(), rng.between(2, 3), 2)
+        f = gen_strict_q_harmonic(rng.next_u64(), rng.between(2, 3), 2)
         l = rng.between(1, 5)
     else:
-        fc = _nonconstant_affine(rng)
+        f = _nonconstant_affine(rng)
         l = rng.between(1, q - 1)  # forces the degree bound to 0
-    return _violation_fail(case_seed, find_witness_post(fc, q, l), fc, q, l, post=True)
+    _check_witness(f, q, l, post=True)
 
 
-def _case_thm2_suff(case_seed: int):
-    rng = SplitMix64(case_seed)
+def _case_thm2_suff(rng: SplitMix64) -> None:
     t = rng.between(0, 4)
     f = gen_analytic(rng.next_u64(), t, exact_degree=True)
     if not classify(f).is_analytic or f.deg_z != t:
-        return _fail(case_seed, f"f={f}", f"analytic of degree {t}", "generator broke its contract")
+        raise _CaseFailure(f"f={f}", f"analytic of degree {t}", "generator broke its contract")
     q = rng.between(2, 4)
     outer = gen_strict_q_harmonic(rng.next_u64(), q, 2)
-    if polyharmonic_order(outer) != q:
-        return _fail(case_seed, f"outer={outer}", f"order {q}", str(polyharmonic_order(outer)))
-    bound = t * (q - 1) + 1
-    got = polyharmonic_order(compose(outer, f))
-    if got > bound:
-        return _fail(case_seed, f"outer={outer} f={f}", f"order <= {bound}", str(got))
-    return None
+    _check_order("outer", outer, q)
+    _check_bound(outer, f, t * (q - 1) + 1)
 
 
-def _case_thm2_nec(case_seed: int):
-    rng = SplitMix64(case_seed)
+def _case_thm2_nec(rng: SplitMix64) -> None:
     if rng.chance(1, 2):
         q = rng.below(2)
         l = rng.between(1, 4)
-        f = gen_harmonic(rng.next_u64(), 3, both_parts_nonconstant=True)
-        return _violation_fail(case_seed, find_witness_pre(f, q, l), f, q, l, post=False)
-    q = rng.between(2, 4)
-    l = rng.between(1, 5)
-    t = min((l - 1) // (q - 1) + rng.between(1, 2), 6)
-    f = gen_analytic(rng.next_u64(), t, exact_degree=True)
-    if rng.chance(1, 2):
-        f = f.conjugate()
-    res = find_witness_pre(f, q, l)
-    err = _violation_fail(case_seed, res, f, q, l, post=False)
-    if err:
-        return err
-    if res.composition_order != t * (q - 1) + 1:
-        return _fail(
-            case_seed,
-            f"q={q} l={l} f={f}",
-            f"composition order exactly {t * (q - 1) + 1}",
-            str(res.composition_order),
-        )
-    return None
+        _check_witness(gen_harmonic(rng.next_u64(), 3, both_parts_nonconstant=True), q, l, post=False)
+    else:
+        q = rng.between(2, 4)
+        l = rng.between(1, 5)
+        t = min((l - 1) // (q - 1) + rng.between(1, 2), 6)
+        _check_split_witness(_split(rng, t, exact_degree=True), t, q, l)
 
 
-def _case_thm3(case_seed: int):
-    rng = SplitMix64(case_seed)
+def _case_thm3(rng: SplitMix64) -> None:
     mode = rng.below(5)
     if mode == 0:
         # (a) sufficiency: analytic or anti-analytic f keeps harmonic outers harmonic
-        f = gen_analytic(rng.next_u64(), 4)
-        if rng.chance(1, 2):
-            f = f.conjugate()
-        outer = gen_harmonic(rng.next_u64(), 4)
-        got = polyharmonic_order(compose(outer, f))
-        if got > 1:
-            return _fail(case_seed, f"outer={outer} f={f}", "order <= 1", str(got))
-        return None
-    if mode == 1:
+        f = _split(rng, 4, exact_degree=False)
+        _check_bound(gen_harmonic(rng.next_u64(), 4), f, 1)
+    elif mode == 1:
         # (a) necessity at l = 1, 2
         l = rng.between(1, 2)
         q = rng.below(2)
@@ -535,67 +520,49 @@ def _case_thm3(case_seed: int):
             f = gen_harmonic(rng.next_u64(), 3, both_parts_nonconstant=True)
         else:
             f = gen_strict_q_harmonic(rng.next_u64(), rng.between(2, 3), 1)
-        return _violation_fail(case_seed, find_witness_pre(f, q, l), f, q, l, post=False)
-    if mode == 2:
+        _check_witness(f, q, l, post=False)
+    elif mode == 2:
         # (b) necessity: only constants survive l = 1
         q = rng.between(2, 4)
         kind = rng.below(3)
-        if kind == 0:
-            f = gen_analytic(rng.next_u64(), rng.between(1, 3), exact_degree=True)
-        elif kind == 1:
-            f = gen_analytic(rng.next_u64(), rng.between(1, 3), exact_degree=True).conjugate()
-        else:
+        if kind == 2:
             f = gen_harmonic(rng.next_u64(), 2, both_parts_nonconstant=True)
-        return _violation_fail(case_seed, find_witness_pre(f, q, 1), f, q, 1, post=False)
-    if mode == 3:
+        else:
+            f = gen_analytic(rng.next_u64(), rng.between(1, 3), exact_degree=True)
+            if kind == 1:
+                f = f.conjugate()
+        _check_witness(f, q, 1, post=False)
+    elif mode == 3:
         # (c) necessity at l = 2
         q = rng.between(2, 4)
         t = 1 // (q - 1) + rng.between(1, 2)
-        f = gen_analytic(rng.next_u64(), t, exact_degree=True)
-        if rng.chance(1, 2):
-            f = f.conjugate()
-        res = find_witness_pre(f, q, 2)
-        err = _violation_fail(case_seed, res, f, q, 2, post=False)
-        if err:
-            return err
-        if res.composition_order != t * (q - 1) + 1:
-            return _fail(case_seed, f"q={q} f={f}", f"order exactly {t * (q - 1) + 1}", str(res.composition_order))
-        return None
-    # (b)/(c) sufficiency: constants, and degree-1 analytic f for q = 2
-    q = rng.between(2, 4)
-    outer = gen_strict_q_harmonic(rng.next_u64(), q, 2)
-    const = _from_parts({(0, 0): rng.coeff_parts()})
-    got = polyharmonic_order(compose(outer, const))
-    if got > 1:
-        return _fail(case_seed, f"outer={outer} f={const}", "constant composition", str(got))
-    linear = gen_analytic(rng.next_u64(), 1, exact_degree=True)
-    outer2 = gen_strict_q_harmonic(rng.next_u64(), 2, 2)
-    got = polyharmonic_order(compose(outer2, linear))
-    if got > 2:
-        return _fail(case_seed, f"outer={outer2} f={linear}", "order <= 2", str(got))
-    return None
+        _check_split_witness(_split(rng, t, exact_degree=True), t, q, 2)
+    else:
+        # (b)/(c) sufficiency: constants, and degree-1 analytic f for q = 2
+        q = rng.between(2, 4)
+        outer = gen_strict_q_harmonic(rng.next_u64(), q, 2)
+        _check_bound(outer, _from_parts({(0, 0): rng.coeff_parts()}), 1)
+        linear = gen_analytic(rng.next_u64(), 1, exact_degree=True)
+        _check_bound(gen_strict_q_harmonic(rng.next_u64(), 2, 2), linear, 2)
 
 
-def _case_prop21(case_seed: int):
-    rng = SplitMix64(case_seed)
+def _case_prop21(rng: SplitMix64) -> None:
     q1 = rng.between(1, 5)
     q2 = 1 + (q1 - 1 + rng.between(1, 4)) % 5
     f = gen_strict_q_harmonic(rng.next_u64(), q1, 2)
     g = gen_strict_q_harmonic(rng.next_u64(), q2, 2)
-    if polyharmonic_order(f) != q1 or polyharmonic_order(g) != q2:
-        return _fail(case_seed, f"f={f} g={g}", f"orders {q1}, {q2}", "generator broke its contract")
+    _check_order("f", f, q1)
+    _check_order("g", g, q2)
     got = polyharmonic_order(f + g)
     if got != max(q1, q2):
-        return _fail(case_seed, f"f={f} g={g}", f"order of sum = {max(q1, q2)}", str(got))
+        raise _CaseFailure(f"f={f} g={g}", f"order of sum = {max(q1, q2)}", str(got))
     h = gen_bipoly(rng.next_u64(), 4)
     ident = BiPoly.z()
     if compose(ident, h) != h or compose(h, ident) != h:
-        return _fail(case_seed, f"h={h}", "identity composition fixes h", "mismatch")
-    return None
+        raise _CaseFailure(f"h={h}", "identity composition fixes h", "mismatch")
 
 
-def _case_prop22(case_seed: int):
-    rng = SplitMix64(case_seed)
+def _case_prop22(rng: SplitMix64) -> None:
     kind = rng.below(4)
     if kind == 0:
         f = gen_bipoly(rng.next_u64(), 4)
@@ -610,20 +577,18 @@ def _case_prop22(case_seed: int):
     rep = classify(f)
     split = rep.is_analytic or rep.is_antianalytic
     if not (obstructions_vanish == product_zero == split):
-        return _fail(
-            case_seed,
+        raise _CaseFailure(
             f"f={f}",
             "a_m vanishing <=> f_z*f_zbar = 0 <=> analytic or anti-analytic",
             f"a_m={obstructions_vanish} product={product_zero} split={split}",
         )
-    return None
 
 
 # The orders the counterexample hunt draws l from unless it is given others.
 DEFAULT_L_VALUES = (3, 4)
 
 
-def _conjecture_case(case_seed: int, l_values: tuple[int, ...]):
+def _conjecture_case(rng: SplitMix64, l_values: tuple[int, ...]) -> None:
     """One exact check of the pre-composition power bound at q <= 1.
 
     Draws f of order >= 2 (hence neither analytic nor anti-analytic) and
@@ -641,23 +606,19 @@ def _conjecture_case(case_seed: int, l_values: tuple[int, ...]):
     conj only reflects a support, so when every power stays within order
     l, so does every such composition.
     """
-    rng = SplitMix64(case_seed)
     l = l_values[rng.below(len(l_values))]
     q = rng.between(2, 4)
     f = gen_strict_q_harmonic(rng.next_u64(), q, rng.between(1, 2))
-    order = polyharmonic_order(f)
-    if order != q:
-        return _fail(case_seed, f"f={f}", f"generator order {q}", str(order))
+    _check_order("f", f, q)
     if has_off_axis_vertex(f):
-        return None
+        return
     max_m = 2 * l
     power = BiPoly.one()
     for _ in range(max_m):
         power = mul(power, f)
         if polyharmonic_order(power) > l:
-            return None
-    return _fail(
-        case_seed,
+            return
+    raise _CaseFailure(
         f"l={l} f={canonical_print(f)}",
         f"some harmonic outer mapping of degree <= {max_m} with composition order > l",
         f"every power f^m, m = 1..{max_m}, stayed within order {l}",
@@ -674,7 +635,7 @@ _SUITES = {
     "thm3": (_case_thm3, 200),
     "prop21": (_case_prop21, 500),
     "prop22": (_case_prop22, 500),
-    "conjecture_search": (lambda case_seed: _conjecture_case(case_seed, DEFAULT_L_VALUES), 2000),
+    "conjecture_search": (lambda rng: _conjecture_case(rng, DEFAULT_L_VALUES), 2000),
 }
 
 SUITE_NAMES = tuple(sorted(_SUITES))
@@ -711,22 +672,24 @@ def run_conjecture_search(seed: int, cases: int, l_values: tuple[int, ...] = DEF
     if not l_values:
         raise ValueError("l_values must name at least one order")
     for l in l_values:
-        if not isinstance(l, int) or l < 1:
-            raise ValueError("l must be a positive integer")
-    return _run_cases(
-        "conjecture_search", lambda case_seed: _conjecture_case(case_seed, tuple(l_values)), seed, cases
-    )
+        _require_params(0, l)
+    l_values = tuple(l_values)
+    return _run_cases("conjecture_search", lambda rng: _conjecture_case(rng, l_values), seed, cases)
 
 
 def _run_case(case_fn, case_seed: int):
+    """Run case_fn on the draw stream of case_seed; its error triple, or None.
+
+    The one place a failure gets its case_seed=N prefix, whether a check
+    raised _CaseFailure or a witness search raised InternalInconsistency.
+    """
     try:
-        return case_fn(case_seed)
+        case_fn(SplitMix64(case_seed))
+    except _CaseFailure as exc:
+        context, expected, got = exc.args
+        return (f"case_seed={case_seed} {context}", expected, got)
     except InternalInconsistency as exc:
-        return (
-            f"case_seed={case_seed}",
-            "witness search must succeed",
-            f"InternalInconsistency: {exc}",
-        )
+        return (f"case_seed={case_seed}", "witness search must succeed", f"InternalInconsistency: {exc}")
 
 
 def _run_cases(name: str, case_fn, seed: int, cases: int) -> SuiteReport:

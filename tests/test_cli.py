@@ -194,6 +194,16 @@ def test_conjecture_l_validation(capsys):
     assert code == 2 and out == "" and "argument --l: must be a positive integer" in err
 
 
+def test_conjecture_l_is_at_most_40(capsys):
+    # Each power-loop case builds up to 2l powers of f, so a large l would hang.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "conjecture", "--l", "41")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and "argument --l: must be at most 40" in err
+    code, out, _ = run_cli(capsys, "conjecture", "--l", "40", "--cases", "1")
+    assert code == 0 and "l_values: 40\n" in out and "failures: 0\n" in out
+
+
 def test_conjecture_multi_valued_l(capsys):
     default = run_cli(capsys, "conjecture", "--cases", "20", "--json")
     assert run_cli(capsys, "conjecture", "--l", "3", "4", "--cases", "20", "--json") == default
@@ -233,9 +243,13 @@ def test_every_suite_runs_its_table_count_unless_cases_is_given(capsys, monkeypa
 
 def test_verify_all_reports_first_failure_and_exits_1(capsys, monkeypatch):
     import polyharm.theorems as theorems
+    from polyharm.gen import spawn
 
-    failure = ("case_seed=1 f=z", "order 1", "2")
-    monkeypatch.setitem(theorems._SUITES, "prop21", (lambda case_seed: failure, 500))
+    def fails(rng):
+        raise theorems._CaseFailure("f=z", "order 1", "2")
+
+    failure = (f"case_seed={spawn(0, 0)} f=z", "order 1", "2")
+    monkeypatch.setitem(theorems._SUITES, "prop21", (fails, 500))
     code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--cases", "2")
     assert code == 1
     assert "prop21               cases=2      failures=2    FAIL\n" f"  first failure: {failure}\n" in out
@@ -252,10 +266,11 @@ def test_verify_case_seed_replays_the_suites_first_failure(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "--suite", "thm1_suff", "--case-seed", str(case_seed))
     assert (code, out, err) == (0, f"suite: thm1_suff\ncase_seed: {case_seed}\nfailures: 0\n", "")
 
-    def fails_on_odd_seeds(case_seed):
-        return (f"case_seed={case_seed} f=z", "order 1", "2") if case_seed % 2 else None
+    def fails_on_half_the_seeds(rng):
+        if rng.below(2):
+            raise theorems._CaseFailure("f=z", "order 1", "2")
 
-    monkeypatch.setitem(theorems._SUITES, "prop21", (fails_on_odd_seeds, 500))
+    monkeypatch.setitem(theorems._SUITES, "prop21", (fails_on_half_the_seeds, 500))
     code, out, _ = run_cli(capsys, "verify", "--suite", "prop21", "--seed", "3", "--cases", "20")
     assert code == 1
     failure_lines = out.splitlines()[4:]

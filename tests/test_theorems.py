@@ -1,9 +1,13 @@
+import itertools
+import json
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
 from polyharm.bipoly import BiPoly, GaussianRational, canonical_print, compose, mul
+from polyharm.cli import main
 from polyharm.classify import classify, is_strictly_q_harmonic
 from polyharm.errors import NotAnalytic, NotApplicable, UnknownSuite
 from polyharm.gen import SplitMix64, gen_analytic, gen_bipoly, gen_harmonic, gen_strict_q_harmonic, spawn
@@ -15,6 +19,7 @@ from polyharm.theorems import (
     WitnessResult,
     _check_violation,
     _conjecture_case,
+    _run_case,
     a_m,
     allowed_form_post,
     allowed_form_pre,
@@ -152,24 +157,112 @@ def test_check_violation_error_triples():
     )
 
 
+def _forged_verdict(real):
+    return lambda f, q, l: WitnessResult(COMPLIANT, None, None, l, "")
+
+
+def _order_6(real):
+    return lambda seed, q, degree: Z**5 * ZBAR**5
+
+
+def _order_6_on_every_second_call(real):
+    # prop21 draws f, then g: every second call draws g.
+    calls = itertools.count()
+    return lambda seed, q, degree: Z**5 * ZBAR**5 if next(calls) % 2 else real(seed, q, degree)
+
+
+def _one_order_higher(real):
+    return lambda outer, inner: mul(real(outer, inner), Z * ZBAR)
+
+
+def _not_harmonic(real):
+    return lambda seed, degree, both_parts_nonconstant=False: Z**2 * ZBAR
+
+
+def _one_degree_higher(real):
+    return lambda rng, degree, exact_degree: real(rng, degree + 1, exact_degree)
+
+
+def _forced(name, target, patch, context, expected, got, test_id=None):
+    return pytest.param(name, target, patch, context, expected, got, id=test_id or f"{name}-{target}")
+
+
 @pytest.mark.parametrize(
-    "name, search",
-    [("thm1_nec", "find_witness_post"), ("thm2_nec", "find_witness_pre"), ("thm3", "find_witness_pre")],
+    "name, target, patch, context, expected, got",
+    [
+        # the witness check
+        _forced("thm1_nec", "find_witness_post", _forged_verdict, "q=", "verdict Violation", COMPLIANT),
+        _forced("thm2_nec", "find_witness_pre", _forged_verdict, "q=", "verdict Violation", COMPLIANT),
+        _forced("thm3", "find_witness_pre", _forged_verdict, "q=", "verdict Violation", COMPLIANT),
+        # the order check
+        _forced("thm1_suff", "gen_strict_q_harmonic", _order_6, "inner=z^5*zbar^5", "generator order [2-4]", "6"),
+        _forced("thm2_suff", "gen_strict_q_harmonic", _order_6, "outer=z^5*zbar^5", "generator order [2-4]", "6"),
+        _forced("prop21", "gen_strict_q_harmonic", _order_6, "f=z^5*zbar^5", "generator order [1-5]", "6"),
+        _forced(
+            "prop21", "gen_strict_q_harmonic", _order_6_on_every_second_call, "g=z^5*zbar^5",
+            "generator order [1-5]", "6", test_id="prop21-gen_strict_q_harmonic-g",
+        ),
+        _forced(
+            "conjecture_search", "gen_strict_q_harmonic", _order_6, "f=z^5*zbar^5", "generator order [2-4]", "6"
+        ),
+        # the bound check
+        _forced("thm1_suff", "compose", _one_order_higher, "outer=", r"order <= 1", r"[2-9]"),
+        _forced("thm2_suff", "compose", _one_order_higher, "outer=", r"order <= \d+", r"\d+"),
+        _forced("thm3", "gen_harmonic", _not_harmonic, "outer=z^2*zbar inner=", r"order <= 1", r"[2-9]"),
+        # the exact composition order for split f
+        _forced("thm2_nec", "_split", _one_degree_higher, "q=", r"composition order exactly \d+", r"\d+"),
+        _forced("thm3", "_split", _one_degree_higher, "q=", r"composition order exactly \d+", r"\d+"),
+    ],
 )
-def test_forged_witness_failure_names_its_case_seed(monkeypatch, name, search):
+def test_forged_witness_failure_names_its_case_seed(monkeypatch, capsys, name, target, patch, context, expected, got):
+    # A forced failure of each check that a suite makes starts with the
+    # case seed that replays it, in the API and in the CLI.
     import polyharm.theorems as theorems
 
-    monkeypatch.setattr(theorems, search, lambda f, q, l: WitnessResult(COMPLIANT, None, None, l, ""))
+    monkeypatch.setattr(theorems, target, patch(getattr(theorems, target)))
     report = run_suite(name, 0, 20)
     assert report.failures > 0
-    context, expected, got = report.first_failure
-    assert (expected, got) == ("verdict Violation", COMPLIANT)
-    prefix, _ = context.split(" ", 1)
-    assert prefix.startswith("case_seed=")
+    first = report.first_failure
+    prefix, rest = first[0].split(" ", 1)
+    assert prefix.startswith("case_seed=") and rest.startswith(context), first
+    assert re.fullmatch(expected, first[1]) and re.fullmatch(got, first[2]), first
     case_seed = int(prefix.removeprefix("case_seed="))
     assert case_seed in {spawn(0, index) for index in range(20)}
-    case_fn, _ = theorems._SUITES[name]
-    assert case_fn(case_seed) == report.first_failure
+    assert replay_case(name, case_seed) == first
+    assert main(["verify", "--suite", name, "--case-seed", str(case_seed), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["first_failure"] == dict(zip(("input", "expected", "got"), first))
+
+
+def test_passing_cases_build_no_failure_text(monkeypatch):
+    # A passing case prints no mapping, except for the context that
+    # _check_violation builds for each witness it re-verifies.
+    import polyharm.bipoly as bipoly
+    import polyharm.theorems as theorems
+
+    prints, checks = [], []
+
+    def counted_print(f):
+        prints.append(f)
+        return canonical_print(f)
+
+    real_check = theorems._check_violation
+
+    def counted_check(*args, **kwargs):
+        checks.append(args)
+        return real_check(*args, **kwargs)
+
+    monkeypatch.setattr(bipoly, "canonical_print", counted_print)
+    monkeypatch.setattr(theorems, "canonical_print", counted_print)
+    monkeypatch.setattr(theorems, "_check_violation", counted_check)
+    rechecks = {"thm1_nec": 600, "thm2_nec": 200, "thm3": 122}
+    for name, cases in theorems.DEFAULT_CASES.items():
+        prints.clear()
+        checks.clear()
+        assert run_suite(name, 0, cases).failures == 0
+        assert len(prints) == len(checks) == rechecks.get(name, 0), name
+    prints.clear()
+    assert run_conjecture_search(0, 5000).failures == 0
+    assert prints == []
 
 
 def test_find_witness_post_not_applicable():
@@ -751,7 +844,7 @@ def test_conjecture_case_matches_the_plain_power_loop(monkeypatch):
         for l_values in (DEFAULT_L_VALUES, (5,)):
             expected, powers, f = _power_loop_case(case_seed, l_values)
             built.clear()
-            assert _conjecture_case(case_seed, l_values) == expected
+            assert _run_case(lambda rng: _conjecture_case(rng, l_values), case_seed) == expected
             # A case with a vertex off the axes builds no power; one with
             # every vertex on an axis builds exactly the powers the plain
             # loop builds.
@@ -772,7 +865,7 @@ def test_conjecture_case_rechecks_the_generator_order(monkeypatch):
     rng = SplitMix64(case_seed)
     rng.below(len(DEFAULT_L_VALUES))
     q = rng.between(2, 4)
-    assert _conjecture_case(case_seed, DEFAULT_L_VALUES) == (
+    assert _run_case(lambda rng: _conjecture_case(rng, DEFAULT_L_VALUES), case_seed) == (
         f"case_seed={case_seed} f=z^5*zbar^5",
         f"generator order {q}",
         "6",
