@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from polyharm import theorems
 from polyharm.classify import classify
 from polyharm.gen import (
     COEFF_LIMIT,
@@ -99,7 +100,8 @@ def test_coefficient_bounds():
 
 # --- pinned outputs ------------------------------------------------------------
 # SHA-256 digests of the generators' outputs and of the raw draw streams,
-# recorded before the draws were inlined.  Any change to a draw, to its
+# recorded before the draws were inlined (the max_degree 1 and per-suite
+# digests: before each analytic part was drawn in one frame).  Any change to a draw, to its
 # order or to the normal form of a generated mapping changes a digest.
 
 
@@ -123,6 +125,12 @@ _GENERATORS = {
     "strict_q2": lambda s: gen_strict_q_harmonic(s, 2, 2),
     "strict_q3": lambda s: gen_strict_q_harmonic(s, 3, 2),
     "strict_q4": lambda s: gen_strict_q_harmonic(s, 4, 2),
+    # The hunt draws max_degree from 1 to 2.
+    "analytic_deg1": lambda s: gen_analytic(s, 1),
+    "harmonic_deg1": lambda s: gen_harmonic(s, 1),
+    "strict_q2_deg1": lambda s: gen_strict_q_harmonic(s, 2, 1),
+    "strict_q3_deg1": lambda s: gen_strict_q_harmonic(s, 3, 1),
+    "strict_q4_deg1": lambda s: gen_strict_q_harmonic(s, 4, 1),
 }
 
 _GENERATOR_DIGESTS = {
@@ -136,12 +144,51 @@ _GENERATOR_DIGESTS = {
     "strict_q2": "58dd634cf1ac1f7df86ea7bd6c876137a0ea1d995f79cb246fcc80ec22cd6f7b",
     "strict_q3": "0a5d1fa12dd86d8168c87c7965cdb594d2a09446c374589dadfd1283c27998bd",
     "strict_q4": "610c0a6068f095f7223d19dfea4115b6616ae9d3760bf1f5bcf110e230ccd64b",
+    "analytic_deg1": "ba16d87369bb1543893b4e584982e3c138d46fd1065ab6b478c7a75c6bd1e001",
+    "harmonic_deg1": "099cfa881afe1d373005be167deaa9a86447cd6f39555ae55cf62febf1157740",
+    "strict_q2_deg1": "ce9c7a559d594758136db1a842f33eb470401b9ef1d71cf887abdfe98991f550",
+    "strict_q3_deg1": "87226e27a5064fa19b814c8fa5277b5795b1866426da9c3edd912f276163fa39",
+    "strict_q4_deg1": "694c798e5e7bba0163ed9b1c34dc958fae3c3c1c4c924ebcbecb5b45efc824b7",
 }
 
 
 @pytest.mark.parametrize("name", sorted(_GENERATORS))
 def test_generator_outputs_are_pinned(name):
     assert _poly_digest(map(_GENERATORS[name], _SEEDS)) == _GENERATOR_DIGESTS[name]
+
+
+_SUITE_DIGESTS = {
+    "conjecture_search": "55f92b06320aef91fda2c1e9ae8815cb31bc83e86f10b2fdc5f5eea07e9d9163",
+    "prop21": "fd1a75ca7a3aa624097acbbf146d77be6278fb22f0add570ef8b37d0e8e940c0",
+    "prop22": "84a7b1075ae0d4e343f164f4a5aa648e32d635c73cbbc7e7de9b407e1a7c21ab",
+    "thm1_nec": "fefbdcd1b9d8a7640f3dfe06a450a29c1883a192bad05681cd4db3393411288b",
+    "thm1_suff": "87e75b063143c7c91035782491f94f17462c92d41cd4ddf384b502c64cc367b9",
+    "thm2_nec": "497317abb5edcfaf296fa1d998958820a1a29aec9282389c46b6e45638155b10",
+    "thm2_suff": "182832dcb25d46b71a24724db4ac05484048f9fa1a38c5d76b057b0ce9fd9727",
+    "thm3": "89764694fe84077b019f4283e3ef3bfb81bee208a1326601df3975d7097e09d6",
+}
+
+
+@pytest.mark.parametrize("name", theorems.SUITE_NAMES)
+def test_suite_mappings_are_pinned(name, monkeypatch):
+    # Every mapping a suite generates, in draw order, through the gen_*
+    # names theorems imports.
+    generated = []
+
+    def recording(gen):
+        def wrapper(*args, **kwargs):
+            f = gen(*args, **kwargs)
+            generated.append(f)
+            return f
+
+        return wrapper
+
+    for gen_name in ("gen_analytic", "gen_bipoly", "gen_harmonic", "gen_strict_q_harmonic"):
+        monkeypatch.setattr(theorems, gen_name, recording(getattr(theorems, gen_name)))
+    report = theorems.run_suite(name, 5, 40)
+    assert report.failures == 0
+    assert generated
+    assert _poly_digest(generated) == _SUITE_DIGESTS[name]
 
 
 def _stream(seed: int) -> list:
