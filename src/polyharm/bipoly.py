@@ -15,10 +15,11 @@ Two mappings are therefore equal exactly when their numerator maps and
 denominators are equal.  |z|^(2k) is the term (k, k) with coefficient 1;
 the degrees of the zero mapping are 0 by convention.
 
-``_from_parts`` is the one builder from coefficient parts {(i, j): (re, im,
+``_from_parts`` builds a mapping from coefficient parts {(i, j): (re, im,
 den)} with distinct keys: one lcm, one scaling pass and one gcd pass.
-BiPoly(...), the generators and the Almansi recomposition all use it.  A
-product with a scalar is ``_shift`` with no key shift.
+BiPoly(...), gen_bipoly and the Almansi recomposition use it; gen_analytic
+and gen_harmonic scale their draw lists to one lcm and reduce them with
+``_collect``.  A product with a scalar is ``_shift`` with no key shift.
 
 Identities cost nothing: a sum with the zero mapping returns the other
 operand, and a product with the unit monomial 1 (``_shift`` at (0, 0) by

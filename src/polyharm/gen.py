@@ -2,20 +2,22 @@
 
 All randomness flows through a splitmix-style 64-bit stream driven by pure
 integer arithmetic, so identical (seed, parameters) give identical output
-on every platform.  Each draw steps and mixes the state inline, in one
-Python frame, and the generators build their numerator maps directly from
-the drawn integers.  tests/test_gen.py pins the draw streams and the
-generated mappings by SHA-256 digest.  Coefficient numerators and
-denominators are bounded by 16 to keep exact arithmetic tame through
-degree-8 compositions.
+on every platform.  Each draw steps and mixes the state inline.  One
+analytic part is drawn in one Python frame: its degree, every coin and
+every coefficient, with the redraw of a zero leading one.  A harmonic
+mapping h + conj(g) is built from its two parts' draw lists over one lcm.
+tests/test_gen.py pins the draw streams and the generated mappings by
+SHA-256 digest.  Coefficient numerators and denominators are bounded by
+16 to keep exact arithmetic tame through degree-8 compositions.
 
 Generated instances are never trusted by the suites: class membership is
 re-verified through the classify/wirtinger oracles at the point of use.
 """
 
 from fractions import Fraction
+from math import lcm
 
-from .bipoly import BiPoly, GaussianRational, _from_parts, _part_sum
+from .bipoly import BiPoly, GaussianRational, _collect, _from_parts
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -45,6 +47,7 @@ class SplitMix64:
 
     # Every draw steps the state and mixes it inline: one Python frame per
     # draw (per coefficient in coeff_parts), the same values as _mix(state).
+    # An empty range raises ValueError before the state moves.
 
     def next_u64(self) -> int:
         x = self._state = (self._state + _GAMMA) & _MASK
@@ -53,18 +56,24 @@ class SplitMix64:
         return x ^ (x >> 31)
 
     def below(self, n: int) -> int:
+        if n < 1:
+            raise ValueError("n must be positive")
         x = self._state = (self._state + _GAMMA) & _MASK
         x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
         return (x ^ (x >> 31)) % n
 
     def between(self, lo: int, hi: int) -> int:
+        if hi < lo:
+            raise ValueError("hi must be at least lo")
         x = self._state = (self._state + _GAMMA) & _MASK
         x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
         return lo + (x ^ (x >> 31)) % (hi - lo + 1)
 
     def chance(self, num: int, den: int) -> bool:
+        if den < 1:
+            raise ValueError("den must be positive")
         x = self._state = (self._state + _GAMMA) & _MASK
         x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
@@ -82,6 +91,8 @@ class SplitMix64:
         1/2 and is 0 otherwise.  With nonzero=True a zero value is redrawn.
         No Fraction is built.
         """
+        if limit < 1:
+            raise ValueError("limit must be positive")
         # The draws of between(-limit, limit), between(1, limit),
         # chance(1, 2) and, when it is true, two more betweens, each stepped
         # and mixed inline: one Python frame per coefficient.
@@ -118,23 +129,93 @@ def gen_bipoly(seed: int, max_degree: int) -> BiPoly:
     return _from_parts(terms)
 
 
-def _analytic_draws(seed: int, max_degree: int, exact_degree: bool) -> dict:
-    """gen_analytic's draws as {(n, 0): (re, im, den)}, before bipoly._from_parts."""
+def _analytic_draws(seed: int, max_degree: int, exact_degree: bool) -> list:
+    """gen_analytic's draws as [(n, re, im, den)] for increasing n, meaning (re + im*i)/den * z^n.
+
+    The draws are SplitMix64(seed)'s: the degree as between(0, max_degree)
+    unless it is exact, then for each n below it a chance(5, 8) coin and,
+    when it comes up, coeff_parts(); then the leading coeff_parts(nonzero=True),
+    redrawn while it is zero.  A zero value drawn below the degree is kept.
+    Each draw steps and mixes the state inline, so one analytic part is
+    drawn in one Python frame.
+    """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    rng = SplitMix64(seed)
-    degree = max_degree if exact_degree else rng.between(0, max_degree)
-    terms = {}
-    for n in range(degree):
-        if rng.chance(5, 8):
-            terms[(n, 0)] = rng.coeff_parts()
-    terms[(degree, 0)] = rng.coeff_parts(nonzero=True)
-    return terms
+    state = seed & _MASK
+    if exact_degree:
+        degree = max_degree
+    else:
+        state = (state + _GAMMA) & _MASK
+        x = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+        degree = (x ^ (x >> 31)) % (max_degree + 1)
+    draws = []
+    n = 0
+    while True:
+        if n < degree:
+            state = (state + _GAMMA) & _MASK
+            x = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+            x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+            if (x ^ (x >> 31)) % 8 >= 5:  # chance(5, 8) is false: no term at z^n
+                n += 1
+                continue
+        # coeff_parts(): re over den, then a coin for an imaginary part im
+        # over im_den, which a draw of 1 leaves out.
+        state = (state + _GAMMA) & _MASK
+        x = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+        re = (x ^ (x >> 31)) % (2 * COEFF_LIMIT + 1) - COEFF_LIMIT
+        state = (state + _GAMMA) & _MASK
+        x = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+        den = (x ^ (x >> 31)) % COEFF_LIMIT + 1
+        state = (state + _GAMMA) & _MASK
+        x = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+        if (x ^ (x >> 31)) % 2:
+            im = 0
+        else:
+            state = (state + _GAMMA) & _MASK
+            x = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+            x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+            im = (x ^ (x >> 31)) % (2 * COEFF_LIMIT + 1) - COEFF_LIMIT
+            state = (state + _GAMMA) & _MASK
+            x = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+            x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+            im_den = (x ^ (x >> 31)) % COEFF_LIMIT + 1
+            re, im, den = re * im_den, im * den, den * im_den
+        if n < degree or re or im:
+            draws.append((n, re, im, den))
+            if n == degree:
+                return draws
+            n += 1
+
+
+def _harmonic_from_draws(h: list, g: list) -> BiPoly:
+    """h + conj(g) from two _analytic_draws lists, over one lcm of their denominators.
+
+    g's values move to the keys (0, n), conjugated.  Only the two constants
+    share a key, (0, 0), where they are summed, in h's place if h drew one;
+    a value that is zero, or a sum that cancels, is dropped.
+    """
+    den = lcm(*[d for _, _, _, d in h], *[d for _, _, _, d in g])
+    num = {}
+    for n, re, im, d in h:
+        scale = den // d
+        num[(n, 0)] = (re * scale, im * scale)
+    for n, re, im, d in g:
+        scale = den // d
+        if n or (0, 0) not in num:
+            num[(0, n)] = (re * scale, -im * scale)
+        else:
+            h_re, h_im = num[(0, 0)]
+            num[(0, 0)] = (h_re + re * scale, h_im - im * scale)
+    return _collect(num, den)
 
 
 def gen_analytic(seed: int, max_degree: int, *, exact_degree: bool = False) -> BiPoly:
     """Random analytic polynomial; the leading coefficient is forced nonzero."""
-    return _from_parts(_analytic_draws(seed, max_degree, exact_degree))
+    return _harmonic_from_draws(_analytic_draws(seed, max_degree, exact_degree), [])
 
 
 def gen_harmonic(
@@ -146,10 +227,9 @@ def gen_harmonic(
 ) -> BiPoly:
     """Random harmonic mapping h + conj(g) with h, g analytic.
 
-    h and g are drawn as gen_analytic draws them, and h + conj(g) is built
-    from both draw sets in one bipoly._from_parts pass: the draws of g move to the
-    keys (0, n) with conjugated values, and only the two constant draws
-    share a key, (0, 0), where they are summed.
+    h and g are drawn as gen_analytic draws them, each in one frame, and
+    h + conj(g) is built from the two draw lists over one lcm
+    (_harmonic_from_draws).
 
     With both_parts_nonconstant=True, both h and g get degree >= 1, so the
     result is neither analytic nor anti-analytic.
@@ -159,17 +239,12 @@ def gen_harmonic(
     rng = SplitMix64(seed)
     if both_parts_nonconstant:
         top = max(1, max_degree)
-        terms = _analytic_draws(rng.next_u64(), rng.between(1, top), True)
-        g_terms = _analytic_draws(rng.next_u64(), rng.between(1, top), True)
+        h = _analytic_draws(rng.next_u64(), rng.between(1, top), True)
+        g = _analytic_draws(rng.next_u64(), rng.between(1, top), True)
     else:
-        terms = _analytic_draws(rng.next_u64(), max_degree, False)
-        g_terms = _analytic_draws(rng.next_u64(), max_degree, False)
-    for (n, _), (re, im, den) in g_terms.items():
-        if n or (0, 0) not in terms:
-            terms[(0, n)] = (re, -im, den)
-        else:
-            terms[(0, 0)] = _part_sum(terms[(0, 0)], (re, -im, den))
-    f = _from_parts(terms)
+        h = _analytic_draws(rng.next_u64(), max_degree, False)
+        g = _analytic_draws(rng.next_u64(), max_degree, False)
+    f = _harmonic_from_draws(h, g)
     if nonzero and f.is_zero:
         f = f + BiPoly.one()
     return f

@@ -100,9 +100,10 @@ def test_coefficient_bounds():
 
 # --- pinned outputs ------------------------------------------------------------
 # SHA-256 digests of the generators' outputs and of the raw draw streams,
-# recorded before the draws were inlined (the max_degree 1 and per-suite
-# digests: before each analytic part was drawn in one frame).  Any change to a draw, to its
-# order or to the normal form of a generated mapping changes a digest.
+# recorded before the draws were inlined; the max_degree 1 and per-suite
+# digests, before each analytic part was drawn in one frame.  Any change to
+# a draw, to its order or to the normal form of a generated mapping changes
+# a digest.
 
 
 def _poly_digest(polys) -> str:
@@ -219,3 +220,24 @@ def test_draw_streams_are_pinned():
 def test_negative_max_degree_is_rejected(gen):
     with pytest.raises(ValueError, match="max_degree must be nonnegative"):
         gen(1, -1)
+
+
+_EMPTY_RANGES = {
+    "coeff_parts(-3)": (lambda rng: rng.coeff_parts(-3), "limit must be positive"),
+    "coeff_parts(0)": (lambda rng: rng.coeff_parts(0), "limit must be positive"),
+    "below(0)": (lambda rng: rng.below(0), "n must be positive"),
+    "below(-2)": (lambda rng: rng.below(-2), "n must be positive"),
+    "between(3, 1)": (lambda rng: rng.between(3, 1), "hi must be at least lo"),
+    "between(3, 2)": (lambda rng: rng.between(3, 2), "hi must be at least lo"),
+    "chance(1, 0)": (lambda rng: rng.chance(1, 0), "den must be positive"),
+}
+
+
+@pytest.mark.parametrize("name", _EMPTY_RANGES)
+def test_empty_draw_ranges_are_rejected(name):
+    draw, message = _EMPTY_RANGES[name]
+    rng = SplitMix64(1)
+    with pytest.raises(ValueError, match=message):
+        draw(rng)
+    # The stream did not move.
+    assert rng.next_u64() == SplitMix64(1).next_u64()
