@@ -126,6 +126,14 @@ def test_invalid_exponents_rejected():
         BiPoly({(-1, 0): 1})
 
 
+def test_a_bad_key_is_reported_before_a_bad_coefficient():
+    # The key is checked first, so a term wrong in both ways is a ValueError.
+    with pytest.raises(ValueError, match="exponents must be nonnegative integers"):
+        BiPoly({(-1, 0): object()})
+    with pytest.raises(TypeError, match="coefficient must be rational-like"):
+        BiPoly({(1, 0): object()})
+
+
 # --- mul ----------------------------------------------------------------------
 
 

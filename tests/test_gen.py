@@ -1,12 +1,18 @@
 import hashlib
+from itertools import count
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given
 
 from polyharm import theorems
 from polyharm.classify import classify
 from polyharm.gen import (
+    _GAMMA,
+    _MASK,
     COEFF_LIMIT,
     SplitMix64,
+    _mix,
     gen_analytic,
     gen_bipoly,
     gen_harmonic,
@@ -241,3 +247,66 @@ def test_empty_draw_ranges_are_rejected(name):
         draw(rng)
     # The stream did not move.
     assert rng.next_u64() == SplitMix64(1).next_u64()
+
+
+# --- the draw methods against _mix alone ----------------------------------------
+# The k-th draw of SplitMix64(seed), k = 1, 2, ..., is _mix((seed + k*_GAMMA) & _MASK).
+# Each method is restated on that stream, and after every call the next raw
+# draws of both must agree, so a method that takes one draw too many or too
+# few is caught too.
+
+
+def _mix_draws(seed: int):
+    return (_mix((seed + k * _GAMMA) & _MASK) for k in count(1))
+
+
+def _reference_coeff_parts(draws, limit: int, nonzero: bool) -> tuple[int, int, int]:
+    while True:
+        re = next(draws) % (2 * limit + 1) - limit
+        den = next(draws) % limit + 1
+        im, im_den = 0, 1
+        if next(draws) % 2 == 0:  # chance(1, 2): an imaginary part is drawn
+            im = next(draws) % (2 * limit + 1) - limit
+            im_den = next(draws) % limit + 1
+        if re or im or not nonzero:
+            return re * im_den, im * den, den * im_den
+
+
+_REFERENCE = {
+    "below": lambda draws, n: next(draws) % n,
+    "between": lambda draws, lo, hi: lo + next(draws) % (hi - lo + 1),
+    "chance": lambda draws, num, den: next(draws) % den < num,
+    "unit": lambda draws: next(draws) / 2**64,
+    "coeff_parts": _reference_coeff_parts,
+}
+
+_any_seeds = st.integers(-(2**70), 2**70)
+
+_calls = st.one_of(
+    st.tuples(st.just("below"), st.integers(1, 2**70)),
+    # Negative lo, and ranges past 2^64.
+    st.builds(lambda lo, width: ("between", lo, lo + width), st.integers(-(2**70), 2**70), st.integers(0, 2**70)),
+    # num <= 0 is never true and num >= den always.
+    st.tuples(st.just("chance"), st.integers(-4, 20), st.integers(1, 16)),
+    st.tuples(st.just("unit")),
+    st.tuples(st.just("coeff_parts"), st.integers(1, 40), st.booleans()),
+)
+
+
+@given(seed=_any_seeds, calls=st.lists(_calls, max_size=12))
+@example(seed=0, calls=[("between", -3, 3), ("between", 0, 2**64), ("chance", 0, 2), ("chance", 2, 2)])
+def test_draw_methods_match_the_mix_reference(seed, calls):
+    rng, draws = SplitMix64(seed), _mix_draws(seed)
+    for name, *args in calls:
+        assert getattr(rng, name)(*args) == _REFERENCE[name](draws, *args), (name, args)
+        assert rng.next_u64() == next(draws)
+
+
+@given(seed=_any_seeds, limit=st.integers(1, 40), nonzero=st.booleans())
+@example(seed=0, limit=1, nonzero=True)  # a zero value, redrawn, in about 2 of 9 calls
+@example(seed=0, limit=40, nonzero=False)
+def test_coeff_parts_matches_the_mix_reference(seed, limit, nonzero):
+    rng, draws = SplitMix64(seed), _mix_draws(seed)
+    for _ in range(64):
+        assert rng.coeff_parts(limit, nonzero) == _reference_coeff_parts(draws, limit, nonzero)
+        assert rng.next_u64() == next(draws)
