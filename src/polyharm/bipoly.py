@@ -15,11 +15,12 @@ Two mappings are therefore equal exactly when their numerator maps and
 denominators are equal.  |z|^(2k) is the term (k, k) with coefficient 1;
 the degrees of the zero mapping are 0 by convention.
 
-``_from_parts`` builds a mapping from coefficient parts {(i, j): (re, im,
-den)} with distinct keys: one lcm, one scaling pass and one gcd pass.
-BiPoly(...), gen_bipoly and the Almansi recomposition use it; gen_analytic
-and gen_harmonic scale their draw lists to one lcm and reduce them with
-``_collect``.  A product with a scalar is ``_shift`` with no key shift.
+``_from_parts`` builds a mapping from ((i, j), (re, im, den)) items: one
+lcm, one scaling pass that sums the values of a repeated key, and one gcd
+pass.  BiPoly(...), gen_bipoly and the Almansi recomposition use it;
+gen_analytic and gen_harmonic scale their draw lists to one lcm and
+reduce them with ``_collect``.  A product with a scalar is ``_shift``
+with no key shift.
 
 Identities cost nothing: a sum with the zero mapping returns the other
 operand, and a product with the unit monomial 1 (``_shift`` at (0, 0) by
@@ -164,13 +165,13 @@ class BiPoly:
 
     def __init__(self, terms: Mapping | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        parts: dict = {}
+        parts = []
         for key, coeff in items:
             key = _exponents(key)
             c = _scalar_parts(coeff)
             if c is None:
                 raise TypeError(f"coefficient must be rational-like, got {coeff!r}")
-            parts[key] = _part_sum(parts[key], c) if key in parts else c
+            parts.append((key, c))
         f = _from_parts(parts)
         self._num = f._num
         self._den = f._den
@@ -358,21 +359,21 @@ def _collect(out: dict, den: int) -> BiPoly:
     return _reduced({key: (re, im) for key, (re, im) in out.items() if re or im}, den)
 
 
-def _from_parts(terms: dict) -> BiPoly:
-    """BiPoly of {(i, j): (re, im, den)} for distinct keys and den > 0; zero values are dropped."""
-    den = lcm(*(d for _, _, d in terms.values()))
-    num = {}
-    for key, (re, im, d) in terms.items():
-        if re or im:
-            scale = den // d
-            num[key] = (re * scale, im * scale)
-    return _reduced(num, den)
+def _from_parts(items) -> BiPoly:
+    """BiPoly of ((i, j), (re, im, den)) items with den > 0: dict items or a list.
 
-
-def _part_sum(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
-    """The sum of two (re, im, den) parts, over the product of their denominators."""
-    (r1, i1, d1), (r2, i2, d2) = a, b
-    return r1 * d2 + r2 * d1, i1 * d2 + i2 * d1, d1 * d2
+    The values of a repeated key are summed over one lcm; zero sums are dropped.
+    """
+    den = lcm(*(d for _, (_, _, d) in items))
+    out = {}
+    for key, (re, im, d) in items:
+        scale = den // d
+        if key in out:
+            s_re, s_im = out[key]
+            out[key] = (s_re + re * scale, s_im + im * scale)
+        else:
+            out[key] = (re * scale, im * scale)
+    return _collect(out, den)
 
 
 def _scalar_parts(value) -> "tuple[int, int, int] | None":

@@ -50,12 +50,20 @@ def _positive_int(text: str) -> int:
 # axis builds up to 2l powers of f, so the worst case grows steeply with l.
 MAX_HUNT_L = 40
 
+# fdcheck --points limit: time and memory grow linearly with the count.
+MAX_FD_POINTS = 100_000
 
-def _hunt_order(text: str) -> int:
-    value = _positive_int(text)
-    if value > MAX_HUNT_L:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_HUNT_L}")
-    return value
+
+def _positive_int_at_most(limit: int):
+    """The argparse type of a positive int no larger than limit."""
+
+    def positive_int_at_most(text: str) -> int:
+        value = _positive_int(text)
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"must be at most {limit}")
+        return value
+
+    return positive_int_at_most
 
 
 def _nonnegative_int(text: str) -> int:
@@ -197,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--l",
-        type=_hunt_order,
+        type=_positive_int_at_most(MAX_HUNT_L),
         nargs="+",
         default=None,
         help=f"orders to draw l from, 1 to {MAX_HUNT_L} (default: {' '.join(map(str, theorems.DEFAULT_L_VALUES))})",
@@ -234,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="finite-difference cross-check of the Laplacian (or, with --m, of the exp identity)",
     )
     p.add_argument("expr")
-    p.add_argument("--points", type=_positive_int, default=5)
+    p.add_argument("--points", type=_positive_int_at_most(MAX_FD_POINTS), default=5)
     p.add_argument("--h", type=_step, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument(

@@ -2,10 +2,11 @@
 
 All randomness flows through a splitmix-style 64-bit stream driven by pure
 integer arithmetic, so identical (seed, parameters) give identical output
-on every platform.  Each draw steps and mixes the state inline.  One
-analytic part is drawn in one Python frame: its degree, every coin and
-every coefficient, with the redraw of a zero leading one.  A harmonic
-mapping h + conj(g) is built from its two parts' draw lists over one lcm.
+on every platform.  SplitMix64.next_u64 is the one step and mix, and the
+other methods draw through it.  Only _analytic_draws steps and mixes
+inline: it draws one analytic part, its degree, coins, coefficients and
+redraws, in one Python frame.  A harmonic mapping h + conj(g) is built
+from its two parts' draw lists over one lcm.
 tests/test_gen.py pins the draw streams and the generated mappings by
 SHA-256 digest.  Coefficient numerators and denominators are bounded by
 16 to keep exact arithmetic tame through degree-8 compositions.
@@ -45,8 +46,7 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = seed & _MASK
 
-    # Every draw steps the state and mixes it inline: one Python frame per
-    # draw (per coefficient in coeff_parts), the same values as _mix(state).
+    # next_u64 is the one step-and-mix; every other method draws through it.
     # An empty range raises ValueError before the state moves.
 
     def next_u64(self) -> int:
@@ -58,26 +58,17 @@ class SplitMix64:
     def below(self, n: int) -> int:
         if n < 1:
             raise ValueError("n must be positive")
-        x = self._state = (self._state + _GAMMA) & _MASK
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
-        return (x ^ (x >> 31)) % n
+        return self.next_u64() % n
 
     def between(self, lo: int, hi: int) -> int:
         if hi < lo:
             raise ValueError("hi must be at least lo")
-        x = self._state = (self._state + _GAMMA) & _MASK
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
-        return lo + (x ^ (x >> 31)) % (hi - lo + 1)
+        return lo + self.next_u64() % (hi - lo + 1)
 
     def chance(self, num: int, den: int) -> bool:
         if den < 1:
             raise ValueError("den must be positive")
-        x = self._state = (self._state + _GAMMA) & _MASK
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
-        return (x ^ (x >> 31)) % den < num
+        return self.next_u64() % den < num
 
     def coeff(self, limit: int = COEFF_LIMIT, nonzero: bool = False) -> GaussianRational:
         re, im, den = self.coeff_parts(limit, nonzero)
@@ -86,32 +77,20 @@ class SplitMix64:
     def coeff_parts(self, limit: int = COEFF_LIMIT, nonzero: bool = False) -> tuple[int, int, int]:
         """The draws of coeff() as integers (re, im, den), meaning (re + im*i)/den.
 
-        The real part is a numerator in [-limit, limit] over a denominator
-        in [1, limit]; the imaginary part is drawn the same way with chance
-        1/2 and is 0 otherwise.  With nonzero=True a zero value is redrawn.
-        No Fraction is built.
+        The real part is between(-limit, limit) over between(1, limit); on a
+        chance(1, 2) coin the imaginary part is drawn the same way, else it is
+        0.  With nonzero=True a zero value is drawn again.  No Fraction is built.
         """
         if limit < 1:
             raise ValueError("limit must be positive")
-        # The draws of between(-limit, limit), between(1, limit),
-        # chance(1, 2) and, when it is true, two more betweens, each stepped
-        # and mixed inline: one Python frame per coefficient.
-        sizes = (2 * limit + 1, limit, 2, 2 * limit + 1, limit)
-        state = self._state
         while True:
-            drawn = [0, 0, 0, limit, 0]  # the last two give im = 0 over 1 when not drawn
-            k = 0
-            while k < 5:
-                state = (state + _GAMMA) & _MASK
-                x = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-                x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
-                drawn[k] = (x ^ (x >> 31)) % sizes[k]
-                # The coin is chance(1, 2): a draw of 1 means no imaginary part.
-                k = 5 if k == 2 and drawn[2] else k + 1
-            re, re_den, im, im_den = drawn[0] - limit, drawn[1] + 1, drawn[3] - limit, drawn[4] + 1
+            re, den = self.between(-limit, limit), self.between(1, limit)
+            im = 0
+            if self.chance(1, 2):
+                im, im_den = self.between(-limit, limit), self.between(1, limit)
+                re, im, den = re * im_den, im * den, den * im_den
             if re or im or not nonzero:
-                self._state = state
-                return re * im_den, im * re_den, re_den * im_den
+                return re, im, den
 
     def unit(self) -> float:
         return self.next_u64() / float(1 << 64)
@@ -126,7 +105,7 @@ def gen_bipoly(seed: int, max_degree: int) -> BiPoly:
     for _ in range(rng.between(1, 8)):
         key = (rng.between(0, max_degree), rng.between(0, max_degree))
         terms[key] = rng.coeff_parts(nonzero=True)
-    return _from_parts(terms)
+    return _from_parts(terms.items())
 
 
 def _analytic_draws(seed: int, max_degree: int, exact_degree: bool) -> list:

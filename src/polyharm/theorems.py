@@ -388,11 +388,11 @@ def _harmonic_with_degree_at_least(rng: SplitMix64, lo: int, hi: int) -> BiPoly:
 
 def _nonconstant_affine(rng: SplitMix64) -> BiPoly:
     return _from_parts(
-        {
-            (1, 0): rng.coeff_parts(nonzero=True),
-            (0, 1): rng.coeff_parts(),
-            (0, 0): rng.coeff_parts(),
-        }
+        [
+            ((1, 0), rng.coeff_parts(nonzero=True)),
+            ((0, 1), rng.coeff_parts()),
+            ((0, 0), rng.coeff_parts()),
+        ]
     )
 
 
@@ -541,7 +541,7 @@ def _case_thm3(rng: SplitMix64) -> None:
         # (b)/(c) sufficiency: constants, and degree-1 analytic f for q = 2
         q = rng.between(2, 4)
         outer = gen_strict_q_harmonic(rng.next_u64(), q, 2)
-        _check_bound(outer, _from_parts({(0, 0): rng.coeff_parts()}), 1)
+        _check_bound(outer, _from_parts([((0, 0), rng.coeff_parts())]), 1)
         linear = gen_analytic(rng.next_u64(), 1, exact_degree=True)
         _check_bound(gen_strict_q_harmonic(rng.next_u64(), 2, 2), linear, 2)
 
@@ -669,11 +669,11 @@ def replay_case(name: str, case_seed: int):
 
 def run_conjecture_search(seed: int, cases: int, l_values: tuple[int, ...] = DEFAULT_L_VALUES) -> SuiteReport:
     """Counterexample hunt at the given l values: an exact check of the power bound."""
+    l_values = tuple(l_values)
     if not l_values:
         raise ValueError("l_values must name at least one order")
     for l in l_values:
         _require_params(0, l)
-    l_values = tuple(l_values)
     return _run_cases("conjecture_search", lambda rng: _conjecture_case(rng, l_values), seed, cases)
 
 

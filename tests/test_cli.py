@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import polyharm
-from polyharm.cli import main
+from polyharm.cli import MAX_FD_POINTS, _positive_int_at_most, main
 
 
 def run_cli(capsys, *argv):
@@ -460,6 +460,18 @@ def test_json_single_object_on_violation_exit(capsys):
     payload = json.loads(out)
     assert payload["witness"] == "zbar^2 + z^2"
     assert payload["composition_order"] == 3
+
+
+def test_fdcheck_points_is_at_most_100000(capsys):
+    # Time and memory grow with the count, so an unbounded one could run for hours.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "fdcheck", "z*zbar", "--points", "100001")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and "argument --points: must be at most 100000" in err
+    code, out, err = run_cli(capsys, "fdcheck", "z*zbar", "--points", "0")
+    assert code == 2 and out == "" and "argument --points: must be a positive integer" in err
+    # The limit itself is accepted; it is checked on the type, not run.
+    assert _positive_int_at_most(MAX_FD_POINTS)("100000") == 100_000
 
 
 def test_fdcheck_flags_validated_by_argparse(capsys):

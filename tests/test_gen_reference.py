@@ -1,10 +1,13 @@
 """The generators against a reference built from the SplitMix64 draw methods.
 
 gen_analytic and gen_harmonic step and mix every draw of an analytic part
-inline and build h + conj(g) over one lcm.  The reference here makes the
-same draws through SplitMix64.between/chance/coeff_parts/next_u64, one
-method call per draw, and builds the mapping only with BiPoly({...}),
-conjugate() and +, so no code of the fused path takes part in it.
+inline (gen._analytic_draws) and build h + conj(g) over one lcm.  The
+reference here makes the same draws through SplitMix64.between, chance,
+coeff_parts and next_u64, one method call per draw; those methods draw
+through next_u64, and tests/test_gen.py checks them against gen._mix
+alone.  The reference builds the mapping only with BiPoly({...}),
+conjugate() and +, so neither _analytic_draws nor _harmonic_from_draws
+takes part in it.
 """
 
 from fractions import Fraction

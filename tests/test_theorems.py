@@ -760,6 +760,15 @@ def test_run_conjecture_search_rejects_bad_l_values(l_values):
         run_conjecture_search(1, 2, l_values)
 
 
+def test_run_conjecture_search_reads_l_values_once():
+    # The orders are checked and used from one tuple, so an iterator works.
+    expected = run_conjecture_search(0, 5, (3, 4))
+    assert run_conjecture_search(0, 5, iter([3, 4])) == expected
+    assert run_conjecture_search(0, 5, (l for l in (3, 4))) == expected
+    with pytest.raises(ValueError, match="l_values must name at least one order"):
+        run_conjecture_search(0, 5, iter([]))
+
+
 @pytest.mark.parametrize("cases", [-3, -1, 2.0, "5", None])
 def test_suite_runners_reject_bad_case_counts(cases):
     with pytest.raises(ValueError, match="cases must be a nonnegative integer"):
