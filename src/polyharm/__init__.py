@@ -15,7 +15,6 @@ from .errors import (
     InternalInconsistency,
     NonHarmonicComponent,
     NotAnalytic,
-    NotApplicable,
     ParseError,
     PolyharmError,
     UnknownSuite,
@@ -35,8 +34,6 @@ from .theorems import (
     run_conjecture_search,
     run_suite,
     separable_laplacian,
-    witness_post,
-    witness_pre,
 )
 from .wirtinger import (
     almansi_decompose,

@@ -39,12 +39,35 @@ examples: "z^2 + conj(z)*abs2(z)", "(1/2 + 3/4*i)*z", "abs2(z+1)"
 """
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+def _checked(convert, *rules):
+    """The argparse type that converts text, then checks each (test, message) rule in turn.
 
+    Text that does not convert gets the first rule's message and the text.
+    """
+
+    def check(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{rules[0][1]}, got {text!r}") from None
+        for test, message in rules:
+            if not test(value):
+                raise argparse.ArgumentTypeError(message)
+        return value
+
+    return check
+
+
+_POSITIVE = (lambda n: n >= 1, "must be a positive integer")
+_positive_int = _checked(int, _POSITIVE)
+_nonnegative_int = _checked(int, (lambda n: n >= 0, "must be a nonnegative integer"))
+_step = _checked(
+    float,
+    (lambda h: h > 0, "must be a positive number"),
+    (numeric.step_in_range, "must have h*h a positive finite double: about 1.6e-162 to 1.3e154"),
+)
+_tolerance = _checked(float, (lambda t: 0 <= t < float("inf"), "must be a finite nonnegative number"))
+_exp_multiplier = _checked(int, (lambda m: m != 0 and abs(m) <= 3, "must be a nonzero integer with |m| <= 3"))
 
 # conjecture --l limit: a case whose Newton polygon has every vertex on an
 # axis builds up to 2l powers of f, so the worst case grows steeply with l.
@@ -56,44 +79,7 @@ MAX_FD_POINTS = 100_000
 
 def _positive_int_at_most(limit: int):
     """The argparse type of a positive int no larger than limit."""
-
-    def positive_int_at_most(text: str) -> int:
-        value = _positive_int(text)
-        if value > limit:
-            raise argparse.ArgumentTypeError(f"must be at most {limit}")
-        return value
-
-    return positive_int_at_most
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a nonnegative integer")
-    return value
-
-
-def _step(text: str) -> float:
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError("must be a positive number")
-    if not numeric.step_in_range(value):
-        raise argparse.ArgumentTypeError("must have h*h a positive finite double: about 1.6e-162 to 1.3e154")
-    return value
-
-
-def _tolerance(text: str) -> float:
-    value = float(text)
-    if not 0 <= value < float("inf"):
-        raise argparse.ArgumentTypeError("must be a finite nonnegative number")
-    return value
-
-
-def _exp_multiplier(text: str) -> int:
-    value = int(text)
-    if value == 0 or abs(value) > 3:
-        raise argparse.ArgumentTypeError("must be a nonzero integer with |m| <= 3")
-    return value
+    return _checked(int, _POSITIVE, (lambda n: n <= limit, f"must be at most {limit}"))
 
 
 # Witness theorem -> (post-composition, fixed q, fixed l); None leaves it to --q or --l.
@@ -374,7 +360,7 @@ def _cmd_witness(args) -> int:
     post, fixed_q, fixed_l = _THEOREMS[theorem]
     l = _theorem_arg(theorem, "--l", fixed_l, args.l, 1)
     q = _theorem_arg(theorem, "--q", fixed_q, args.q, 2)
-    result = (theorems.witness_post if post else theorems.witness_pre)(f, q, l)
+    result = (theorems.find_witness_post if post else theorems.find_witness_pre)(f, q, l)
     violation = result.verdict == theorems.VIOLATION
     payload = {
         "verdict": result.verdict,

@@ -13,10 +13,6 @@ class NotAnalytic(PolyharmError):
     """An operation requiring an analytic input received a zbar term."""
 
 
-class NotApplicable(PolyharmError):
-    """A witness was requested for a mapping whose form is compliant."""
-
-
 class InternalInconsistency(PolyharmError):
     """A finite witness search exhausted without finding a violation.
 

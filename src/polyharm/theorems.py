@@ -9,11 +9,13 @@ effective surfaces are exposed instead:
   (f, q, l); the pre-composition case q <= 1, l >= 3, which the paper
   leaves open, is decided for polynomial f by f's Newton polygon
   (Ostrowski's product rule and Hajos' lemma, see _pre_candidates);
-* ``find_witness_post`` / ``find_witness_pre`` -- constructors that try
-  the finite, proven violating families of the necessity arguments (at
-  most three inner or two outer mappings) and re-verify every candidate by
-  exact order computation before returning it (a family that exhausts
-  raises InternalInconsistency loudly, since it would contradict a proof);
+* ``find_witness_post`` / ``find_witness_pre`` -- the one verdict on
+  (f, q, l): Compliant for an allowed form, else a Violation whose
+  partner comes from the finite, proven violating families of the
+  necessity arguments (at most three inner or two outer mappings), each
+  candidate re-verified by exact order computation before it is returned
+  (a family that exhausts raises InternalInconsistency loudly, since it
+  would contradict a proof);
 * ``run_suite`` -- seeded sampled suites for the sufficiency directions,
   the structural propositions, and the counterexample hunt, an independent
   exact check of the Newton-polygon bound on f's powers;
@@ -36,7 +38,7 @@ from .bipoly import (
     unit_circle_point,
 )
 from .classify import classify
-from .errors import InternalInconsistency, NotAnalytic, NotApplicable, UnknownSuite
+from .errors import InternalInconsistency, NotAnalytic, UnknownSuite
 from .gen import (
     SplitMix64,
     gen_analytic,
@@ -54,7 +56,7 @@ VIOLATION = "Violation"
 
 
 class WitnessResult(NamedTuple):
-    """Outcome of a witness search.
+    """Outcome of a witness search: Compliant, with no witness, or a Violation.
 
     A Violation carries the concrete mapping F together with the exactly
     recomputed order of the composition, which exceeds the required bound.
@@ -158,11 +160,11 @@ def _post_candidates(f: BiPoly, rep, q: int, l: int):
 
 
 def find_witness_post(f: BiPoly, q: int, l: int) -> WitnessResult:
-    """Concrete inner mapping F with order(f after F) > l, exactly verified.
+    """Compliant, or a concrete inner mapping F with order(f after F) > l, exactly verified.
 
-    The finite family of _post_candidates is proven to hold one.  Raises
-    NotApplicable when the form is compliant and InternalInconsistency if
-    no candidate passes the exact order check.
+    Compliant exactly when allowed_form_post is True.  Otherwise the finite
+    family of _post_candidates is proven to hold a Violation; raises
+    InternalInconsistency if no candidate passes the exact order check.
     """
     return _search(f, q, l, post=True)
 
@@ -240,43 +242,26 @@ def _pre_candidates(f: BiPoly, rep, q: int, l: int):
 
 
 def find_witness_pre(f: BiPoly, q: int, l: int) -> WitnessResult:
-    """Concrete outer mapping F of class q with order(F after f) > l.
+    """Compliant, or a concrete outer mapping F of class q with order(F after f) > l.
 
-    The finite family of _pre_candidates is proven to hold one.  Raises
-    NotApplicable exactly when the form is compliant (allowed_form_pre is
-    True); InternalInconsistency if no candidate passes the exact order check.
+    Compliant exactly when allowed_form_pre is True.  Otherwise the finite
+    family of _pre_candidates is proven to hold a Violation; raises
+    InternalInconsistency if no candidate passes the exact order check.
     """
     return _search(f, q, l, post=False)
-
-
-def witness_post(f: BiPoly, q: int, l: int) -> WitnessResult:
-    """allowed_form_post folded with find_witness_post into one verdict."""
-    try:
-        return find_witness_post(f, q, l)
-    except NotApplicable:
-        return WitnessResult(COMPLIANT, None, None, l, "")
-
-
-def witness_pre(f: BiPoly, q: int, l: int) -> WitnessResult:
-    """allowed_form_pre folded with find_witness_pre into one verdict."""
-    try:
-        return find_witness_pre(f, q, l)
-    except NotApplicable:
-        return WitnessResult(COMPLIANT, None, None, l, "")
 
 
 def _search(f: BiPoly, q: int, l: int, post: bool) -> WitnessResult:
     """The witness search after f (post) or before it (pre), from one classify(f).
 
-    NotApplicable for a compliant form; otherwise the first candidate
-    whose composition with f has exact order > l.  Every candidate is of
-    class q by construction.
+    Compliant for an allowed form; otherwise a Violation with the first
+    candidate whose composition with f has exact order > l.  Every
+    candidate is of class q by construction.
     """
     _require_params(q, l)
     rep = classify(f)
-    allowed = (_allowed_post if post else _allowed_pre)(rep, q, l)
-    if allowed:
-        raise NotApplicable("the mapping already has the allowed form")
+    if (_allowed_post if post else _allowed_pre)(rep, q, l):
+        return WitnessResult(COMPLIANT, None, None, l, "")
     for candidate, tag in (_post_candidates if post else _pre_candidates)(f, rep, q, l):
         order = polyharmonic_order(compose(f, candidate) if post else compose(candidate, f))
         if order > l:
@@ -410,30 +395,28 @@ def _check_bound(outer: BiPoly, inner: BiPoly, bound: int) -> None:
         raise _CaseFailure(f"outer={outer} inner={inner}", f"order <= {bound}", str(got))
 
 
-def _check_violation(res: WitnessResult, f: BiPoly, q: int, l: int, post: bool):
-    """Re-verify a Violation from scratch; returns an error triple or None."""
+def _check_violation(res: WitnessResult, f: BiPoly, q: int, l: int, post: bool) -> None:
+    """Raise _CaseFailure unless res is a Violation that holds when re-verified from scratch."""
     context = f"q={q} l={l} f={canonical_print(f)}"
     if res.verdict != VIOLATION:
-        return (context, "verdict Violation", res.verdict)
+        raise _CaseFailure(context, "verdict Violation", res.verdict)
     composed = compose(f, res.witness) if post else compose(res.witness, f)
     order = polyharmonic_order(composed)
     if order != res.composition_order or order <= l:
-        return (context, f"recomputed composition order > {l}", str(order))
+        raise _CaseFailure(context, f"recomputed composition order > {l}", str(order))
     wrep = classify(res.witness)
     if q == 0 and not wrep.is_analytic:
-        return (context, "analytic witness for q=0", canonical_print(res.witness))
+        raise _CaseFailure(context, "analytic witness for q=0", canonical_print(res.witness))
     if q == 1 and (not wrep.is_harmonic or wrep.is_analytic):
-        return (context, "harmonic non-analytic witness for q=1", canonical_print(res.witness))
+        raise _CaseFailure(context, "harmonic non-analytic witness for q=1", canonical_print(res.witness))
     if q >= 2 and wrep.order != q:
-        return (context, f"strictly {q}-harmonic witness", str(wrep.order))
+        raise _CaseFailure(context, f"strictly {q}-harmonic witness", str(wrep.order))
 
 
 def _check_witness(f: BiPoly, q: int, l: int, post: bool) -> WitnessResult:
     """find_witness_post (post) or find_witness_pre on (f, q, l), re-verified by _check_violation."""
     res = (find_witness_post if post else find_witness_pre)(f, q, l)
-    err = _check_violation(res, f, q, l, post)
-    if err:
-        raise _CaseFailure(*err)
+    _check_violation(res, f, q, l, post)
     return res
 
 

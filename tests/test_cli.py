@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import polyharm
-from polyharm.cli import MAX_FD_POINTS, _positive_int_at_most, main
+from polyharm.cli import MAX_FD_POINTS, _positive_int_at_most, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -132,7 +133,7 @@ def test_witness_theorem_table_routes_each_theorem(capsys, monkeypatch, theorem,
         calls.append((search, q, l))
         return theorems.WitnessResult(theorems.COMPLIANT, None, None, l, "")
 
-    monkeypatch.setattr(theorems, search, record)
+    monkeypatch.setattr(theorems, f"find_{search}", record)
     code, _, _ = run_cli(capsys, "witness", "--theorem", theorem, *flags, "z")
     assert code == 0 and calls == [(search, *fixed[theorem])]
 
@@ -472,6 +473,25 @@ def test_fdcheck_points_is_at_most_100000(capsys):
     assert code == 2 and out == "" and "argument --points: must be a positive integer" in err
     # The limit itself is accepted; it is checked on the type, not run.
     assert _positive_int_at_most(MAX_FD_POINTS)("100000") == 100_000
+
+
+def test_no_value_error_names_an_internal_function(capsys):
+    # argparse words a value error as "invalid <type name> value" unless
+    # the type raises ArgumentTypeError; a user must not see private names.
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    typed = [
+        (command, action)
+        for command, sub in subparsers.choices.items()
+        for action in sub._actions
+        if action.type is not None
+    ]
+    assert len(typed) == 17
+    for command, action in typed:
+        flag = action.option_strings[-1]
+        code, out, err = run_cli(capsys, command, flag, "abc")
+        assert code == 2 and out == "", (command, flag)
+        assert f"argument {flag}: " in err and "'abc'" in err, (command, err)
+        assert f"invalid {action.type.__name__} value" not in err or action.type is int, (command, err)
 
 
 def test_fdcheck_flags_validated_by_argparse(capsys):

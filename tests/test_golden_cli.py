@@ -6,7 +6,8 @@ the same for a few calls whose output has fractional, negative and mixed
 coefficients or floating-point errors, for a few parser-heavy inputs, for
 two Reich checks with a non-real alpha and for five pre-composition
 witnesses, plus one call down each error path: a parse error with its
-offset, a usage error raised by a handler, an argparse error, and --help.
+offset, a usage error raised by a handler, an argparse range error, a
+flag value that does not convert to its type, and --help.
 The whole list is replayed twice in one process, forward and then
 reversed, so that state carried from one call to the next through the
 shared parser would show up as a mismatch.
@@ -84,6 +85,7 @@ ERROR_CALLS = [
     ["order", "z^"],
     ["witness", "--theorem", "1a", "z"],
     ["fdcheck", "z*zbar", "--h", "0"],
+    ["fdcheck", "z*zbar", "--points", "abc"],
     ["--help"],
 ]
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from polyharm.bipoly import BiPoly, GaussianRational, canonical_print, compose, mul
 from polyharm.cli import main
 from polyharm.classify import classify, is_strictly_q_harmonic
-from polyharm.errors import NotAnalytic, NotApplicable, UnknownSuite
+from polyharm.errors import NotAnalytic, UnknownSuite
 from polyharm.gen import SplitMix64, gen_analytic, gen_bipoly, gen_harmonic, gen_strict_q_harmonic, spawn
 from polyharm.parser import parse
 from polyharm.theorems import (
@@ -17,6 +17,7 @@ from polyharm.theorems import (
     DEFAULT_L_VALUES,
     VIOLATION,
     WitnessResult,
+    _CaseFailure,
     _check_violation,
     _conjecture_case,
     _run_case,
@@ -30,8 +31,6 @@ from polyharm.theorems import (
     run_conjecture_search,
     run_suite,
     separable_laplacian,
-    witness_post,
-    witness_pre,
 )
 from polyharm.wirtinger import d_dz, d_dzbar, has_off_axis_vertex, laplacian, polyharmonic_order
 from newton_oracle import certified_start
@@ -146,15 +145,15 @@ def test_check_violation_error_triples():
     f = Z**2
     context = "q=1 l=1 f=z^2"
     forged = WitnessResult(COMPLIANT, None, None, 1, "")
-    assert _check_violation(forged, f, 1, 1, post=True) == (context, "verdict Violation", COMPLIANT)
+    with pytest.raises(_CaseFailure) as failure:
+        _check_violation(forged, f, 1, 1, post=True)
+    assert failure.value.args == (context, "verdict Violation", COMPLIANT)
     real = find_witness_post(f, 1, 1)
     assert _check_violation(real, f, 1, 1, post=True) is None
     wrong = WitnessResult(VIOLATION, real.witness, real.composition_order + 1, 1, real.family_tag)
-    assert _check_violation(wrong, f, 1, 1, post=True) == (
-        context,
-        "recomputed composition order > 1",
-        str(real.composition_order),
-    )
+    with pytest.raises(_CaseFailure) as failure:
+        _check_violation(wrong, f, 1, 1, post=True)
+    assert failure.value.args == (context, "recomputed composition order > 1", str(real.composition_order))
 
 
 def _forged_verdict(real):
@@ -233,6 +232,24 @@ def test_forged_witness_failure_names_its_case_seed(monkeypatch, capsys, name, t
     assert json.loads(capsys.readouterr().out)["first_failure"] == dict(zip(("input", "expected", "got"), first))
 
 
+def test_a_compliant_witness_draw_is_a_recorded_failure(monkeypatch, capsys):
+    # A generator that breaks its contract hands the witness search an
+    # allowed form: its Compliant verdict fails the case under the case
+    # seed that replays it, and nothing escapes the suite.
+    import polyharm.theorems as theorems
+
+    monkeypatch.setattr(theorems, "gen_strict_q_harmonic", lambda seed, q, degree: Z)
+    report = run_suite("thm1_nec", 0, 3)
+    assert report.failures >= 1
+    first = report.first_failure
+    assert re.fullmatch(r"case_seed=\d+ q=0 l=[1-4] f=z", first[0]), first
+    assert first[1:] == ("verdict Violation", COMPLIANT)
+    case_seed = int(first[0].split()[0].removeprefix("case_seed="))
+    assert replay_case("thm1_nec", case_seed) == first
+    assert main(["verify", "--suite", "thm1_nec", "--case-seed", str(case_seed), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["first_failure"] == dict(zip(("input", "expected", "got"), first))
+
+
 def test_passing_cases_build_no_failure_text(monkeypatch):
     # A passing case prints no mapping, except for the context that
     # _check_violation builds for each witness it re-verifies.
@@ -266,8 +283,7 @@ def test_passing_cases_build_no_failure_text(monkeypatch):
 
 
 def test_find_witness_post_not_applicable():
-    with pytest.raises(NotApplicable):
-        find_witness_post(Z + ZBAR, 0, 1)
+    assert find_witness_post(Z + ZBAR, 0, 1) == WitnessResult(COMPLIANT, None, None, 1, "")
 
 
 def test_find_witness_pre_both_parts_nonconstant():
@@ -292,7 +308,6 @@ def test_pre_composition_powers_start_at_the_certified_exponent(f, q, l, witness
     assert result.witness == witness
     assert result.composition_order == order
     _assert_verified_pre(f, q, l, result)
-    assert witness_pre(f, q, l) == result
 
 
 @pytest.mark.parametrize("name", ["thm2_nec", "thm3"])
@@ -471,14 +486,12 @@ def test_witness_searches_classify_f_once(monkeypatch):
     monkeypatch.setattr(theorems, "classify", counting_classify)
     post = [(Z + ZBAR, 0, 1), (Z**2, 1, 1), (Z * ZBAR, 0, 1), (Z**2 - ZBAR**2, 2, 2), (Z * ZBAR, 3, 2)]
     pre = [(Z * ZBAR, 1, 3), (Z**9, 0, 1), (Z + ZBAR, 1, 1), (Z**2, 2, 2), (ZBAR**3, 3, 4), (Z * ZBAR, 2, 3)]
-    calls = [(witness_post, args) for args in post] + [(witness_pre, args) for args in pre]
-    calls += [(find_witness_post, args) for args in post if not allowed_form_post(*args)]
-    calls += [(find_witness_pre, args) for args in pre if not allowed_form_pre(*args)]
+    calls = [(find_witness_post, args) for args in post] + [(find_witness_pre, args) for args in pre]
     for search, (f, q, l) in calls:
         seen.clear()
         search(f, q, l)
         assert len(seen) == 1 and seen[0] is f, search.__name__
-    assert len(calls) == 20
+    assert len(calls) == 11
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -541,21 +554,19 @@ def test_find_witness_pre_nonharmonic_small_l():
 
 
 def test_find_witness_pre_not_applicable():
-    with pytest.raises(NotApplicable):
-        find_witness_pre(Z**2, 0, 1)
-    with pytest.raises(NotApplicable):
-        find_witness_pre(ZBAR**3, 1, 3)
-    # q <= 1, l >= 3 with f neither analytic nor anti-analytic is a Violation, not NotApplicable.
+    assert find_witness_pre(Z**2, 0, 1) == WitnessResult(COMPLIANT, None, None, 1, "")
+    assert find_witness_pre(ZBAR**3, 1, 3) == WitnessResult(COMPLIANT, None, None, 3, "")
+    # q <= 1, l >= 3 with f neither analytic nor anti-analytic is a Violation, not Compliant.
     result = find_witness_pre(Z * ZBAR, 1, 3)
     assert result.witness == Z**3 + ZBAR and result.composition_order == 4
 
 
 def test_witness_wrappers():
-    assert witness_post(Z + ZBAR, 0, 1).verdict == COMPLIANT
-    assert witness_post(Z**2, 1, 1).verdict == VIOLATION
-    result = witness_pre(Z * ZBAR, 1, 3)
+    assert find_witness_post(Z + ZBAR, 0, 1).verdict == COMPLIANT
+    assert find_witness_post(Z**2, 1, 1).verdict == VIOLATION
+    result = find_witness_pre(Z * ZBAR, 1, 3)
     assert (result.verdict, result.witness, result.composition_order) == (VIOLATION, Z**3 + ZBAR, 4)
-    assert witness_pre(Z**9, 0, 1).verdict == COMPLIANT
+    assert find_witness_pre(Z**9, 0, 1).verdict == COMPLIANT
 
 
 # --- pre-composition at q <= 1, l >= 3 ------------------------------------------
