@@ -17,10 +17,10 @@ the degrees of the zero mapping are 0 by convention.
 
 ``_from_parts`` builds a mapping from ((i, j), (re, im, den)) items: one
 lcm, one scaling pass that sums the values of a repeated key, and one gcd
-pass.  BiPoly(...), gen_bipoly and the Almansi recomposition use it;
-gen_analytic and gen_harmonic scale their draw lists to one lcm and
-reduce them with ``_collect``.  A product with a scalar is ``_shift``
-with no key shift.
+pass.  It is the one merge of scaled numerators: BiPoly(...), the
+generators (gen_bipoly, gen_analytic and gen_harmonic's h + conj(g)), the
+Almansi recomposition and a sum whose sides share a key all go through
+it.  A product with a scalar is ``_shift`` with no key shift.
 
 Identities cost nothing: a sum with the zero mapping returns the other
 operand, and a product with the unit monomial 1 (``_shift`` at (0, 0) by
@@ -42,8 +42,9 @@ c_ij * (a+bi)^i * (a-bi)^j * d^(top-i-j) at (i*p + j*r, i*r + j*p), with
 the powers of a + bi from one Gaussian-integer chain; keys meet only when
 p == r, as for c * |z|^(2k) and constants.
 
-A general sum adds each side, as its product with the unit 1, into the
-[re, im] sums that products use.  Evaluation is composition: ``eval_exact``
+A sum whose sides share no key is a merge scaled onto the lcm, already in
+normal form; one whose keys meet is ``_from_parts`` over both sides'
+items.  Evaluation is composition: ``eval_exact``
 is the constant term of f composed with the constant point, a one-term
 inner with p = r = 0, so it is one key substitution onto (0, 0) and one
 reduction.  The printer reads the numerators and reduces each coefficient
@@ -253,27 +254,26 @@ class BiPoly:
             return self
         if not self._num:
             return other
+        if not self._num.keys().isdisjoint(other._num):
+            # Keys meet: _from_parts sums them over one lcm and reduces.
+            return _from_parts(
+                [(key, (re, im, part._den)) for part in (self, other) for key, (re, im) in part._num.items()]
+            )
+        # No key meets, so nothing cancels and the merge is already in normal
+        # form.  For a prime p dividing den, say p^e || den, the side whose
+        # denominator holds p^e is scaled by a factor prime to p; being in
+        # lowest terms, that side has a numerator part prime to p, and it
+        # stays so after scaling.  So the gcd of every part and den is 1 and
+        # no gcd pass is needed.
         den = lcm(self._den, other._den)
-        if self._num.keys().isdisjoint(other._num):
-            # No key meets, so nothing cancels and the merge is already in
-            # normal form.  For a prime p dividing den, say p^e || den, the
-            # side whose denominator holds p^e is scaled by a factor prime
-            # to p; being in lowest terms, that side has a numerator part
-            # prime to p, and it stays so after scaling.  So the gcd of
-            # every part and den is 1 and no gcd pass is needed.
-            num = {}
-            for part in (self, other):
-                scale = den // part._den
-                if scale == 1:
-                    num.update(part._num)
-                else:
-                    num.update((key, (re * scale, im * scale)) for key, (re, im) in part._num.items())
-            return _make(num, den)
-        # Each side is added as its product with the unit 1, scaled onto den.
-        out: dict = {}
+        num = {}
         for part in (self, other):
-            _mul_into(out, part._num.items(), [((0, 0), (1, 0))], den // part._den)
-        return _collect(out, den)
+            scale = den // part._den
+            if scale == 1:
+                num.update(part._num)
+            else:
+                num.update((key, (re * scale, im * scale)) for key, (re, im) in part._num.items())
+        return _make(num, den)
 
     __radd__ = __add__
 
@@ -364,7 +364,7 @@ def _from_parts(items) -> BiPoly:
 
     The values of a repeated key are summed over one lcm; zero sums are dropped.
     """
-    den = lcm(*(d for _, (_, _, d) in items))
+    den = lcm(*[d for _, (_, _, d) in items])
     out = {}
     for key, (re, im, d) in items:
         scale = den // d

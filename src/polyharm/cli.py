@@ -20,23 +20,16 @@ from . import numeric, theorems
 from .bipoly import GaussianRational, canonical_print, compose, eval_exact, format_scalar
 from .classify import classify
 from .errors import FloatOverflow, IntegerTooLong, NotAnalytic, ParseError
-from .parser import parse
+from .parser import GRAMMAR, parse
 from .wirtinger import almansi_decompose, d_dz, d_dzbar, laplacian, polyharmonic_order
 
 SEED_ENV_VAR = "POLYHARM_SEED"
 
-GRAMMAR_HELP = """\
-expression grammar (whitespace insignificant):
-
-  expr     := ["-"] term (("+" | "-") term)*
-  term     := factor ("*" factor)*
-  factor   := atom ("^" uint)?
-  atom     := "z" | "zbar" | "i" | rational
-            | "conj" "(" expr ")" | "abs2" "(" expr ")" | "(" expr ")"
-  rational := uint ("/" uint)?
-
-examples: "z^2 + conj(z)*abs2(z)", "(1/2 + 3/4*i)*z", "abs2(z+1)"
-"""
+GRAMMAR_HELP = (
+    "expression grammar (whitespace insignificant):\n\n"
+    + "".join("  " + line for line in GRAMMAR.splitlines(keepends=True))
+    + '\nexamples: "z^2 + conj(z)*abs2(z)", "(1/2 + 3/4*i)*z", "abs2(z+1)"\n'
+)
 
 
 def _checked(convert, *rules):
@@ -59,8 +52,12 @@ def _checked(convert, *rules):
 
 
 _POSITIVE = (lambda n: n >= 1, "must be a positive integer")
+_NONNEGATIVE = (lambda n: n >= 0, "must be a nonnegative integer")
 _positive_int = _checked(int, _POSITIVE)
-_nonnegative_int = _checked(int, (lambda n: n >= 0, "must be a nonnegative integer"))
+_nonnegative_int = _checked(int, _NONNEGATIVE)
+# Every case seed is a 64-bit state (gen.spawn), and SplitMix64 would
+# reduce a larger one mod 2^64, replaying another case under its number.
+_case_seed = _checked(int, _NONNEGATIVE, (lambda n: n < 1 << 64, "must be below 2^64"))
 _step = _checked(
     float,
     (lambda h: h > 0, "must be a positive number"),
@@ -175,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--case-seed",
-        type=_nonnegative_int,
+        type=_case_seed,
         default=None,
         help="replay the one case a failure names (case_seed=N); not with --suite all, --seed or --cases",
     )
@@ -464,7 +461,7 @@ def _cmd_fdcheck(args) -> int:
         h = args.h if args.h is not None else numeric.DEFAULT_EXP_H
         rel = args.tol_rel if args.tol_rel is not None else numeric.EXP_REL_TOL
         reports = numeric.exp_identity_check(f, args.m, points, h)
-        ok = all(numeric.exp_within_tolerance(r, f, args.m, rel) for r in reports)
+        ok = numeric.exp_within_tolerance(reports, f, args.m, rel)
         mode_payload = {"m": args.m}
     else:
         h = args.h if args.h is not None else numeric.DEFAULT_H

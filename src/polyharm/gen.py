@@ -5,8 +5,9 @@ integer arithmetic, so identical (seed, parameters) give identical output
 on every platform.  SplitMix64.next_u64 is the one step and mix, and the
 other methods draw through it.  Only _analytic_draws steps and mixes
 inline: it draws one analytic part, its degree, coins, coefficients and
-redraws, in one Python frame.  A harmonic mapping h + conj(g) is built
-from its two parts' draw lists over one lcm.
+redraws, in one Python frame, and returns them as the
+((i, j), (re, im, den)) items that bipoly._from_parts merges; a harmonic
+mapping h + conj(g) is one _from_parts call over both parts' items.
 tests/test_gen.py pins the draw streams and the generated mappings by
 SHA-256 digest.  Coefficient numerators and denominators are bounded by
 16 to keep exact arithmetic tame through degree-8 compositions.
@@ -16,9 +17,8 @@ re-verified through the classify/wirtinger oracles at the point of use.
 """
 
 from fractions import Fraction
-from math import lcm
 
-from .bipoly import BiPoly, GaussianRational, _collect, _from_parts
+from .bipoly import BiPoly, GaussianRational, _from_parts
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -108,8 +108,11 @@ def gen_bipoly(seed: int, max_degree: int) -> BiPoly:
     return _from_parts(terms.items())
 
 
-def _analytic_draws(seed: int, max_degree: int, exact_degree: bool) -> list:
-    """gen_analytic's draws as [(n, re, im, den)] for increasing n, meaning (re + im*i)/den * z^n.
+def _analytic_draws(seed: int, max_degree: int, exact_degree: bool, conj: bool = False) -> list:
+    """gen_analytic's draws as _from_parts items ((n, 0), (re, im, den)) for increasing n.
+
+    Each item means (re + im*i)/den * z^n.  With conj=True the part is
+    conjugated: the items are ((0, n), (re, -im, den)), for g in h + conj(g).
 
     The draws are SplitMix64(seed)'s: the degree as between(0, max_degree)
     unless it is exact, then for each n below it a chance(5, 8) coin and,
@@ -164,37 +167,15 @@ def _analytic_draws(seed: int, max_degree: int, exact_degree: bool) -> list:
             im_den = (x ^ (x >> 31)) % COEFF_LIMIT + 1
             re, im, den = re * im_den, im * den, den * im_den
         if n < degree or re or im:
-            draws.append((n, re, im, den))
+            draws.append(((0, n), (re, -im, den)) if conj else ((n, 0), (re, im, den)))
             if n == degree:
                 return draws
             n += 1
 
 
-def _harmonic_from_draws(h: list, g: list) -> BiPoly:
-    """h + conj(g) from two _analytic_draws lists, over one lcm of their denominators.
-
-    g's values move to the keys (0, n), conjugated.  Only the two constants
-    share a key, (0, 0), where they are summed, in h's place if h drew one;
-    a value that is zero, or a sum that cancels, is dropped.
-    """
-    den = lcm(*[d for _, _, _, d in h], *[d for _, _, _, d in g])
-    num = {}
-    for n, re, im, d in h:
-        scale = den // d
-        num[(n, 0)] = (re * scale, im * scale)
-    for n, re, im, d in g:
-        scale = den // d
-        if n or (0, 0) not in num:
-            num[(0, n)] = (re * scale, -im * scale)
-        else:
-            h_re, h_im = num[(0, 0)]
-            num[(0, 0)] = (h_re + re * scale, h_im - im * scale)
-    return _collect(num, den)
-
-
 def gen_analytic(seed: int, max_degree: int, *, exact_degree: bool = False) -> BiPoly:
     """Random analytic polynomial; the leading coefficient is forced nonzero."""
-    return _harmonic_from_draws(_analytic_draws(seed, max_degree, exact_degree), [])
+    return _from_parts(_analytic_draws(seed, max_degree, exact_degree))
 
 
 def gen_harmonic(
@@ -206,9 +187,9 @@ def gen_harmonic(
 ) -> BiPoly:
     """Random harmonic mapping h + conj(g) with h, g analytic.
 
-    h and g are drawn as gen_analytic draws them, each in one frame, and
-    h + conj(g) is built from the two draw lists over one lcm
-    (_harmonic_from_draws).
+    h and g are drawn as gen_analytic draws them, each in one frame, g's
+    items conjugated as drawn, and h + conj(g) is one _from_parts call over
+    both item lists; only the constants share a key, (0, 0), where they add.
 
     With both_parts_nonconstant=True, both h and g get degree >= 1, so the
     result is neither analytic nor anti-analytic.
@@ -219,11 +200,11 @@ def gen_harmonic(
     if both_parts_nonconstant:
         top = max(1, max_degree)
         h = _analytic_draws(rng.next_u64(), rng.between(1, top), True)
-        g = _analytic_draws(rng.next_u64(), rng.between(1, top), True)
+        g = _analytic_draws(rng.next_u64(), rng.between(1, top), True, conj=True)
     else:
         h = _analytic_draws(rng.next_u64(), max_degree, False)
-        g = _analytic_draws(rng.next_u64(), max_degree, False)
-    f = _harmonic_from_draws(h, g)
+        g = _analytic_draws(rng.next_u64(), max_degree, False, conj=True)
+    f = _from_parts(h + g)
     if nonzero and f.is_zero:
         f = f + BiPoly.one()
     return f

@@ -6,9 +6,10 @@ exponential identity behind the order-2 obstruction polynomial is checked
 numerically since exp(m*f) itself lives outside the polynomial ring.
 Points are sampled inside the unit disk to keep conditioning sane.
 
-Both checks take a sequence of points and return one report per point;
-the symbolic side and every mapping's float coefficients are computed
-once per call, not once per point.
+Both checks take a sequence of points and return one report per point,
+and exp_within_tolerance judges one exp_identity_check call's reports
+together; the symbolic side and every mapping's float coefficients are
+computed once per call, not once per point.
 """
 
 import cmath
@@ -73,9 +74,12 @@ def _eval_rows(rows: list, point: complex) -> complex:
     return total
 
 
-def eval_float(f: BiPoly, point: complex) -> complex:
-    """Horner-style evaluation in z and conj(point) with double precision."""
-    return _eval_rows(_float_rows(f), point)
+def eval_float(f: BiPoly, point: complex, *, rows: list | None = None) -> complex:
+    """Horner-style evaluation in z and conj(point) with double precision.
+
+    A caller evaluating f at many points passes rows=_float_rows(f) once built.
+    """
+    return _eval_rows(_float_rows(f) if rows is None else rows, point)
 
 
 def _exp(w: complex) -> complex:
@@ -153,15 +157,20 @@ def exp_identity_check(
     return reports
 
 
-def exp_within_tolerance(report: FdReport, f: BiPoly, m: int, rel_tol: float = EXP_REL_TOL) -> bool:
-    """Relative check with a floor tied to the natural 16*m^2*exp(m*f) scale.
+def exp_within_tolerance(reports: Sequence[FdReport], f: BiPoly, m: int, rel_tol: float = EXP_REL_TOL) -> bool:
+    """Every report of one exp_identity_check(f, m, ...) call passes a relative check.
 
-    The double stencil amplifies rounding, so when the target value is
+    Its floor is tied to the natural 16*m^2*exp(m*f) scale at the point:
+    the double stencil amplifies rounding, so when the target value is
     (near) zero the comparison falls back to that scale instead of an
     undefined pure-relative test.
     """
-    scale = 16.0 * m * m * abs(_exp(m * eval_float(f, report.point)))
-    return report.abs_error <= max(rel_tol * abs(report.symbolic_value), rel_tol * scale)
+    rows = _float_rows(f)
+    for report in reports:
+        scale = 16.0 * m * m * abs(_exp(m * eval_float(f, report.point, rows=rows)))
+        if report.abs_error > max(rel_tol * abs(report.symbolic_value), rel_tol * scale):
+            return False
+    return True
 
 
 def sample_points(seed: int, count: int) -> list[complex]:

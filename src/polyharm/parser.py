@@ -1,16 +1,8 @@
 """Text grammar for mappings, round-tripping with canonical printing.
 
-Grammar (whitespace insignificant):
-
-    expr     := ["-"] term (("+" | "-") term)*
-    term     := factor ("*" factor)*
-    factor   := atom ("^" uint)?
-    atom     := "z" | "zbar" | "i" | rational
-              | "conj" "(" expr ")" | "abs2" "(" expr ")" | "(" expr ")"
-    rational := uint ("/" uint)?
-
-Implicit multiplication ("2z") is rejected.  Rejections carry a byte
-offset and the set of expected tokens.
+The grammar is GRAMMAR below, which the CLI's --help prints; whitespace
+is insignificant.  Implicit multiplication ("2z") is rejected.
+Rejections carry a byte offset and the set of expected tokens.
 
 parse_ast reads the whole text into a postfix program before any
 arithmetic, so a syntax error anywhere is reported without building
@@ -36,6 +28,15 @@ from typing import NamedTuple
 
 from .bipoly import BiPoly, GR_I
 from .errors import DivisionByZero, ParseError
+
+GRAMMAR = """\
+expr     := ["-"] term (("+" | "-") term)*
+term     := factor ("*" factor)*
+factor   := atom ("^" uint)?
+atom     := "z" | "zbar" | "i" | rational
+          | "conj" "(" expr ")" | "abs2" "(" expr ")" | "(" expr ")"
+rational := uint ("/" uint)?
+"""
 
 # (1+z+zbar)^63 is the largest power of that trinomial within the budget.
 TERM_BUDGET = 4096

@@ -300,6 +300,19 @@ def test_verify_case_seed_usage_errors(capsys, extra):
     assert code == 2 and out == "" and "argument --case-seed" in err
 
 
+def test_verify_case_seed_is_below_2_to_the_64(capsys):
+    # SplitMix64 keeps a seed mod 2^64, so 2^64 would replay seed 0's case
+    # under another number; every printed case seed is below 2^64.
+    for seed in (1 << 64, (1 << 64) + 7):
+        code, out, err = run_cli(capsys, "verify", "--suite", "thm1_nec", "--case-seed", str(seed), "--json")
+        assert (code, out) == (2, "")
+        assert err.endswith("argument --case-seed: must be below 2^64\n")
+    top = (1 << 64) - 1
+    code, out, err = run_cli(capsys, "verify", "--suite", "thm1_nec", "--case-seed", str(top), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["case_seed"] == top
+
+
 def test_reich(capsys):
     code, out, _ = run_cli(capsys, "reich", "--alpha", "1", "--c", "-1", "1", "--json")
     assert code == 0 and json.loads(out) == {"holds": True}

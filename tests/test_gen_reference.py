@@ -1,13 +1,13 @@
 """The generators against a reference built from the SplitMix64 draw methods.
 
 gen_analytic and gen_harmonic step and mix every draw of an analytic part
-inline (gen._analytic_draws) and build h + conj(g) over one lcm.  The
-reference here makes the same draws through SplitMix64.between, chance,
-coeff_parts and next_u64, one method call per draw; those methods draw
-through next_u64, and tests/test_gen.py checks them against gen._mix
-alone.  The reference builds the mapping only with BiPoly({...}),
-conjugate() and +, so neither _analytic_draws nor _harmonic_from_draws
-takes part in it.
+inline (gen._analytic_draws) and build h + conj(g) as one
+bipoly._from_parts call over both parts' items.  The reference here makes
+the same draws through SplitMix64.between, chance, coeff_parts and
+next_u64, one method call per draw; those methods draw through next_u64,
+and tests/test_gen.py checks them against gen._mix alone.  The reference
+builds the mapping only with BiPoly({...}), conjugate() and +, so
+_analytic_draws takes no part in it, and no item list is conjugated.
 """
 
 from fractions import Fraction

@@ -6,7 +6,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+from polyharm import numeric
 from polyharm.bipoly import BiPoly, GaussianRational, eval_exact
+from polyharm.cli import main
 from polyharm.gen import gen_bipoly, spawn
 from polyharm.numeric import (
     FdReport,
@@ -143,7 +145,7 @@ def test_steps_at_the_edges_of_double_range_are_accepted():
 def test_exp_identity_analytic_input_vanishes():
     [report] = exp_identity_check(Z, 1, [0.2 + 0.1j], 1e-3)
     assert report.symbolic_value == 0
-    assert exp_within_tolerance(report, Z, 1)
+    assert exp_within_tolerance([report], Z, 1)
 
 
 def test_exp_identity_hand_value():
@@ -160,13 +162,40 @@ def test_exp_identity_m_two_consistent():
     f = Z * ZBAR
     point = 0.4 + 0.1j
     [report] = exp_identity_check(f, 2, [point], 1e-3)
-    assert exp_within_tolerance(report, f, 2)
+    assert exp_within_tolerance([report], f, 2)
 
 
 def test_exp_identity_holds_across_biharmonic_shapes():
     f = Z**2 * ZBAR + Z * ZBAR**2 - ZBAR
     [report] = exp_identity_check(f, 1, [0.3 - 0.2j], 1e-3)
-    assert exp_within_tolerance(report, f, 1)
+    assert exp_within_tolerance([report], f, 1)
+
+
+def test_exp_within_tolerance_judges_every_report():
+    f = Z**2 * ZBAR - ZBAR * Fraction(1, 2)
+    reports = exp_identity_check(f, 1, sample_points(3, 5), 1e-3)
+    assert exp_within_tolerance(reports, f, 1)
+    assert all(exp_within_tolerance([report], f, 1) for report in reports)
+    bad = reports[2]._replace(abs_error=1e9)
+    assert not exp_within_tolerance([bad], f, 1)
+    assert not exp_within_tolerance(reports[:2] + [bad] + reports[3:], f, 1)
+
+
+def test_fdcheck_m_builds_each_float_table_once(capsys, monkeypatch):
+    # One table for f and one for a_m(f, m) in exp_identity_check, and one
+    # for f in exp_within_tolerance: none per point.
+    calls = []
+    float_rows = numeric._float_rows
+
+    def counting(f):
+        calls.append(f)
+        return float_rows(f)
+
+    monkeypatch.setattr(numeric, "_float_rows", counting)
+    f = "z^3*zbar - 1/2*z*zbar + (1/3 + i)*z + 3*zbar^4"
+    assert main(["fdcheck", f, "--m", "1", "--points", "50"]) == 0
+    assert capsys.readouterr().out.endswith(" over 50 points at h=0.001: ok\n")
+    assert len(calls) == 3
 
 
 def test_exp_identity_discrepancy_outside_biharmonic_domain():

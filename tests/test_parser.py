@@ -267,3 +267,8 @@ def test_literal_past_int_str_digit_limit_is_a_parse_error():
         assert str(limit) in str(info.value)
     # A literal at the limit is still read.
     assert parse("7" * limit + "*z") == Z * int("7" * limit)
+
+
+def test_readme_states_the_grammar_verbatim():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    assert f"`polyharm --help`:\n\n```\n{parser.GRAMMAR}```\n" in readme
