@@ -15,6 +15,12 @@ Two mappings are therefore equal exactly when their numerator maps and
 denominators are equal.  |z|^(2k) is the term (k, k) with coefficient 1;
 the degrees of the zero mapping are 0 by convention.
 
+``_collect`` brings a set of integer sums over den to normal form in one
+pass: it keeps each nonzero sum as a tuple and folds its parts into the
+gcd with den until that gcd reaches 1, then divides only when the gcd
+ended above 1.  Products, compositions and ``_from_parts`` end in it.
+``_reduced`` is the same gcd pass over a map already free of zeros.
+
 ``_from_parts`` builds a mapping from ((i, j), (re, im, den)) items: one
 lcm, one scaling pass that sums the values of a repeated key, and one gcd
 pass.  It is the one merge of scaled numerators: BiPoly(...), the
@@ -355,8 +361,22 @@ def _reduced(num: dict, den: int) -> BiPoly:
 
 
 def _collect(out: dict, den: int) -> BiPoly:
-    # Normal form of [re, im] sums over den, dropping the sums that cancelled.
-    return _reduced({key: (re, im) for key, (re, im) in out.items() if re or im}, den)
+    """BiPoly of the (re, im) or [re, im] sums in out over den > 0, in normal form.
+
+    Sums that cancelled are dropped; the gcd is folded in the same pass,
+    and a second pass divides only when it ends above 1.
+    """
+    num = {}
+    g = den
+    for key, (re, im) in out.items():
+        if re or im:
+            num[key] = (re, im)
+            if g != 1:
+                g = gcd(g, re, im)
+    if g > 1:
+        num = {key: (re // g, im // g) for key, (re, im) in num.items()}
+        den //= g
+    return _make(num, den)
 
 
 def _from_parts(items) -> BiPoly:

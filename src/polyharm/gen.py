@@ -3,7 +3,12 @@
 All randomness flows through a splitmix-style 64-bit stream driven by pure
 integer arithmetic, so identical (seed, parameters) give identical output
 on every platform.  SplitMix64.next_u64 is the one step and mix, and the
-other methods draw through it.  Only _analytic_draws steps and mixes
+other methods draw through it.  The stream is counter-based: the k-th draw
+of SplitMix64(seed) is _mix(seed + k*_GAMMA), so a draw can be read by its
+index.  spawn(seed, index) is draw index + 1 of SplitMix64(_mix(seed)),
+read that way, and gen_harmonic reads its two part seeds, draws 1 and 2,
+with no stream object; its both_parts_nonconstant branch, which draws
+degrees between them, keeps a stream.  Only _analytic_draws steps and mixes
 inline: it draws one analytic part, its degree, coins, coefficients and
 redraws, in one Python frame, and returns them as the
 ((i, j), (re, im, den)) items that bipoly._from_parts merges; a harmonic
@@ -24,6 +29,9 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 COEFF_LIMIT = 16
+
+# |z|^2 = z*zbar, the Almansi weight of gen_strict_q_harmonic, built once.
+_WEIGHT = BiPoly.monomial(1, 1)
 
 
 def _mix(x: int) -> int:
@@ -196,14 +204,15 @@ def gen_harmonic(
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    rng = SplitMix64(seed)
     if both_parts_nonconstant:
+        rng = SplitMix64(seed)
         top = max(1, max_degree)
         h = _analytic_draws(rng.next_u64(), rng.between(1, top), True)
         g = _analytic_draws(rng.next_u64(), rng.between(1, top), True, conj=True)
     else:
-        h = _analytic_draws(rng.next_u64(), max_degree, False)
-        g = _analytic_draws(rng.next_u64(), max_degree, False, conj=True)
+        # The part seeds are draws 1 and 2 of SplitMix64(seed), read by index.
+        h = _analytic_draws(_mix(seed + _GAMMA), max_degree, False)
+        g = _analytic_draws(_mix(seed + 2 * _GAMMA), max_degree, False, conj=True)
     f = _from_parts(h + g)
     if nonzero and f.is_zero:
         f = f + BiPoly.one()
@@ -219,12 +228,11 @@ def gen_strict_q_harmonic(seed: int, q: int, max_degree: int) -> BiPoly:
     if not isinstance(q, int) or q < 1:
         raise ValueError("q must be a positive integer")
     rng = SplitMix64(seed)
-    weight = BiPoly.monomial(1, 1)
     total = BiPoly.zero()
     for k in range(1, q):
         if rng.chance(3, 4):
-            total = total + weight ** (k - 1) * gen_harmonic(rng.next_u64(), max_degree)
-    total = total + weight ** (q - 1) * gen_harmonic(
+            total = total + _WEIGHT ** (k - 1) * gen_harmonic(rng.next_u64(), max_degree)
+    total = total + _WEIGHT ** (q - 1) * gen_harmonic(
         rng.next_u64(), max_degree, nonzero=True
     )
     return total

@@ -9,7 +9,10 @@ from polyharm.bipoly import (
     BiPoly,
     GR_I,
     GaussianRational,
+    _collect,
+    _mul_into,
     _power,
+    _reduced,
     canonical_print,
     compose,
     eval_exact,
@@ -531,6 +534,54 @@ def test_monomial_default_coefficient():
             BiPoly.monomial(*bad)
     with pytest.raises(TypeError):
         BiPoly.monomial(1, 0, 1.0)
+
+
+# --- the one-pass normal form of sums ----------------------------------------------
+
+
+def _reference_collect(out: dict, den: int) -> BiPoly:
+    """The two-step normal form: drop the sums that cancelled, then _reduced."""
+    return _reduced({key: (re, im) for key, (re, im) in out.items() if re or im}, den)
+
+
+def _assert_collect_matches_reference(out: dict, den: int) -> BiPoly:
+    got, expected = _collect(out, den), _reference_collect(out, den)
+    assert got.denominator == expected.denominator
+    assert dict(got.numerators) == dict(expected.numerators)
+    assert all(type(c) is tuple for c in got.numerators.values())
+    _assert_strict_normal_form(got)
+    return got
+
+
+_sum_parts = st.integers(-12, 12)
+_sums = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.one_of(st.tuples(_sum_parts, _sum_parts), st.lists(_sum_parts, min_size=2, max_size=2)),
+    max_size=6,
+)
+
+
+@given(_sums, st.integers(1, 36))
+@example({(0, 0): [0, 0], (1, 2): (0, 0)}, 12)  # every sum cancelled
+@example({(1, 0): (6, -4), (0, 1): [2, 0]}, 1)  # den == 1
+@example({(1, 0): (6, -4), (0, 1): [2, 0], (2, 2): (0, 0)}, 4)  # a common factor 2
+@example({(1, 0): (6, 9), (0, 1): [1, 0], (2, 0): (3, 3)}, 3)  # the gcd reaches 1 before the last sum
+def test_collect_matches_the_two_step_reference(out, den):
+    _assert_collect_matches_reference(out, den)
+
+
+@given(bipoly_any, bipoly_any, st.integers(-3, 3), st.integers(-3, 3), st.booleans())
+@example(Z + 1, Z - 1, 1, 0, True)  # the sums cancel completely: the zero mapping over 1
+@example(Z * 2 + 4, ZBAR * 3 - 6, 1, 0, False)  # den == 1: every part is a multiple of 6, and no gcd is taken
+def test_collect_of_mul_into_sums_matches_the_reference(a, b, cr, ci, cancel):
+    # _mul_into leaves list-valued [re, im] sums; with cancel it adds -(cr + ci*i)*a*b too.
+    out: dict = {}
+    _mul_into(out, a.numerators.items(), list(b.numerators.items()), cr, ci)
+    if cancel:
+        _mul_into(out, a.numerators.items(), list(b.numerators.items()), -cr, -ci)
+    got = _assert_collect_matches_reference(out, a.denominator * b.denominator)
+    if cancel or not (cr or ci):
+        assert got.is_zero and got.denominator == 1
 
 
 # --- identities and one-term powers ------------------------------------------------

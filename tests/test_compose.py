@@ -132,14 +132,16 @@ def test_compose_reduces_once(monkeypatch):
     outer = BiPoly({(i, j): rng.coeff(nonzero=True) for i in range(3) for j in range(3)})
     inner = BiPoly({(0, 0): GaussianRational(Fraction(1, 3), Fraction(2, 3)), (1, 0): 2, (1, 1): GaussianRational(0, Fraction(-1, 5))})
     assert len(outer.numerators) >= 8
-    reduced = bipoly._reduced
     calls = []
+    # The normal-form step is _collect over sums, or _reduced over a zero-free map.
+    for name in ("_collect", "_reduced"):
+        original = getattr(bipoly, name)
 
-    def counting(num, den):
-        calls.append(den)
-        return reduced(num, den)
+        def counting(num, den, _name=name, _original=original):
+            calls.append(_name)
+            return _original(num, den)
 
-    monkeypatch.setattr(bipoly, "_reduced", counting)
+        monkeypatch.setattr(bipoly, name, counting)
     compose(outer, inner)
     assert len(calls) == 1
 
@@ -156,7 +158,7 @@ def test_one_term_inner_substitutes_keys(monkeypatch):
     unit = BiPoly.monomial(0, 3)
     expected = _compose_term_by_term(f, unit)
     calls = []
-    for name in ("_mul_items", "_mul_into", "_reduced"):
+    for name in ("_mul_items", "_mul_into", "_collect", "_reduced"):
         original = getattr(bipoly, name)
 
         def counting(*args, _name=name, _original=original):
@@ -167,7 +169,7 @@ def test_one_term_inner_substitutes_keys(monkeypatch):
     for inner in inners:
         compose(f, inner)
     # A one-term inner makes no product and reduces once.
-    assert calls == ["_reduced"] * len(inners)
+    assert calls == ["_collect"] * len(inners)
     # The unit monomial with p != r only moves the keys: no gcd pass.
     calls.clear()
     assert compose(f, unit) == expected

@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given
 
-from polyharm import theorems
+from polyharm import gen, theorems
 from polyharm.classify import classify
 from polyharm.gen import (
     _GAMMA,
@@ -74,6 +74,24 @@ def test_gen_harmonic_both_parts_nonconstant():
         assert f.deg_z >= 1 and f.deg_zbar >= 1
         rep = classify(f)
         assert rep.is_harmonic and not rep.is_analytic and not rep.is_antianalytic
+
+
+@given(seed=st.integers(-(2**70), 2**70), max_degree=st.integers(0, 4), nonzero=st.booleans())
+@example(seed=0, max_degree=3, nonzero=False)
+@example(seed=2**64 - 1, max_degree=0, nonzero=True)
+def test_gen_harmonic_part_seeds_are_the_first_two_draws(seed, max_degree, nonzero):
+    seeds = []
+    draws = gen._analytic_draws
+
+    def recording(part_seed, *args, **kwargs):
+        seeds.append(part_seed)
+        return draws(part_seed, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gen, "_analytic_draws", recording)
+        gen_harmonic(seed, max_degree, nonzero=nonzero)
+    rng = SplitMix64(seed)
+    assert seeds == [rng.next_u64(), rng.next_u64()]
 
 
 def test_gen_strict_q_harmonic_contract():
