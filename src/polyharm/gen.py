@@ -12,7 +12,9 @@ degrees between them, keeps a stream.  Only _analytic_draws steps and mixes
 inline: it draws one analytic part, its degree, coins, coefficients and
 redraws, in one Python frame, and returns them as the
 ((i, j), (re, im, den)) items that bipoly._from_parts merges; a harmonic
-mapping h + conj(g) is one _from_parts call over both parts' items.
+mapping h + conj(g) is one _from_parts call over both parts' items
+(_harmonic_draws), and gen_strict_q_harmonic merges the shifted items of
+its lower Almansi levels in one _from_parts call too.
 tests/test_gen.py pins the draw streams and the generated mappings by
 SHA-256 digest.  Coefficient numerators and denominators are bounded by
 16 to keep exact arithmetic tame through degree-8 compositions.
@@ -186,6 +188,17 @@ def gen_analytic(seed: int, max_degree: int, *, exact_degree: bool = False) -> B
     return _from_parts(_analytic_draws(seed, max_degree, exact_degree))
 
 
+def _harmonic_draws(seed: int, max_degree: int) -> list:
+    """gen_harmonic's default draws as _from_parts items: h's, then g's conjugated.
+
+    The part seeds are draws 1 and 2 of SplitMix64(seed), read by index.
+    Only the two constants can share a key, (0, 0).
+    """
+    return _analytic_draws(_mix(seed + _GAMMA), max_degree, False) + _analytic_draws(
+        _mix(seed + 2 * _GAMMA), max_degree, False, conj=True
+    )
+
+
 def gen_harmonic(
     seed: int,
     max_degree: int,
@@ -209,11 +222,9 @@ def gen_harmonic(
         top = max(1, max_degree)
         h = _analytic_draws(rng.next_u64(), rng.between(1, top), True)
         g = _analytic_draws(rng.next_u64(), rng.between(1, top), True, conj=True)
+        f = _from_parts(h + g)
     else:
-        # The part seeds are draws 1 and 2 of SplitMix64(seed), read by index.
-        h = _analytic_draws(_mix(seed + _GAMMA), max_degree, False)
-        g = _analytic_draws(_mix(seed + 2 * _GAMMA), max_degree, False, conj=True)
-    f = _from_parts(h + g)
+        f = _from_parts(_harmonic_draws(seed, max_degree))
     if nonzero and f.is_zero:
         f = f + BiPoly.one()
     return f
@@ -224,15 +235,26 @@ def gen_strict_q_harmonic(seed: int, q: int, max_degree: int) -> BiPoly:
 
     Built as sum_k (z*zbar)^(k-1) * G_k with harmonic G_k and G_q forced
     nonzero; the top Almansi component pins the order at q.
+
+    For each k < q a chance(3, 4) coin decides whether G_k is drawn, from
+    the next draw as its seed.  The items of every drawn G_k, each key moved
+    by (k-1, k-1) as in wirtinger.almansi_recompose, are merged by one
+    _from_parts call, one normal-form pass in place of one per level.  Keys
+    of different k never meet, since min(i, j) = k-1, so values and
+    insertion order are those of the levels summed one by one.  G_q, drawn
+    from the draw after the last coin, is shifted and added through
+    BiPoly.__pow__, mul and __add__, which keeps those ring operations on
+    this path: perfbench's hunt workload expects each to record calls.
     """
     if not isinstance(q, int) or q < 1:
         raise ValueError("q must be a positive integer")
     rng = SplitMix64(seed)
-    total = BiPoly.zero()
+    parts = []
     for k in range(1, q):
         if rng.chance(3, 4):
-            total = total + _WEIGHT ** (k - 1) * gen_harmonic(rng.next_u64(), max_degree)
-    total = total + _WEIGHT ** (q - 1) * gen_harmonic(
-        rng.next_u64(), max_degree, nonzero=True
-    )
-    return total
+            shift = k - 1
+            parts += [
+                ((i + shift, j + shift), c) for (i, j), c in _harmonic_draws(rng.next_u64(), max_degree)
+            ]
+    top = _WEIGHT ** (q - 1) * gen_harmonic(rng.next_u64(), max_degree, nonzero=True)
+    return _from_parts(parts) + top if parts else top

@@ -8,6 +8,11 @@ next_u64, one method call per draw; those methods draw through next_u64,
 and tests/test_gen.py checks them against gen._mix alone.  The reference
 builds the mapping only with BiPoly({...}), conjugate() and +, so
 _analytic_draws takes no part in it, and no item list is conjugated.
+
+gen_strict_q_harmonic merges the items of its lower Almansi levels, keys
+moved by (k-1, k-1), in one _from_parts call.  Its reference sums
+BiPoly.monomial(k-1, k-1) * G_k with +, each G_k from reference_harmonic,
+drawing the coins and level seeds through SplitMix64.chance and next_u64.
 """
 
 from fractions import Fraction
@@ -15,7 +20,7 @@ from fractions import Fraction
 import pytest
 
 from polyharm.bipoly import BiPoly, GaussianRational
-from polyharm.gen import SplitMix64, gen_analytic, gen_harmonic, spawn
+from polyharm.gen import SplitMix64, gen_analytic, gen_harmonic, gen_strict_q_harmonic, spawn
 
 
 def _value(parts: tuple[int, int, int]) -> GaussianRational:
@@ -67,6 +72,22 @@ def reference_harmonic(
     if nonzero and f.is_zero:
         f = f + BiPoly.one()
     return f
+
+
+def reference_levels(seed: int, q: int) -> dict:
+    """{k: seed of G_k} for the levels gen_strict_q_harmonic draws, the top level q included."""
+    rng = SplitMix64(seed)
+    levels = {k: rng.next_u64() for k in range(1, q) if rng.chance(3, 4)}
+    levels[q] = rng.next_u64()
+    return levels
+
+
+def reference_strict_q_harmonic(seed: int, q: int, max_degree: int) -> BiPoly:
+    total = BiPoly.zero()
+    for k, level_seed in reference_levels(seed, q).items():
+        level = reference_harmonic(level_seed, max_degree, nonzero=k == q)
+        total = total + BiPoly.monomial(k - 1, k - 1) * level
+    return total
 
 
 _SEEDS = [spawn(2310, index) for index in range(40)]
@@ -130,3 +151,34 @@ def test_cancelling_constants_match_the_reference(max_degree):
     if max_degree == 0:
         assert f.is_zero
         assert gen_harmonic(seed, 0, nonzero=True) == BiPoly.one()
+
+
+@pytest.mark.parametrize("q", range(1, 7))
+def test_gen_strict_q_harmonic_matches_the_reference(q):
+    for seed in _SEEDS:
+        for max_degree in range(5):
+            expected = reference_strict_q_harmonic(seed, q, max_degree)
+            assert gen_strict_q_harmonic(seed, q, max_degree) == expected, (seed, max_degree)
+
+
+def _cancelled_lower_level(seed: int, q: int, max_degree: int):
+    """The first drawn lower level k < q of gen_strict_q_harmonic(seed, q, max_degree) whose constants cancel.
+
+    At max_degree 0 such a level is the zero mapping; above it, only levels
+    with a term left count.
+    """
+    for k, level_seed in reference_levels(seed, q).items():
+        if k < q and _constants_cancel(max_degree)(level_seed):
+            if reference_harmonic(level_seed, max_degree).is_zero == (max_degree == 0):
+                return k
+    return None
+
+
+@pytest.mark.parametrize("max_degree", [0, 1, 2])
+def test_a_cancelled_lower_level_matches_the_reference(max_degree):
+    q = 3
+    seed = _first_seed(lambda s: _cancelled_lower_level(s, q, max_degree) is not None)
+    k = _cancelled_lower_level(seed, q, max_degree)
+    f = gen_strict_q_harmonic(seed, q, max_degree)
+    assert f == reference_strict_q_harmonic(seed, q, max_degree)
+    assert (k - 1, k - 1) not in f.terms
