@@ -10,11 +10,12 @@ read that way, and gen_harmonic reads its two part seeds, draws 1 and 2,
 with no stream object; its both_parts_nonconstant branch, which draws
 degrees between them, keeps a stream.  Only _analytic_draws steps and mixes
 inline: it draws one analytic part, its degree, coins, coefficients and
-redraws, in one Python frame, and returns them as the
-((i, j), (re, im, den)) items that bipoly._from_parts merges; a harmonic
-mapping h + conj(g) is one _from_parts call over both parts' items
-(_harmonic_draws), and gen_strict_q_harmonic merges the shifted items of
-its lower Almansi levels in one _from_parts call too.
+redraws, in one Python frame, and appends them to a caller's list as the
+((i, j), (re, im, den)) items that bipoly._from_parts merges, each key
+already moved by a given (shift, shift).  A harmonic mapping h + conj(g)
+is one _from_parts call over one list that both parts append to
+(_harmonic_draws), and gen_strict_q_harmonic has every lower Almansi level
+append to one list at its final keys, merged in one _from_parts call too.
 tests/test_gen.py pins the draw streams and the generated mappings by
 SHA-256 digest.  Coefficient numerators and denominators are bounded by
 16 to keep exact arithmetic tame through degree-8 compositions.
@@ -31,6 +32,8 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 COEFF_LIMIT = 16
+# The number of values between(-COEFF_LIMIT, COEFF_LIMIT) draws from.
+_SPAN = 2 * COEFF_LIMIT + 1
 
 # |z|^2 = z*zbar, the Almansi weight of gen_strict_q_harmonic, built once.
 _WEIGHT = BiPoly.monomial(1, 1)
@@ -118,11 +121,16 @@ def gen_bipoly(seed: int, max_degree: int) -> BiPoly:
     return _from_parts(terms.items())
 
 
-def _analytic_draws(seed: int, max_degree: int, exact_degree: bool, conj: bool = False) -> list:
-    """gen_analytic's draws as _from_parts items ((n, 0), (re, im, den)) for increasing n.
+def _analytic_draws(
+    seed: int, max_degree: int, exact_degree: bool, conj: bool = False, shift: int = 0, out: list | None = None
+) -> list:
+    """Append gen_analytic's draws to out as _from_parts items ((n, 0), (re, im, den)), n increasing.
 
     Each item means (re + im*i)/den * z^n.  With conj=True the part is
     conjugated: the items are ((0, n), (re, -im, den)), for g in h + conj(g).
+    Every key is moved by (shift, shift), so the items of |z|^(2*shift)
+    times the part go straight to their final keys.  out is the list
+    appended to, a new one when it is None; it is returned.
 
     The draws are SplitMix64(seed)'s: the degree as between(0, max_degree)
     unless it is exact, then for each n below it a chance(5, 8) coin and,
@@ -133,6 +141,8 @@ def _analytic_draws(seed: int, max_degree: int, exact_degree: bool, conj: bool =
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
+    if out is None:
+        out = []
     state = seed & _MASK
     if exact_degree:
         degree = max_degree
@@ -141,8 +151,9 @@ def _analytic_draws(seed: int, max_degree: int, exact_degree: bool, conj: bool =
         x = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
         degree = (x ^ (x >> 31)) % (max_degree + 1)
-    draws = []
-    n = 0
+    # n runs over the shifted exponents shift..degree + shift.
+    degree += shift
+    n = shift
     while True:
         if n < degree:
             state = (state + _GAMMA) & _MASK
@@ -156,7 +167,7 @@ def _analytic_draws(seed: int, max_degree: int, exact_degree: bool, conj: bool =
         state = (state + _GAMMA) & _MASK
         x = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
-        re = (x ^ (x >> 31)) % (2 * COEFF_LIMIT + 1) - COEFF_LIMIT
+        re = (x ^ (x >> 31)) % _SPAN - COEFF_LIMIT
         state = (state + _GAMMA) & _MASK
         x = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
@@ -170,16 +181,16 @@ def _analytic_draws(seed: int, max_degree: int, exact_degree: bool, conj: bool =
             state = (state + _GAMMA) & _MASK
             x = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
             x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
-            im = (x ^ (x >> 31)) % (2 * COEFF_LIMIT + 1) - COEFF_LIMIT
+            im = (x ^ (x >> 31)) % _SPAN - COEFF_LIMIT
             state = (state + _GAMMA) & _MASK
             x = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
             x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
             im_den = (x ^ (x >> 31)) % COEFF_LIMIT + 1
             re, im, den = re * im_den, im * den, den * im_den
         if n < degree or re or im:
-            draws.append(((0, n), (re, -im, den)) if conj else ((n, 0), (re, im, den)))
+            out.append(((shift, n), (re, -im, den)) if conj else ((n, shift), (re, im, den)))
             if n == degree:
-                return draws
+                return out
             n += 1
 
 
@@ -188,15 +199,16 @@ def gen_analytic(seed: int, max_degree: int, *, exact_degree: bool = False) -> B
     return _from_parts(_analytic_draws(seed, max_degree, exact_degree))
 
 
-def _harmonic_draws(seed: int, max_degree: int) -> list:
-    """gen_harmonic's default draws as _from_parts items: h's, then g's conjugated.
+def _harmonic_draws(seed: int, max_degree: int, shift: int = 0, out: list | None = None) -> list:
+    """Append gen_harmonic's default draws to out as _from_parts items: h's, then g's conjugated.
 
     The part seeds are draws 1 and 2 of SplitMix64(seed), read by index.
-    Only the two constants can share a key, (0, 0).
+    Both parts go to the one list, keys moved by (shift, shift) as in
+    _analytic_draws, and it is returned.  Only the two constants can share
+    a key, (shift, shift).
     """
-    return _analytic_draws(_mix(seed + _GAMMA), max_degree, False) + _analytic_draws(
-        _mix(seed + 2 * _GAMMA), max_degree, False, conj=True
-    )
+    out = _analytic_draws(_mix(seed + _GAMMA), max_degree, False, False, shift, out)
+    return _analytic_draws(_mix(seed + 2 * _GAMMA), max_degree, False, True, shift, out)
 
 
 def gen_harmonic(
@@ -209,8 +221,9 @@ def gen_harmonic(
     """Random harmonic mapping h + conj(g) with h, g analytic.
 
     h and g are drawn as gen_analytic draws them, each in one frame, g's
-    items conjugated as drawn, and h + conj(g) is one _from_parts call over
-    both item lists; only the constants share a key, (0, 0), where they add.
+    items conjugated as drawn, both appended to one list, and h + conj(g)
+    is one _from_parts call over it; only the constants share a key,
+    (0, 0), where they add.
 
     With both_parts_nonconstant=True, both h and g get degree >= 1, so the
     result is neither analytic nor anti-analytic.
@@ -220,9 +233,9 @@ def gen_harmonic(
     if both_parts_nonconstant:
         rng = SplitMix64(seed)
         top = max(1, max_degree)
-        h = _analytic_draws(rng.next_u64(), rng.between(1, top), True)
-        g = _analytic_draws(rng.next_u64(), rng.between(1, top), True, conj=True)
-        f = _from_parts(h + g)
+        parts = _analytic_draws(rng.next_u64(), rng.between(1, top), True)
+        _analytic_draws(rng.next_u64(), rng.between(1, top), True, conj=True, out=parts)
+        f = _from_parts(parts)
     else:
         f = _from_parts(_harmonic_draws(seed, max_degree))
     if nonzero and f.is_zero:
@@ -237,8 +250,9 @@ def gen_strict_q_harmonic(seed: int, q: int, max_degree: int) -> BiPoly:
     nonzero; the top Almansi component pins the order at q.
 
     For each k < q a chance(3, 4) coin decides whether G_k is drawn, from
-    the next draw as its seed.  The items of every drawn G_k, each key moved
-    by (k-1, k-1) as in wirtinger.almansi_recompose, are merged by one
+    the next draw as its seed.  Every drawn G_k appends its items to one
+    list (_harmonic_draws), each key moved by (k-1, k-1) as it is drawn, as
+    in wirtinger.almansi_recompose, and the list is merged by one
     _from_parts call, one normal-form pass in place of one per level.  Keys
     of different k never meet, since min(i, j) = k-1, so values and
     insertion order are those of the levels summed one by one.  G_q, drawn
@@ -252,9 +266,6 @@ def gen_strict_q_harmonic(seed: int, q: int, max_degree: int) -> BiPoly:
     parts = []
     for k in range(1, q):
         if rng.chance(3, 4):
-            shift = k - 1
-            parts += [
-                ((i + shift, j + shift), c) for (i, j), c in _harmonic_draws(rng.next_u64(), max_degree)
-            ]
+            _harmonic_draws(rng.next_u64(), max_degree, k - 1, parts)
     top = _WEIGHT ** (q - 1) * gen_harmonic(rng.next_u64(), max_degree, nonzero=True)
     return _from_parts(parts) + top if parts else top

@@ -6,6 +6,8 @@ laplacian(f, p) == 0 therefore has the closed form 1 + max(min(i, j))
 over the support, which makes order detection exact and decidable.
 """
 
+from operator import itemgetter
+
 from .bipoly import BiPoly, _from_parts, _reduced
 from .errors import NonHarmonicComponent
 
@@ -60,6 +62,10 @@ def polyharmonic_order(f: BiPoly) -> int:
     return 1 + max(map(min, f.numerators))
 
 
+# Orders support points by (j, i): the key of has_off_axis_vertex's second read.
+_J_THEN_I = itemgetter(1, 0)
+
+
 def _newton_vertices(f: BiPoly) -> list[tuple[int, int]]:
     """Vertices of f's Newton polygon (the convex hull of its support), in cyclic order.
 
@@ -90,13 +96,21 @@ def has_off_axis_vertex(f: BiPoly) -> bool:
     """Whether a vertex v of f's Newton polygon has min(v) >= 1; False for f = 0.
 
     f^m has c_v^m != 0 at m*v (see newton_certificate), so then
-    order(f^m) >= 1 + m*min(v).  The support point largest in (i + j, i)
-    is the only one that maximises i + j + eps*i for a small eps > 0, so it
-    is a vertex, read with no hull built; the hull decides only when that
-    point lies on an axis.
+    order(f^m) >= 1 + m*min(v).  Two support points are vertices read with
+    no hull built and no tuple made per key: max(support), the only point
+    that maximises i + eps*j for a small eps > 0, and the largest in
+    (j, i), the only one that maximises j + eps*i.  The hull decides only
+    when both lie on an axis.
     """
-    total, i = max(((i + j, i) for i, j in f.numerators), default=(0, 0))
-    return min(i, total - i) >= 1 or any(min(v) >= 1 for v in _newton_vertices(f))
+    support = f.numerators
+    # Exponents are never negative, so "i and j" reads min(i, j) >= 1.
+    i, j = max(support, default=(0, 0))
+    if i and j:
+        return True
+    i, j = max(support, key=_J_THEN_I, default=(0, 0))
+    if i and j:
+        return True
+    return any(min(v) >= 1 for v in _newton_vertices(f))
 
 
 def newton_certificate(f: BiPoly, l: int) -> int | None:

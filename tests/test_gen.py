@@ -94,6 +94,42 @@ def test_gen_harmonic_part_seeds_are_the_first_two_draws(seed, max_degree, nonze
     assert seeds == [rng.next_u64(), rng.next_u64()]
 
 
+_items = st.lists(
+    st.tuples(
+        st.tuples(st.integers(0, 9), st.integers(0, 9)),
+        st.tuples(st.integers(-16, 16), st.integers(-16, 16), st.integers(1, 256)),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@given(
+    seed=st.integers(-(2**70), 2**70),
+    max_degree=st.integers(0, 4),
+    shift=st.integers(0, 5),
+    start=_items,
+    exact_degree=st.booleans(),
+)
+@example(seed=0, max_degree=0, shift=5, start=[((0, 0), (1, 0, 1))], exact_degree=False)
+def test_draws_append_shifted_items_after_what_the_list_held(seed, max_degree, shift, start, exact_degree):
+    # Appending to out at shift s gives the unshifted items, in order, with
+    # each key moved by (s, s), after the items out already held.
+    def shifted(items):
+        return [((i + shift, j + shift), c) for (i, j), c in items]
+
+    calls = [
+        (gen._harmonic_draws, (seed, max_degree)),
+        (gen._analytic_draws, (seed, max_degree, exact_degree, False)),
+        (gen._analytic_draws, (seed, max_degree, exact_degree, True)),
+    ]
+    for draws, args in calls:
+        alone = draws(*args)
+        out = list(start)
+        assert draws(*args, shift, out) is out
+        assert out == start + shifted(alone)
+
+
 def test_gen_strict_q_harmonic_contract():
     for index in range(60):
         rng = SplitMix64(spawn(23, index))

@@ -1,4 +1,5 @@
 import time
+from operator import itemgetter
 
 import pytest
 import hypothesis.strategies as st
@@ -212,6 +213,10 @@ def test_the_diagonal_extreme_point_is_a_newton_vertex(support):
     top = max(support, key=lambda key: (key[0] + key[1], key[0]))
     assert top in _newton_vertices(f)
     assert top in newton_vertices(f)
+    # has_off_axis_vertex's two reads: the largest in (i, j) and in (j, i).
+    for extreme in (max(support), max(support, key=itemgetter(1, 0))):
+        assert extreme in _newton_vertices(f)
+        assert extreme in newton_vertices(f)
     # The hunt's vertex check, which reads top before any hull is built.
     assert has_off_axis_vertex(f) == any(min(v) >= 1 for v in newton_vertices(f))
 
