@@ -7,7 +7,8 @@ coefficients or floating-point errors, for a few parser-heavy inputs, for
 two Reich checks with a non-real alpha and for five pre-composition
 witnesses, plus one call down each error path: a parse error with its
 offset, a usage error raised by a handler, an argparse range error, a
-flag value that does not convert to its type, and --help.
+flag value that does not convert to its type, --help, and the argument
+errors that the top-level parser and a command's parser each report.
 The whole list is replayed twice in one process, forward and then
 reversed, so that state carried from one call to the next through the
 shared parser would show up as a mismatch.
@@ -87,6 +88,16 @@ ERROR_CALLS = [
     ["fdcheck", "z*zbar", "--h", "0"],
     ["fdcheck", "z*zbar", "--points", "abc"],
     ["--help"],
+    # The argument errors: no command, an unknown command, arguments the
+    # command does not take (reported with the top-level usage), an option
+    # before the command, a command's --help and a bad choice inside it.
+    [],
+    ["ord", "z"],
+    ["order", "z", "extra"],
+    ["order", "z", "--bogus"],
+    ["--json", "order", "z"],
+    ["order", "--help"],
+    ["witness", "--theorem", "9", "z"],
 ]
 
 CALLS = (
