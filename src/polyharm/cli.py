@@ -116,6 +116,11 @@ def _point(text: str) -> GaussianRational:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and the map from each command to its own parser."""
     parser = argparse.ArgumentParser(
         prog="polyharm",
         description="Exact toolkit for polyharmonic polynomial mappings of one complex variable.",
@@ -237,16 +242,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-abs", type=_tolerance, default=None, help="Laplacian check only; not with --m")
     p.add_argument("--tol-rel", type=_tolerance, default=None)
 
-    return parser
+    return parser, sub.choices
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     # Built on the first main() call, not at import, and reused by every
-    # later call: building it costs far more than a small command.  It
-    # binds no handler, which it would keep from its first build; main
-    # looks _cmd_<command> up when it is called.
-    return build_parser()
+    # later call: building them costs far more than a small command.  A
+    # known command is parsed by its own parser alone, since the top-level
+    # pass would only hand it the rest of argv; the top-level parser
+    # handles help and every other argv, and reports arguments a command
+    # leaves over.  They bind no handler, which they would keep from their
+    # first build; main looks _cmd_<command> up when it is called.
+    return _build_parsers()
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -486,8 +494,17 @@ def _cmd_fdcheck(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
     try:
-        args = _parser().parse_args(argv)
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if extras:
+                parser.error("unrecognized arguments: " + " ".join(extras))
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0

@@ -1,4 +1,3 @@
-import argparse
 import json
 import os
 import subprocess
@@ -9,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import polyharm
+from polyharm import cli
 from polyharm.cli import MAX_FD_POINTS, _positive_int_at_most, build_parser, main
+from test_golden_cli import CALLS as GOLDEN_CALLS
 
 
 def run_cli(capsys, *argv):
@@ -491,10 +492,9 @@ def test_fdcheck_points_is_at_most_100000(capsys):
 def test_no_value_error_names_an_internal_function(capsys):
     # argparse words a value error as "invalid <type name> value" unless
     # the type raises ArgumentTypeError; a user must not see private names.
-    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     typed = [
         (command, action)
-        for command, sub in subparsers.choices.items()
+        for command, sub in cli._build_parsers()[1].items()
         for action in sub._actions
         if action.type is not None
     ]
@@ -622,6 +622,81 @@ def test_small_decimal_exponents_and_fractions_are_accepted(capsys):
     assert code == 0 and out.strip() == "holds: true"
 
 
+# main parses a known command with that command's parser alone.  These
+# argument vectors stress argparse itself: "--" in each place, -h at both
+# levels, negative values, abbreviated, ambiguous, missing, extra and
+# unknown arguments, and an option before the command.
+DISPATCH_EDGE_ARGV = [
+    ["order", "--", "z"],
+    ["order", "z", "--"],
+    ["--", "order", "z"],
+    ["order", "--", "-z"],
+    ["-h"],
+    ["order", "-h"],
+    ["order", "z", "-h"],
+    ["-h", "order", "z"],
+    ["--help", "bogus"],
+    ["order"],
+    ["order", "-1"],
+    ["order", "-z"],
+    ["order", "--json=1", "z"],
+    ["order", "--js", "z"],
+    ["laplacian", "--tim", "2", "z^2*zbar^3"],
+    ["laplacian", "--times=-1", "z"],
+    ["fdcheck", "z*zbar", "--tol", "1"],
+    ["fdcheck", "z*zbar", "--h", "-1e-4"],
+    ["reich", "--alpha", "1", "--c=-1e0", "1"],
+    ["eval", "z", "--at", "-1,2"],
+    ["eval", "z", "--at=-1/2,3/4"],
+    ["compose", "z"],
+    ["compose", "z", "z", "z"],
+    ["order", "z", "extra", "--bogus"],
+    ["order", "z", "--bogus=1"],
+    ["Order", "z"],
+    [""],
+    ["order", ""],
+    ["verify", "--suite"],
+    ["conjecture", "--l", "3", "-4", "--cases", "1"],
+    ["witness", "--theorem", "1b", "--l", "1", "z^2", "--json", "--json"],
+    ["--json"],
+]
+
+
+def test_dispatch_matches_the_top_level_parse(monkeypatch, capsys):
+    # With no command map, main runs build_parser().parse_args(argv) and
+    # then the same handler: the path every call took before the dispatch.
+    monkeypatch.delenv("POLYHARM_SEED", raising=False)
+    calls = GOLDEN_CALLS + DISPATCH_EDGE_ARGV
+    dispatched = [run_cli(capsys, *argv) for argv in calls]
+    full = build_parser()
+    monkeypatch.setattr(cli, "_parsers", lambda: (full, {}))
+    for argv, expected in zip(calls, dispatched):
+        assert run_cli(capsys, *argv) == expected, argv
+
+
+def test_known_command_makes_no_top_level_pass(monkeypatch, capsys):
+    parser, commands = cli._build_parsers()
+    top_level = parser.parse_known_args
+    passes = []
+
+    def counted(args=None, namespace=None):
+        passes.append(args)
+        return top_level(args, namespace)
+
+    parser.parse_known_args = counted
+    monkeypatch.setattr(cli, "_parsers", lambda: (parser, commands))
+    assert run_cli(capsys, "order", "z*zbar") == (0, "2\n", "")
+    for argv in (["order", "z", "extra"], ["order", "--help"], ["witness", "--theorem", "9", "z"]):
+        run_cli(capsys, *argv)
+    assert passes == []
+    code, out, err = run_cli(capsys, "order", "z", "extra")
+    assert (code, out) == (2, "") and err.endswith("\npolyharm: error: unrecognized arguments: extra\n")
+    assert err.startswith("usage: polyharm [-h]")
+    for argv in ([], ["--help"], ["ord", "z"]):
+        run_cli(capsys, *argv)
+    assert passes == [[], ["--help"], ["ord", "z"]]
+
+
 # Full passes run through `python -m polyharm`, as a user runs them.
 
 SUITE_ORDER = [
@@ -671,3 +746,16 @@ def test_entry_point_runs_every_suite_and_the_hunt():
 
     run = _polyharm("conjecture", "--l", "0", "3")
     assert run.returncode == 2 and run.stdout == "" and "must be a positive integer" in run.stderr
+
+
+def test_entry_point_reads_argv_from_the_command_line():
+    run = _polyharm("order", "z*zbar")
+    assert (run.returncode, run.stdout, run.stderr) == (0, "2\n", "")
+    run = _polyharm("order", "z", "extra")
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr.startswith("usage: polyharm [-h]")
+    assert run.stderr.endswith("\npolyharm: error: unrecognized arguments: extra\n")
+    run = _polyharm()
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr.startswith("usage: polyharm [-h]")
+    assert run.stderr.endswith("\npolyharm: error: the following arguments are required: command\n")
