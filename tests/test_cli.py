@@ -689,9 +689,6 @@ def test_known_command_makes_no_top_level_pass(monkeypatch, capsys):
     for argv in (["order", "z", "extra"], ["order", "--help"], ["witness", "--theorem", "9", "z"]):
         run_cli(capsys, *argv)
     assert passes == []
-    code, out, err = run_cli(capsys, "order", "z", "extra")
-    assert (code, out) == (2, "") and err.endswith("\npolyharm: error: unrecognized arguments: extra\n")
-    assert err.startswith("usage: polyharm [-h]")
     for argv in ([], ["--help"], ["ord", "z"]):
         run_cli(capsys, *argv)
     assert passes == [[], ["--help"], ["ord", "z"]]
