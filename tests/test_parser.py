@@ -89,6 +89,55 @@ def test_error_positions_are_byte_offsets():
     assert info.value.position == 5
 
 
+_NBSP, _IDEO = "\u00a0", "\u3000"  # two and three bytes in UTF-8
+_DIGITS = "7" * (sys.get_int_max_str_digits() + 1)
+_ATOMS = "(expected (, abs2, conj, i, integer, z, zbar)"
+_BUDGET = f"budget of {TERM_BUDGET} at offset {{}}"
+
+
+# (text before the error, text from the error on, message with {} for the offset)
+@pytest.mark.parametrize(
+    "before, after, message",
+    [
+        (f"z +{_IDEO}", "mu", "unknown name 'mu' at offset {} (expected abs2, conj, i, z, zbar)"),
+        (f"z{_NBSP}+ ", "$", "unexpected character '$' at offset {}"),
+        (f"conj{_IDEO}", "z", "unexpected 'z' at offset {} (expected ()"),
+        (f"(z{_NBSP}+ 1 ", "1", "unexpected '1' at offset {} (expected ))"),
+        (f"z^{_NBSP}", "zbar", "unexpected 'zbar' at offset {} (expected integer exponent)"),
+        (f"1/{_IDEO}", "z", "unexpected 'z' at offset {} (expected integer denominator)"),
+        (f"z +{_NBSP}", "", "unexpected end of input at offset {} " + _ATOMS),
+        (f"conj({_IDEO}z", "", "unexpected end of input at offset {} (expected ))"),
+        (f"z{_NBSP}", "z", "unexpected 'z' after expression at offset {} (expected *, +, -, ^, end of input)"),
+        (
+            f"z +{_NBSP}",
+            _DIGITS,
+            f"integer literal of {len(_DIGITS)} digits is over the limit of "
+            f"{sys.get_int_max_str_digits()} digits at offset {{}}",
+        ),
+        (f"z +{_IDEO}1/", "0", "division by zero in rational literal at offset {}"),
+        (
+            _NBSP + "(" * NESTING_LIMIT,
+            "(z" + ")" * (NESTING_LIMIT + 1),
+            f"'(' nests deeper than {NESTING_LIMIT} levels at offset {{}}",
+        ),
+        (f"{_IDEO}(1+z+zbar)", "^400", "'^' could give up to 160801 terms, over the " + _BUDGET),
+        (f"{_NBSP}z^64 ", "* zbar^64", "'*' could give up to 4225 terms, over the " + _BUDGET),
+        (_IDEO, "abs2(z^64)", "'abs2' could give up to 4225 terms, over the " + _BUDGET),
+    ],
+    ids=[
+        "unknown_name", "unexpected_character", "expect_open", "expect_close", "expect_exponent",
+        "expect_denominator", "end_of_input", "end_before_close", "trailing_token", "digit_limit",
+        "zero_denominator", "nesting_limit", "term_budget_pow", "term_budget_mul", "term_budget_abs2",
+    ],
+)
+def test_error_offsets_count_utf8_bytes_at_every_site(before, after, message):
+    offset = len(before.encode("utf-8"))
+    with pytest.raises(ParseError) as info:
+        parse(before + after)
+    assert info.value.position == offset
+    assert str(info.value) == message.format(offset)
+
+
 def test_tokenizing_a_256_kb_sum_is_linear():
     # The 256 KB sum z+z+...+z* behind one two-byte space, parsed in a fresh
     # interpreter as one CLI call runs.  Encoding the whole prefix again
