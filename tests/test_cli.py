@@ -10,6 +10,7 @@ import pytest
 import polyharm
 from polyharm import cli
 from polyharm.cli import MAX_FD_POINTS, _positive_int_at_most, build_parser, main
+from polyharm.parser import COEFF_BIT_BUDGET
 from test_golden_cli import CALLS as GOLDEN_CALLS
 
 
@@ -595,6 +596,17 @@ def test_integers_past_int_str_digit_limit_exit_2(capsys):
         assert code == 2 and out == ""
         assert err.startswith("usage error: ") and limit in err
         assert err.count("\n") == 1
+
+
+def test_a_power_of_a_constant_past_the_coefficient_budget_exits_2_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "order", "3^10000000")
+    assert time.perf_counter() - start < 0.1
+    assert code == 2 and out == ""
+    assert err == (
+        "parse error: '^' could give coefficients of up to 20000001 bits, "
+        f"over the budget of {COEFF_BIT_BUDGET} bits at offset 1\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -7,13 +7,13 @@ from pathlib import Path
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from polyharm.bipoly import BiPoly, GaussianRational, canonical_print
 from polyharm.errors import DivisionByZero, ParseError
 from polyharm import parser
-from polyharm.parser import NESTING_LIMIT, TERM_BUDGET, parse, parse_ast
-from strategies import bipoly_any
+from polyharm.parser import COEFF_BIT_BUDGET, NESTING_LIMIT, TERM_BUDGET, parse, parse_ast
+from strategies import bipoly_any, grammar_texts, long_grammar_sums
 
 Z = BiPoly.z()
 ZBAR = BiPoly.zbar()
@@ -141,8 +141,8 @@ def test_error_offsets_count_utf8_bytes_at_every_site(before, after, message):
 def test_tokenizing_a_256_kb_sum_is_linear():
     # The 256 KB sum z+z+...+z* behind one two-byte space, parsed in a fresh
     # interpreter as one CLI call runs.  Encoding the whole prefix again
-    # for every token took 15 to 50 s; carrying the byte offset forward
-    # takes under 2 s.
+    # for every token took 15 to 50 s; tokens carry character indexes, and
+    # only the error's index is turned into a byte offset.
     code = """if True:
         import time
         from polyharm.errors import ParseError
@@ -293,6 +293,80 @@ def test_budget_keeps_large_accepted_inputs():
     assert len(f.numerators) == 61 * 62 // 2 and f.deg_z == f.deg_zbar == 60
     assert parse("(3 + (-2)*z + (1 - 2*i)*zbar)^13").deg_zbar == 13
     assert parse("abs2((-3 + 2*i) + 1*z + (2 - i)*z^2)^5").deg_z == 10
+
+
+# --- coefficient-size budget --------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, offset, bits",
+    [
+        ("3^10000000", 1, 20000001),
+        ("((3^1000)^1000)^1000", 15, 2000000001),
+        ("3^1000000 * 3^1000000", 10, 4000001),
+        ("abs2(3^1000000)", 0, 4000001),
+        ("(1/3)^3000000", 5, 6000001),
+        # A sum of four terms adds two bits: 2 + 2 + 2 + 2 is at most 2^3.
+        ("(2 + 2 + 2 + 2)^1000000", 15, 3000001),
+        ("(1+1)^200000 * 3^1000000", 13, 2200001),
+    ],
+)
+def test_coefficient_budget_rejects_at_the_operator(monkeypatch, text, offset, bits):
+    def no_lowering(program):
+        raise AssertionError("lower ran on an input over the budget")
+
+    monkeypatch.setattr(parser, "lower", no_lowering)
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert time.perf_counter() - start < 0.1
+    assert info.value.position == offset
+    op = text[offset] if text[offset] in "^*" else "abs2"
+    assert str(info.value) == (
+        f"{op!r} could give coefficients of up to {bits} bits, over the budget of {COEFF_BIT_BUDGET} bits"
+        f" at offset {offset}"
+    )
+
+
+def test_coefficient_budget_counts_utf8_bytes():
+    with pytest.raises(ParseError) as info:
+        parse("\u3000" + "3^10000000")
+    assert info.value.position == 4
+
+
+def test_term_budget_is_checked_before_the_coefficient_budget():
+    with pytest.raises(ParseError) as info:
+        parse("(3+z+zbar)^2000000")
+    assert f"budget of {TERM_BUDGET} at offset 10" in str(info.value)
+
+
+def test_coefficient_budget_admits_inputs_at_its_edge():
+    for text in ("(3^1000)^1000", f"2^{COEFF_BIT_BUDGET - 1}", f"(1/2)^{COEFF_BIT_BUDGET - 1}*z", "abs2(3^500000)"):
+        parse_ast(text)
+    with pytest.raises(ParseError) as info:
+        parse_ast(f"2^{COEFF_BIT_BUDGET}")
+    assert info.value.position == 1
+
+
+def _check_bounds(text):
+    reader = parser._Parser(text)
+    dz, dzbar, h, e = reader.parse_expr()
+    f = parser.lower(reader.program)
+    assert f.deg_z <= dz and f.deg_zbar <= dzbar
+    assert sum(abs(re) + abs(im) for re, im in f.numerators.values()) <= 2**h
+    assert f.denominator <= 2**e
+
+
+@settings(max_examples=40)
+@given(grammar_texts)
+def test_parser_bounds_hold_for_the_mapping(text):
+    _check_bounds(text)
+
+
+@settings(max_examples=20)
+@given(long_grammar_sums)
+def test_parser_bounds_hold_for_long_sums(text):
+    _check_bounds(text)
 
 
 @given(bipoly_any)
