@@ -1,5 +1,6 @@
 """Shared hypothesis strategies for exact-arithmetic property tests."""
 
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -50,3 +51,54 @@ def gr_mul(*factors) -> GaussianRational:
 def gr_sum(*terms: GaussianRational) -> GaussianRational:
     """The exact sum of GaussianRational terms."""
     return GaussianRational(sum(c.re for c in terms), sum(c.im for c in terms))
+
+
+# Text drawn from parser.GRAMMAR.  Exponents and nesting stay small so
+# that every text is well inside the parser's budgets and cheap to lower.
+
+_uints = st.integers(0, 10**20).map(str)
+
+_rationals = _uints | st.builds(lambda num, den: f"{num}/{den}", _uints, st.integers(1, 10**12))
+
+_leaf_atoms = st.sampled_from(("z", "zbar", "i")) | _rationals
+
+
+def _grammar_sums(atoms, max_terms: int, min_terms: int = 1):
+    factors = st.builds(lambda atom, n: atom if n is None else f"{atom}^{n}", atoms, st.none() | st.integers(0, 2))
+    terms = st.lists(factors, min_size=1, max_size=3).map("*".join)
+    return st.builds(
+        lambda negate, first, rest: ("-" if negate else "") + first + "".join(f" {op} {t}" for op, t in rest),
+        st.booleans(),
+        terms,
+        st.lists(st.tuples(st.sampled_from("+-"), terms), min_size=min_terms - 1, max_size=max_terms - 1),
+    )
+
+
+_atoms = st.recursive(
+    _leaf_atoms,
+    lambda inner: st.builds(
+        lambda opener, body: f"{opener}{body})", st.sampled_from(("(", "conj(", "abs2(")), _grammar_sums(inner, 3)
+    ),
+    max_leaves=6,
+)
+
+grammar_texts = _grammar_sums(_atoms, 4)
+
+def _long_sum(seed: int) -> str:
+    """A sum of 100 to 300 terms, each a product of one to three powers of leaves."""
+    rng = random.Random(seed)
+
+    def factor():
+        integer, num, den = rng.randrange(10**20), rng.randrange(10**6), rng.randrange(1, 10**6)
+        atom = rng.choice(("z", "zbar", "i", str(integer), f"{num}/{den}"))
+        n = rng.randrange(4)
+        return atom if n == 3 else f"{atom}^{n}"
+
+    terms = ["*".join(factor() for _ in range(rng.randint(1, 3))) for _ in range(rng.randint(100, 300))]
+    text = rng.choice(("", "-")) + terms[0]
+    return text + "".join(f" {rng.choice('+-')} {term}" for term in terms[1:])
+
+
+# Drawn from a seeded stream: hypothesis builds a list of hundreds of
+# terms far more slowly.
+long_grammar_sums = st.integers(0, 2**64).map(_long_sum)

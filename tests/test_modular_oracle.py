@@ -1,0 +1,122 @@
+"""The parser, the ring's products and exact evaluation against GF(P^2).
+
+modular_oracle evaluates grammar text and BiPoly numerators at a seeded
+point with z and zbar independent, so two mappings that agree there agree
+as polynomials with high probability: a nonzero difference of total
+degree D vanishes at a random point with probability at most D / P^2.
+Unlike the sympy differential tests it stays cheap on operands of
+thousands of terms, so small operands get fewer draws here.
+"""
+
+import random
+from fractions import Fraction
+
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
+import modular_oracle as oracle
+from polyharm.bipoly import BiPoly, GaussianRational, compose, eval_exact
+from polyharm.parser import parse
+from strategies import bipoly_any, bipoly_small, grammar_texts, long_grammar_sums, scalars
+
+points = st.integers(0, 2**64).map(oracle.random_point)
+
+
+def value(f, point):
+    return oracle.evaluate_bipoly(f, *point)
+
+
+def pair_mul(u, v):
+    return oracle.mul(u[0], v[0]), oracle.mul(u[1], v[1])
+
+
+def random_bipoly(seed: int, terms: int, max_exp: int) -> BiPoly:
+    """`terms` terms with exponents at most max_exp and nonzero Gaussian-rational coefficients."""
+    rng = random.Random(seed)
+
+    def part():
+        return Fraction(rng.randint(1, 10**9) * rng.choice((1, -1)), rng.randint(1, 12))
+
+    keys = rng.sample([(i, j) for i in range(max_exp + 1) for j in range(max_exp + 1)], terms)
+    return BiPoly({key: GaussianRational(part(), part() if rng.random() < 0.5 else 0) for key in keys})
+
+
+@settings(max_examples=40)
+@given(grammar_texts, points)
+def test_parse_agrees_with_the_oracle(text, point):
+    assert value(parse(text), point) == oracle.evaluate_text(text, *point)
+
+
+@settings(max_examples=20)
+@given(long_grammar_sums, points)
+def test_parse_of_long_sums_agrees_with_the_oracle(text, point):
+    assert value(parse(text), point) == oracle.evaluate_text(text, *point)
+
+
+@settings(max_examples=30)
+@given(bipoly_any, bipoly_any, points)
+def test_mul_agrees_with_the_oracle(f, g, point):
+    assert value(f * g, point) == pair_mul(value(f, point), value(g, point))
+
+
+@settings(max_examples=4)
+@given(st.integers(0, 2**32), points)
+def test_mul_of_large_operands_agrees_with_the_oracle(seed, point):
+    f = random_bipoly(seed, 2000, 60)
+    for g in (random_bipoly(seed + 1, 20, 5), random_bipoly(seed + 2, 1, 5)):
+        product = f * g
+        assert value(product, point) == pair_mul(value(f, point), value(g, point))
+
+
+@settings(max_examples=30)
+@given(bipoly_small, st.integers(0, 6), points)
+def test_pow_agrees_with_the_oracle(f, n, point):
+    f_value = value(f, point)
+    expected = oracle.power(f_value[0], n), oracle.power(f_value[1], n)
+    assert value(f**n, point) == expected
+
+
+@settings(max_examples=3)
+@given(st.integers(0, 2**32), points)
+def test_pow_of_large_operands_agrees_with_the_oracle(seed, point):
+    f = random_bipoly(seed, 40, 12)
+    cube = f**3
+    f_value = value(f, point)
+    assert value(cube, point) == (oracle.power(f_value[0], 3), oracle.power(f_value[1], 3))
+    assert len(cube.numerators) > 500
+
+
+def check_compose(f, inner, point):
+    # R(a, b) = f(F(a, b), conj(F)(a, b)), and the same for conj(R).
+    assert value(compose(f, inner), point) == value(f, value(inner, point))
+
+
+@settings(max_examples=30)
+@given(bipoly_small, bipoly_small, points)
+def test_compose_agrees_with_the_oracle(f, inner, point):
+    check_compose(f, inner, point)
+
+
+@settings(max_examples=3)
+@given(st.integers(0, 2**32), points)
+def test_compose_of_large_operands_agrees_with_the_oracle(seed, point):
+    # A large inner mapping under a small outer one, then a large outer
+    # mapping after a one-term inner one and after a unit monomial.
+    inner = random_bipoly(seed, 300, 20)
+    check_compose(random_bipoly(seed + 1, 4, 1), inner, point)
+    outer = random_bipoly(seed + 2, 2000, 60)
+    for inner in (BiPoly({(1, 2): GaussianRational(Fraction(2, 3), 5)}), BiPoly.monomial(2, 0)):
+        check_compose(outer, inner, point)
+
+
+def gaussian(c: GaussianRational):
+    re, im = oracle.rational(c.re.numerator, c.re.denominator), oracle.rational(c.im.numerator, c.im.denominator)
+    return re[0], im[0]
+
+
+@settings(max_examples=30)
+@given(bipoly_any, scalars)
+def test_eval_exact_agrees_with_the_oracle(f, c):
+    point = gaussian(c)
+    conj_point = point[0], -point[1] % oracle.P
+    assert gaussian(eval_exact(f, c)) == value(f, (point, conj_point))[0]
