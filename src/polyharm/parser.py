@@ -21,9 +21,10 @@ While parsing, each subexpression carries upper bounds of its degrees in
 z and in zbar, and of its coefficient size: h and e such that, over the
 subexpression's common denominator den <= 2^e, the sum of |re| + |im|
 over its numerators is at most 2^h.  That sum bounds every numerator
-part, and it is submultiplicative, so a product adds the bounds, a power
-multiplies them and a sum of k terms adds ceil(log2 k) to the largest;
-the growth from term counts is inside it.  A "^", "*" or "abs2" whose
+part, and it is submultiplicative, so a product adds the bounds and a
+power multiplies them; a sum of k terms, taken over the product of their
+denominators, adds ceil(log2 k) to its largest scaled term.  The growth
+from term counts is inside these bounds.  A "^", "*" or "abs2" whose
 result could hold more than TERM_BUDGET terms, (deg_z + 1) * (deg_zbar +
 1) by those bounds, is rejected at its offset; so, checked next, is one
 whose numerators or denominator could be longer than COEFF_BIT_BUDGET

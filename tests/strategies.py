@@ -84,6 +84,7 @@ _atoms = st.recursive(
 
 grammar_texts = _grammar_sums(_atoms, 4)
 
+
 def _long_sum(seed: int) -> str:
     """A sum of 100 to 300 terms, each a product of one to three powers of leaves."""
     rng = random.Random(seed)
