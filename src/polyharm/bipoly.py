@@ -41,12 +41,23 @@ Composition substitutes inner = N/d into f in one accumulation: every
 term c_ij * d^(top-i-j) * N^i * conj(N)^j is added into one set of sums
 over den_f * d^top, where top is the largest i + j among f's keys, and the
 sum is reduced once.  The powers N^i come from one chain of unreduced
-products, and conj(N)^j is read off N^j by reflection (swap each key,
-negate the imaginary part), so no second chain is built.  A one-term
-N = (a + b*i) * z^p * zbar^r makes no product: each term goes to
-c_ij * (a+bi)^i * (a-bi)^j * d^(top-i-j) at (i*p + j*r, i*r + j*p), with
-the powers of a + bi from one Gaussian-integer chain; keys meet only when
-p == r, as for c * |z|^(2k) and constants.
+products that starts at N^1 = N, and conj(N)^j is read off N^j by
+reflection (swap each key, negate the imaginary part), so no second chain
+is built.  A one-term N = (a + b*i) * z^p * zbar^r makes no product:
+each term goes to c_ij * (a+bi)^i * (a-bi)^j * d^(top-i-j) at
+(i*p + j*r, i*r + j*p), with the powers of a + bi from one Gaussian-integer
+chain; keys meet only when p == r, as for c * |z|^(2k) and constants.
+
+An order check reads only part of a composition: the polyharmonic order
+is 1 + max min(i, j) over the support, so "order <= B" and "order > B"
+depend only on the keys with min(i, j) >= B.  ``compose(f, inner, floor)``
+returns exactly that part.  The support of f after N lies in the union of
+i*S_N + j*conj(S_N) over f's keys (i, j), an envelope bounded by
+(i*dz + j*dzb, i*dzb + j*dz) with dz, dzb the degrees of N; a term whose
+bound has a minimum below floor, an item of N^i or conj(N)^j that cannot
+reach floor against the other side's maxima, and a sum that lands below
+floor are all dropped (a short product, as FLINT's mulhigh keeps the high
+half of a product), and floor 0 is the full composition.
 
 A sum whose sides share no key is a merge scaled onto the lcm, already in
 normal form; one whose keys meet is ``_from_parts`` over both sides'
@@ -486,7 +497,7 @@ def _mul_items(a_items, b_items: list) -> list:
     return [(key, (re, im)) for key, (re, im) in out.items() if re or im]
 
 
-def compose(f: BiPoly, inner: BiPoly) -> BiPoly:
+def compose(f: BiPoly, inner: BiPoly, floor: int = 0) -> BiPoly:
     """Exact substitution z -> inner, zbar -> conjugate(inner) in f: f after inner.
 
     With inner = N/d, f's numerators c_ij over den_f and top = max(i + j),
@@ -494,9 +505,29 @@ def compose(f: BiPoly, inner: BiPoly) -> BiPoly:
     added up in one set of sums and reduced once.  N^i comes from one
     unreduced chain; conj(N)^j is N^j reflected (keys swapped, im negated).
     A one-term N = (a + b*i) * z^p * zbar^r is a key substitution instead.
+
+    With floor > 0 the result is only the high part: the terms of f after
+    inner at keys with min(i, j) >= floor, exactly, in normal form.  N^i has
+    z- and zbar-degrees at most i*dz and i*dzb (dz, dzb those of N) and
+    conj(N)^j at most j*dzb and j*dz, so no product from the term (i, j)
+    reaches a key beyond (i*dz + j*dzb, i*dzb + j*dz).  A term whose reach
+    has a minimum below floor is dropped, and so is an item of N^i or
+    conj(N)^j that falls below floor even against the other side's maxima;
+    the sums left below floor are dropped before the reduction, and top
+    is the largest i + j among the kept terms.  Every product that reaches
+    a key at or above floor is still made, so each kept coefficient is
+    exact; and since the polyharmonic order is 1 + max min(i, j), a nonzero
+    high part has the order of the whole composition, and a zero one means
+    that order is at most floor.
     """
+    terms = f._num
+    if floor:
+        dz, dzb = inner.deg_z, inner.deg_zbar
+        terms = {(i, j): c for (i, j), c in terms.items() if min(i * dz + j * dzb, i * dzb + j * dz) >= floor}
+        if not terms:
+            return _make({}, 1)
     deg_z = deg_zbar = top = 0
-    for i, j in f._num:
+    for i, j in terms:
         if i > deg_z:
             deg_z = i
         if j > deg_zbar:
@@ -506,12 +537,16 @@ def compose(f: BiPoly, inner: BiPoly) -> BiPoly:
     d_pow = [inner._den**k for k in range(top + 1)]
     den = f._den * d_pow[top]
     if len(inner._num) == 1:
+        # For a one-term N the reach of (i, j) is its output key, so the
+        # floor has already dropped every term that lands below it.
         ((p, r), (a, b)), = inner._num.items()
         if a == 1 and not b and inner._den == 1 and p != r:
             # A unit monomial with p != r maps (i, j) to (i*p + j*r, i*r + j*p)
             # injectively (the determinant is p^2 - r^2), so f's normal form
-            # carries over, as in _shift.
-            return _make({(i * p + j * r, i * r + j * p): c for (i, j), c in f._num.items()}, f._den)
+            # carries over, as in _shift; the part a floor keeps may not be, so
+            # it takes a gcd pass.
+            num = {(i * p + j * r, i * r + j * p): c for (i, j), c in terms.items()}
+            return _reduced(num, f._den) if floor else _make(num, f._den)
         # c_ij * z^i * zbar^j goes to c_ij * (a+bi)^i * (a-bi)^j * d^(top-i-j)
         # at (i*p + j*r, i*r + j*p); keys meet only when p == r.
         chain = [(1, 0)]
@@ -519,24 +554,36 @@ def compose(f: BiPoly, inner: BiPoly) -> BiPoly:
             x, y = chain[-1]
             chain.append((x * a - y * b, x * b + y * a))
         sums: dict = {}
-        for (i, j), (cr, ci) in f._num.items():
+        for (i, j), (cr, ci) in terms.items():
             (x, y), (u, v), scale = chain[i], chain[j], d_pow[top - i - j]
             sr, si = (x * u + y * v) * scale, (y * u - x * v) * scale
             re, im = cr * sr - ci * si, cr * si + ci * sr
             key = (i * p + j * r, i * r + j * p)
             acc = sums.get(key)
-            sums[key] =(re, im) if acc is None else (acc[0] + re, acc[1] + im)
+            sums[key] = (re, im) if acc is None else (acc[0] + re, acc[1] + im)
         return _collect(sums, den)
     inner_items = list(inner._num.items())
-    powers = [[((0, 0), (1, 0))]]
-    for _ in range(max(deg_z, deg_zbar)):
+    powers = [[((0, 0), (1, 0))], inner_items]
+    for _ in range(max(deg_z, deg_zbar) - 1):
         powers.append(_mul_items(powers[-1], inner_items))
     conj_powers = [[((b, a), (r, -m)) for (a, b), (r, m) in p] for p in powers[: deg_zbar + 1]]
     out: dict = {}
-    for (i, j), (re, im) in f._num.items():
-        scale = d_pow[top - i - j]
-        _mul_into(out, powers[i], conj_powers[j], re * scale, im * scale)
-    return _collect(out, den)
+    if not floor:
+        for (i, j), (re, im) in terms.items():
+            scale = d_pow[top - i - j]
+            _mul_into(out, powers[i], conj_powers[j], re * scale, im * scale)
+        return _collect(out, den)
+    for (i, j), (re, im) in terms.items():
+        # An item of N^i gains at most (j*dzb, j*dz) from conj(N)^j, and one
+        # of conj(N)^j at most (i*dz, i*dzb) from N^i.
+        lo_z, lo_zb = floor - j * dzb, floor - j * dz
+        left = [item for item in powers[i] if item[0][0] >= lo_z and item[0][1] >= lo_zb]
+        lo_z, lo_zb = floor - i * dz, floor - i * dzb
+        right = [item for item in conj_powers[j] if item[0][0] >= lo_z and item[0][1] >= lo_zb]
+        if left and right:
+            scale = d_pow[top - i - j]
+            _mul_into(out, left, right, re * scale, im * scale)
+    return _collect({key: s for key, s in out.items() if min(key) >= floor}, den)
 
 
 def eval_exact(f: BiPoly, point: GaussianRational) -> GaussianRational:

@@ -256,14 +256,17 @@ def _search(f: BiPoly, q: int, l: int, post: bool) -> WitnessResult:
 
     Compliant for an allowed form; otherwise a Violation with the first
     candidate whose composition with f has exact order > l.  Every
-    candidate is of class q by construction.
+    candidate is of class q by construction.  Each composition is only its
+    part at keys with min(i, j) >= l (compose's floor): that part holds
+    every key that can make the order exceed l, so a nonzero part has the
+    exact order of the whole composition, and a zero one reads 0 <= l.
     """
     _require_params(q, l)
     rep = classify(f)
     if (_allowed_post if post else _allowed_pre)(rep, q, l):
         return WitnessResult(COMPLIANT, None, None, l, "")
     for candidate, tag in (_post_candidates if post else _pre_candidates)(f, rep, q, l):
-        order = polyharmonic_order(compose(f, candidate) if post else compose(candidate, f))
+        order = polyharmonic_order(compose(f, candidate, floor=l) if post else compose(candidate, f, floor=l))
         if order > l:
             return WitnessResult(VIOLATION, candidate, order, l, tag)
     side = "inner" if post else "outer"
@@ -389,21 +392,34 @@ def _check_order(name: str, f: BiPoly, q: int) -> None:
 
 
 def _check_bound(outer: BiPoly, inner: BiPoly, bound: int) -> None:
-    """The order of outer after inner is at most bound."""
-    got = polyharmonic_order(compose(outer, inner))
+    """The order of outer after inner is at most bound.
+
+    Only the part at keys with min(i, j) >= bound is composed: it is zero
+    (order 0) exactly when the order is at most bound, and otherwise its
+    order is the exact order of the whole composition, which the failure
+    names.
+    """
+    got = polyharmonic_order(compose(outer, inner, floor=bound))
     if got > bound:
         raise _CaseFailure(f"outer={outer} inner={inner}", f"order <= {bound}", str(got))
 
 
 def _check_violation(res: WitnessResult, f: BiPoly, q: int, l: int, post: bool) -> None:
-    """Raise _CaseFailure unless res is a Violation that holds when re-verified from scratch."""
+    """Raise _CaseFailure unless res is a Violation that holds when re-verified from scratch.
+
+    The composition is recomputed at floor l, as _search computes it: a
+    nonzero part at min(i, j) >= l has the exact order of the whole, so an
+    order above l is read exactly.  A zero part reads 0, and then the
+    failure names the order of the full composition.
+    """
     context = f"q={q} l={l} f={canonical_print(f)}"
     if res.verdict != VIOLATION:
         raise _CaseFailure(context, "verdict Violation", res.verdict)
-    composed = compose(f, res.witness) if post else compose(res.witness, f)
-    order = polyharmonic_order(composed)
+    outer, inner = (f, res.witness) if post else (res.witness, f)
+    order = polyharmonic_order(compose(outer, inner, floor=l))
     if order != res.composition_order or order <= l:
-        raise _CaseFailure(context, f"recomputed composition order > {l}", str(order))
+        got = order if order > l else polyharmonic_order(compose(outer, inner))
+        raise _CaseFailure(context, f"recomputed composition order > {l}", str(got))
     wrep = classify(res.witness)
     if q == 0 and not wrep.is_analytic:
         raise _CaseFailure(context, "analytic witness for q=0", canonical_print(res.witness))

@@ -1,16 +1,19 @@
-"""Exact composition: a pinned digest, a differential test, the single reduction and the one-term substitution."""
+"""Exact composition: a pinned digest, a differential test, the single reduction, the one-term
+substitution and the floor."""
 
 import hashlib
 from fractions import Fraction
 from math import gcd
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import example, given
 
-from polyharm import bipoly
+from polyharm import bipoly, theorems
 from polyharm.bipoly import BiPoly, GaussianRational, canonical_print, compose, mul
 from polyharm.gen import SplitMix64, gen_bipoly, gen_harmonic, gen_strict_q_harmonic, spawn
-from strategies import bipolys
+from polyharm.wirtinger import polyharmonic_order
+from strategies import analytic_polys, bipoly_small, bipolys, nonzero_scalars, scalars
 
 Z = BiPoly.z()
 ZBAR = BiPoly.zbar()
@@ -174,3 +177,75 @@ def test_one_term_inner_substitutes_keys(monkeypatch):
     calls.clear()
     assert compose(f, unit) == expected
     assert not calls
+
+
+# --- the floor ---------------------------------------------------------------------
+#
+# compose(f, inner, floor) is the part of f after inner at keys with
+# min(i, j) >= floor, which is all that an order check against floor reads.
+
+_exps = st.integers(0, 3)
+_floor_inners = st.one_of(
+    bipoly_small,
+    analytic_polys,
+    analytic_polys.map(BiPoly.conjugate),
+    # The one-term branches: a unit monomial with p != r and with p == r,
+    # a constant and a Gaussian coefficient.
+    st.tuples(_exps, _exps).filter(lambda key: key[0] != key[1]).map(lambda key: BiPoly.monomial(*key)),
+    _exps.map(lambda k: BiPoly.monomial(k, k)),
+    scalars.map(BiPoly.constant),
+    st.builds(BiPoly.monomial, _exps, _exps, nonzero_scalars),
+)
+
+
+@given(st.one_of(bipoly_small, bipolys(max_exp=3, max_terms=6)), _floor_inners, st.integers(0, 6))
+@example(Z**2 * ZBAR**2 + Z * ZBAR + Z + 1, Z + ZBAR * 2 + 1, 2)
+# Only some items of N and conj(N) reach the floor inside a kept term.
+@example(Z**2 + Z * ZBAR + ZBAR**3, Z**2 + Z * ZBAR + ZBAR + 1, 3)
+# Over f's denominator 6 the kept part's numerator 4 is even, so it reduces.
+@example(Z**3 * Fraction(2, 3) + ZBAR * Fraction(1, 6), BiPoly.monomial(2, 1), 2)
+# p == r: the kept keys meet and cancel.
+@example(Z * ZBAR**2 - Z**2 * ZBAR + Z, BiPoly.monomial(1, 1, Fraction(3, 2)), 3)
+@example(Z**2 * ZBAR**2 + Z * 3, BiPoly.constant(GaussianRational(1, 2)), 1)
+@example(Z**2 * ZBAR + ZBAR, _CANCELLING, 2)
+def test_compose_at_a_floor_is_the_high_part(f, inner, floor):
+    full = _compose_term_by_term(f, inner)
+    high = compose(f, inner, floor)
+    assert high == BiPoly({key: c for key, c in full.terms.items() if min(key) >= floor})
+    _assert_normal_form(high)
+    order = polyharmonic_order(full)
+    if order > floor:
+        assert polyharmonic_order(high) == order
+    else:
+        assert high.is_zero
+
+
+# No term or no item of a thm2_suff or thm1_suff composition reaches its
+# bound, so neither suite makes a product inside compose.  Full
+# compositions make 1,308 _mul_into and 445 _mul_items calls in thm2_suff,
+# and 2,490 and 779 in thm1_suff.
+@pytest.mark.parametrize("suite", ["thm2_suff", "thm1_suff"])
+def test_the_floor_prunes_the_sufficiency_suites(monkeypatch, suite):
+    # Counts the _mul_into and _mul_items calls made inside compose by run_suite(suite, 0, 200).
+    counts = {"_mul_into": 0, "_mul_items": 0}
+    inside = []
+    for name in counts:
+        original = getattr(bipoly, name)
+
+        def counting(*args, _name=name, _original=original):
+            if inside:
+                counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(bipoly, name, counting)
+
+    def marked_compose(outer, inner, floor=0):
+        inside.append(1)
+        try:
+            return compose(outer, inner, floor)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(theorems, "compose", marked_compose)
+    assert theorems.run_suite(suite, 0, 200).failures == 0
+    assert counts == {"_mul_into": 0, "_mul_items": 0}

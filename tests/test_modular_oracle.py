@@ -68,6 +68,34 @@ def test_mul_of_large_operands_agrees_with_the_oracle(seed, point):
         assert value(product, point) == pair_mul(value(f, point), value(g, point))
 
 
+def tall_bipoly(seed: int, terms: int, max_exp: int) -> BiPoly:
+    """`terms` terms with exponents at most max_exp, each coefficient part a ratio of two 200- to 400-bit integers."""
+    rng = random.Random(seed)
+
+    def tall():
+        bits = rng.randint(200, 400)
+        return rng.getrandbits(bits - 1) | 1 << (bits - 1)
+
+    def part():
+        return Fraction(tall() * rng.choice((1, -1)), tall())
+
+    keys = rng.sample([(i, j) for i in range(max_exp + 1) for j in range(max_exp + 1)], terms)
+    return BiPoly({key: GaussianRational(part(), part() if rng.random() < 0.5 else 0) for key in keys})
+
+
+@settings(max_examples=5)
+@given(st.integers(0, 2**32), points)
+def test_products_of_tall_coefficients_agree_with_the_oracle(seed, point):
+    # mul, ** and a full compose on coefficients whose numerators and
+    # denominators run to hundreds of bits, and common denominators to thousands.
+    f, g = tall_bipoly(seed, 12, 4), tall_bipoly(seed + 1, 8, 3)
+    assert max(part.bit_length() for c in f.numerators.values() for part in c) > 1000
+    f_value, g_value = value(f, point), value(g, point)
+    assert value(f * g, point) == pair_mul(f_value, g_value)
+    assert value(g**3, point) == (oracle.power(g_value[0], 3), oracle.power(g_value[1], 3))
+    check_compose(tall_bipoly(seed + 2, 5, 2), tall_bipoly(seed + 3, 4, 2), point)
+
+
 @settings(max_examples=30)
 @given(bipoly_small, st.integers(0, 6), points)
 def test_pow_agrees_with_the_oracle(f, n, point):

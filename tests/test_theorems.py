@@ -154,6 +154,12 @@ def test_check_violation_error_triples():
     with pytest.raises(_CaseFailure) as failure:
         _check_violation(wrong, f, 1, 1, post=True)
     assert failure.value.args == (context, "recomputed composition order > 1", str(real.composition_order))
+    # z^2 after z has order 1 <= l: its part at min(i, j) >= 1 is zero, and
+    # the failure still names the order of the whole composition.
+    harmless = WitnessResult(VIOLATION, Z, 2, 1, real.family_tag)
+    with pytest.raises(_CaseFailure) as failure:
+        _check_violation(harmless, f, 1, 1, post=True)
+    assert failure.value.args == (context, "recomputed composition order > 1", "1")
 
 
 def _forged_verdict(real):
@@ -171,7 +177,9 @@ def _order_6_on_every_second_call(real):
 
 
 def _one_order_higher(real):
-    return lambda outer, inner: mul(real(outer, inner), Z * ZBAR)
+    # Forged from the full composition: the floor the check passes is
+    # ignored, so the forged order is the real one plus one at any floor.
+    return lambda outer, inner, floor: mul(real(outer, inner), Z * ZBAR)
 
 
 def _not_harmonic(real):
@@ -318,9 +326,9 @@ def test_pre_composition_searches_hit_on_their_first_candidate(monkeypatch, name
     plain_compose, plain_find = theorems.compose, theorems.find_witness_pre
     searches = []
 
-    def counting_compose(outer, inner):
+    def counting_compose(outer, inner, floor):
         composed.append(1)
-        return plain_compose(outer, inner)
+        return plain_compose(outer, inner, floor)
 
     def recording_find(f, q, l):
         before = len(composed)
