@@ -35,7 +35,7 @@ scaling and one Gaussian-integer power of its numerator over den^n,
 reduced by one gcd pass, which den = 1 (a unit monomial among them)
 skips; other powers go through binary powering.  Composing f with a unit
 monomial z^p * zbar^r, p != r, only moves f's keys, injectively, so f's
-normal form carries over with no gcd pass.
+normal form carries over with no gcd pass when no term is dropped.
 
 Composition substitutes inner = N/d into f in one accumulation: every
 term c_ij * d^(top-i-j) * N^i * conj(N)^j is added into one set of sums
@@ -521,7 +521,10 @@ def compose(f: BiPoly, inner: BiPoly, floor: int = 0) -> BiPoly:
     that order is at most floor.
     """
     terms = f._num
+    dz = dzb = 0
     if floor:
+        # Only a floor reads the degrees of N: at floor 0 no bound below
+        # is above 0, whatever they are.
         dz, dzb = inner.deg_z, inner.deg_zbar
         terms = {(i, j): c for (i, j), c in terms.items() if min(i * dz + j * dzb, i * dzb + j * dz) >= floor}
         if not terms:
@@ -543,10 +546,10 @@ def compose(f: BiPoly, inner: BiPoly, floor: int = 0) -> BiPoly:
         if a == 1 and not b and inner._den == 1 and p != r:
             # A unit monomial with p != r maps (i, j) to (i*p + j*r, i*r + j*p)
             # injectively (the determinant is p^2 - r^2), so f's normal form
-            # carries over, as in _shift; the part a floor keeps may not be, so
-            # it takes a gcd pass.
+            # carries over, as in _shift, unless a floor dropped terms: the
+            # part left may not be in lowest terms and takes a gcd pass.
             num = {(i * p + j * r, i * r + j * p): c for (i, j), c in terms.items()}
-            return _reduced(num, f._den) if floor else _make(num, f._den)
+            return _make(num, f._den) if len(num) == len(f._num) else _reduced(num, f._den)
         # c_ij * z^i * zbar^j goes to c_ij * (a+bi)^i * (a-bi)^j * d^(top-i-j)
         # at (i*p + j*r, i*r + j*p); keys meet only when p == r.
         chain = [(1, 0)]
@@ -568,22 +571,23 @@ def compose(f: BiPoly, inner: BiPoly, floor: int = 0) -> BiPoly:
         powers.append(_mul_items(powers[-1], inner_items))
     conj_powers = [[((b, a), (r, -m)) for (a, b), (r, m) in p] for p in powers[: deg_zbar + 1]]
     out: dict = {}
-    if not floor:
-        for (i, j), (re, im) in terms.items():
-            scale = d_pow[top - i - j]
-            _mul_into(out, powers[i], conj_powers[j], re * scale, im * scale)
-        return _collect(out, den)
     for (i, j), (re, im) in terms.items():
         # An item of N^i gains at most (j*dzb, j*dz) from conj(N)^j, and one
-        # of conj(N)^j at most (i*dz, i*dzb) from N^i.
+        # of conj(N)^j at most (i*dz, i*dzb) from N^i; a side whose bounds
+        # are at most 0 (every side at floor 0) is used whole.
+        left, right = powers[i], conj_powers[j]
         lo_z, lo_zb = floor - j * dzb, floor - j * dz
-        left = [item for item in powers[i] if item[0][0] >= lo_z and item[0][1] >= lo_zb]
+        if lo_z > 0 or lo_zb > 0:
+            left = [item for item in left if item[0][0] >= lo_z and item[0][1] >= lo_zb]
         lo_z, lo_zb = floor - i * dz, floor - i * dzb
-        right = [item for item in conj_powers[j] if item[0][0] >= lo_z and item[0][1] >= lo_zb]
+        if lo_z > 0 or lo_zb > 0:
+            right = [item for item in right if item[0][0] >= lo_z and item[0][1] >= lo_zb]
         if left and right:
             scale = d_pow[top - i - j]
             _mul_into(out, left, right, re * scale, im * scale)
-    return _collect({key: s for key, s in out.items() if min(key) >= floor}, den)
+    if floor:
+        out = {key: s for key, s in out.items() if min(key) >= floor}
+    return _collect(out, den)
 
 
 def eval_exact(f: BiPoly, point: GaussianRational) -> GaussianRational:

@@ -405,9 +405,12 @@ def _check_bound(outer: BiPoly, inner: BiPoly, bound: int) -> None:
 
 
 def _check_violation(res: WitnessResult, f: BiPoly, q: int, l: int, post: bool) -> None:
-    """Raise _CaseFailure unless res is a Violation that holds when re-verified from scratch.
+    """Raise _CaseFailure unless res is a Violation whose order, recomposed, is still above l.
 
-    The composition is recomputed at floor l, as _search computes it: a
+    The composition is recomputed at floor l through the same pruned
+    compose that _search used, so this repeats _search's arithmetic rather
+    than checking it independently; the floor itself is checked against a
+    term-by-term composition and the GF(P^2) evaluator in the tests.  A
     nonzero part at min(i, j) >= l has the exact order of the whole, so an
     order above l is read exactly.  A zero part reads 0, and then the
     failure names the order of the full composition.

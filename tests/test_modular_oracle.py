@@ -137,6 +137,31 @@ def test_compose_of_large_operands_agrees_with_the_oracle(seed, point):
         check_compose(outer, inner, point)
 
 
+def check_floor(f, inner, floor, point):
+    # The high part plus the full composition's terms below floor is f after
+    # inner, and the high part has no term below floor.
+    high = compose(f, inner, floor)
+    assert all(min(key) >= floor for key in high.numerators)
+    low = BiPoly({key: c for key, c in compose(f, inner).terms.items() if min(key) < floor})
+    total = tuple(oracle.add(u, v) for u, v in zip(value(high, point), value(low, point)))
+    assert total == value(f, value(inner, point))
+
+
+@settings(max_examples=30)
+@given(bipoly_any, bipoly_small, st.integers(1, 6), points)
+def test_compose_at_a_floor_agrees_with_the_oracle(f, inner, floor, point):
+    check_floor(f, inner, floor, point)
+
+
+@settings(max_examples=3)
+@given(st.integers(0, 2**32), points)
+def test_compose_at_a_floor_of_larger_operands_agrees_with_the_oracle(seed, point):
+    outer, inner = random_bipoly(seed, 12, 4), random_bipoly(seed + 1, 5, 2)
+    for floor in (2, 5, 8):
+        check_floor(outer, inner, floor, point)
+    check_floor(tall_bipoly(seed + 2, 5, 2), tall_bipoly(seed + 3, 4, 2), 3, point)
+
+
 def gaussian(c: GaussianRational):
     re, im = oracle.rational(c.re.numerator, c.re.denominator), oracle.rational(c.im.numerator, c.im.denominator)
     return re[0], im[0]
