@@ -33,7 +33,12 @@ operand, and a product with the unit monomial 1 (``_shift`` at (0, 0) by
 1) returns the other factor.  A power of a one-term mapping is one key
 scaling and one Gaussian-integer power of its numerator over den^n,
 reduced by one gcd pass, which den = 1 (a unit monomial among them)
-skips; other powers go through binary powering.  Composing f with a unit
+skips.  Other powers are left-to-right binary powering: a square per bit
+after the leading one, and a product by the base per set bit, so no
+general product has two large sides.  A square, ``mul(f, f)``, adds each
+unordered pair of terms once, doubled, and each term's own square:
+k(k+1)/2 term products for k terms instead of k^2 (``_square_into``, as
+FLINT's fmpz_poly_sqr beside its general product).  Composing f with a unit
 monomial z^p * zbar^r, p != r, only moves f's keys, injectively, so f's
 normal form carries over with no gcd pass when no term is dropped.
 
@@ -64,8 +69,8 @@ normal form; one whose keys meet is ``_from_parts`` over both sides'
 items.  Evaluation is composition: ``eval_exact``
 is the constant term of f composed with the constant point, a one-term
 inner with p = r = 0, so it is one key substitution onto (0, 0) and one
-reduction.  The printer reads the numerators and reduces each coefficient
-part with one gcd.
+reduction.  The printer writes every term in one loop over the sorted
+numerators, and takes a gcd only for a part over a denominator above 1.
 
 GaussianRational, the exact scalar with Fraction parts, is a value type
 with no arithmetic: BiPoly is the one ring, and a computation on scalars
@@ -447,26 +452,34 @@ def _shift(f: BiPoly, di: int, dj: int, re: int, im: int, den: int) -> BiPoly:
 
 
 def mul(a: BiPoly, b: BiPoly) -> BiPoly:
-    """Exact product; the result is in normal form."""
+    """Exact product; the result is in normal form.  mul(f, f) is a square, at half the term products."""
     if len(b._num) == 1:
         a, b = b, a
     if len(a._num) == 1:
         ((di, dj), (re, im)), = a._num.items()
         return _shift(b, di, dj, re, im, a._den)
     out: dict = {}
-    _mul_into(out, a._num.items(), list(b._num.items()))
+    if a is b:
+        _square_into(out, list(a._num.items()))
+    else:
+        _mul_into(out, a._num.items(), list(b._num.items()))
     return _collect(out, a._den * b._den)
 
 
 def _power(base: BiPoly, n: int) -> BiPoly:
-    """base**n for n >= 0 by binary powering."""
-    out = BiPoly.one()
-    while n:
-        if n & 1:
+    """base**n for n >= 0 by left-to-right binary powering (Knuth, TAOCP vol. 2, 4.6.3).
+
+    From base, each bit of n after the leading one squares the power and,
+    when set, multiplies it by base, so every general product has base as
+    one side and only the squares grow on both.
+    """
+    if not n:
+        return BiPoly.one()
+    out = base
+    for bit in bin(n)[3:]:
+        out = mul(out, out)
+        if bit == "1":
             out = mul(out, base)
-        n >>= 1
-        if n:
-            base = mul(base, base)
     return out
 
 
@@ -490,10 +503,26 @@ def _mul_into(out: dict, a_items, b_items, cr: int = 1, ci: int = 0) -> None:
                 acc[1] += r1 * m2 + m1 * r2
 
 
+def _square_into(out: dict, items: list, cr: int = 1, ci: int = 0) -> None:
+    # Add (cr + ci*i) * p^2 into out, for p the numerator list items, with
+    # k(k+1)/2 term products instead of _mul_into's k^2: row n multiplies
+    # t_n by itself and by each later term once, doubled, which counts that
+    # product for both orders.
+    doubled = [(key, (2 * r, 2 * m)) for key, (r, m) in items]
+    for n, item in enumerate(items):
+        _mul_into(out, (item,), [item, *doubled[n + 1 :]], cr, ci)
+
+
 def _mul_items(a_items, b_items: list) -> list:
-    """The unreduced product of two numerator lists, as (key, (re, im)) items with no zero sum."""
+    """The unreduced product of two numerator lists, as (key, (re, im)) items with no zero sum.
+
+    The same list on both sides is squared at half the term products.
+    """
     out: dict = {}
-    _mul_into(out, a_items, b_items)
+    if a_items is b_items:
+        _square_into(out, b_items)
+    else:
+        _mul_into(out, a_items, b_items)
     return [(key, (re, im)) for key, (re, im) in out.items() if re or im]
 
 
@@ -603,16 +632,20 @@ def eval_exact(f: BiPoly, point: GaussianRational) -> GaussianRational:
 # ---------------------------------------------------------------------------
 
 
+def _too_long() -> IntegerTooLong:
+    return IntegerTooLong(
+        f"the result has an integer of more than {sys.get_int_max_str_digits()} digits, "
+        "the limit of sys.get_int_max_str_digits()"
+    )
+
+
 def _fraction_text(n: int, d: int) -> str:
     """Text of n/d in lowest terms, for d > 0."""
     g = gcd(n, d)
     try:
         return str(n // g) if g == d else f"{n // g}/{d // g}"
     except ValueError:
-        raise IntegerTooLong(
-            f"the result has an integer of more than {sys.get_int_max_str_digits()} digits, "
-            "the limit of sys.get_int_max_str_digits()"
-        ) from None
+        raise _too_long() from None
 
 
 def _scalar_text(re: int, im: int, den: int) -> str:
@@ -630,47 +663,52 @@ def format_scalar(c: GaussianRational) -> str:
     return _scalar_text(*_scalar_parts(c))
 
 
-def _monomial_text(i: int, j: int) -> str:
-    parts = []
-    if i == 1:
-        parts.append("z")
-    elif i > 1:
-        parts.append(f"z^{i}")
-    if j == 1:
-        parts.append("zbar")
-    elif j > 1:
-        parts.append(f"zbar^{j}")
-    return "*".join(parts)
-
-
-def _term_text(i: int, j: int, re: int, im: int, den: int) -> tuple[bool, str]:
-    """Return (negative, magnitude_text) for the term (re + im*i)/den * z^i * zbar^j."""
-    mono = _monomial_text(i, j)
-    if not mono:
-        # The constant term always sorts first, so it prints as the
-        # standalone scalar with its own signs.
-        return False, _scalar_text(re, im, den)
-    if not im:
-        mag = abs(re)
-        coeff = "" if mag == den else f"{_fraction_text(mag, den)}*"
-        return re < 0, coeff + mono
-    if not re:
-        mag = abs(im)
-        coeff = "i*" if mag == den else f"{_fraction_text(mag, den)}*i*"
-        return im < 0, coeff + mono
-    return False, f"({_scalar_text(re, im, den)})*{mono}"
-
-
 def canonical_print(f: BiPoly) -> str:
-    """Deterministic text for f; the zero mapping prints as "0"."""
-    if f.is_zero:
+    """Deterministic text for f; the zero mapping prints as "0".
+
+    One loop over the sorted keys writes each separator and term: a
+    coefficient part over den = 1 prints as its int, and only a part over
+    a larger den takes _fraction_text's gcd.
+    """
+    if not f._num:
         return "0"
     num, den = f._num, f._den
+    keys = sorted(num)
+    # Stable on the (i, j) order, so ties in i + j stay sorted by i.
+    keys.sort(key=sum)
     pieces = []
-    for (i, j) in sorted(num, key=lambda key: (key[0] + key[1], key[0])):
-        negative, text = _term_text(i, j, *num[(i, j)], den)
-        if not pieces:
-            pieces.append(("-" if negative else "") + text)
-        else:
-            pieces.append((" - " if negative else " + ") + text)
+    try:
+        for key in keys:
+            i, j = key
+            re, im = num[key]
+            if i:
+                mono = "z" if i == 1 else f"z^{i}"
+                if j:
+                    mono += "*zbar" if j == 1 else f"*zbar^{j}"
+            elif j:
+                mono = "zbar" if j == 1 else f"zbar^{j}"
+            else:
+                # The constant term always sorts first, so it prints as the
+                # standalone scalar with its own signs.
+                pieces += ("", _scalar_text(re, im, den))
+                continue
+            if re and im:
+                pieces += (" + ", f"({_scalar_text(re, im, den)})*{mono}")
+                continue
+            mag, unit = (re, "") if re else (im, "i*")
+            if mag < 0:
+                sep, mag = " - ", -mag
+            else:
+                sep = " + "
+            if mag == den:
+                pieces += (sep, unit + mono)
+            elif den == 1:
+                pieces += (sep, f"{mag}*{unit}{mono}")
+            else:
+                pieces += (sep, f"{_fraction_text(mag, den)}*{unit}{mono}")
+    except ValueError:
+        # str() of an int past the interpreter's digit limit.
+        raise _too_long() from None
+    # A leading separator reads "-" for a negative term and nothing otherwise.
+    pieces[0] = "-" if pieces[0] == " - " else ""
     return "".join(pieces)

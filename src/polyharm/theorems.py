@@ -32,6 +32,7 @@ from .bipoly import (
     _from_parts,
     _mul_into,
     _mul_items,
+    _square_into,
     canonical_print,
     compose,
     mul,
@@ -314,7 +315,8 @@ def a_m(f: BiPoly, m: int) -> BiPoly:
     f_z^2, f_zb^2 and f_z*f_zb are built once as unreduced products over
     D^2.  The products of A, B and C are added into one set of sums over
     D^4, scaled by 2*D^2 and D^2 (A), m*D and 4*m*D (B) and m^2 (C), and
-    the sum is reduced once.
+    the sum is reduced once.  The four squares, f_z^2, f_zb^2, f_zzb^2
+    and (f_z*f_zb)^2, take each unordered pair of terms once.
     """
     if not isinstance(m, int) or m == 0:
         raise ValueError("m must be a nonzero integer")
@@ -326,16 +328,16 @@ def a_m(f: BiPoly, m: int) -> BiPoly:
     out: dict = {}
     den2 = den * den
     for a, b, scale in (
-        (fzzb, fzzb, 2 * den2),
         (fz, fzzbzb, 2 * den2),
         (fzb, fzzzb, 2 * den2),
         (fzz, fzbzb, den2),
         (fz2, fzbzb, m * den),
         (fzb2, fzz, m * den),
         (quad, fzzb, 4 * m * den),
-        (quad, quad, m * m),
     ):
         _mul_into(out, a, b, scale)
+    _square_into(out, fzzb, 2 * den2)
+    _square_into(out, quad, m * m)
     return _collect(out, den2 * den2)
 
 

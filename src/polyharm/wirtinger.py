@@ -6,6 +6,7 @@ laplacian(f, p) == 0 therefore has the closed form 1 + max(min(i, j))
 over the support, which makes order detection exact and decidable.
 """
 
+from math import perm
 from operator import itemgetter
 
 from .bipoly import BiPoly, _from_parts, _reduced
@@ -41,18 +42,24 @@ def d_dzbar(f: BiPoly) -> BiPoly:
 
 
 def laplacian(f: BiPoly, times: int = 1) -> BiPoly:
-    """Apply 4 * d/dz d/dzbar the given number of times (times >= 1).
+    """Apply 4 * d/dz d/dzbar the given number of times (times >= 1), in one pass.
 
-    Stops early once the result is zero, since the Laplacian of zero is zero.
+    c * z^i * zbar^j goes to c * 4^k * i!/(i-k)! * j!/(j-k)! *
+    z^(i-k) * zbar^(j-k) for k = times, and to zero when k > min(i, j);
+    when k exceeds every min(i, j) the result is zero, with no 4^k made.
     """
     if not isinstance(times, int) or times < 1:
         raise ValueError("times must be a positive integer")
-    out = f
-    for _ in range(times):
-        if out.is_zero:
-            break
-        out = _reduced(dict(_derivative(out, ((1, 1),), 4)[0]), out.denominator)
-    return out
+    num = f.numerators
+    if not num or times > max(map(min, num)):
+        return BiPoly.zero()
+    scale = 4**times
+    out = {}
+    for (i, j), (re, im) in num.items():
+        if i >= times and j >= times:
+            k = scale * perm(i, times) * perm(j, times)
+            out[(i - times, j - times)] = (re * k, im * k)
+    return _reduced(out, f.denominator)
 
 
 def polyharmonic_order(f: BiPoly) -> int:

@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given
 
+from polyharm import bipoly
 from polyharm.bipoly import (
     BiPoly,
     GR_I,
@@ -13,6 +14,7 @@ from polyharm.bipoly import (
     _mul_into,
     _power,
     _reduced,
+    _square_into,
     canonical_print,
     compose,
     eval_exact,
@@ -20,8 +22,9 @@ from polyharm.bipoly import (
     mul,
     unit_circle_point,
 )
+from polyharm.parser import parse
 from polyharm.wirtinger import almansi_decompose, d_dz, laplacian
-from strategies import bipoly_any, bipoly_small, gr_mul, gr_sum, scalars
+from strategies import bipoly_any, bipoly_small, gr_mul, gr_sum, nonzero_scalars, scalars
 
 Z = BiPoly.z()
 ZBAR = BiPoly.zbar()
@@ -362,11 +365,11 @@ _special_scalars = st.sampled_from(
     ]
 )
 _print_scalars = st.one_of(scalars, _special_scalars)
+# Small exponents make ties in i + j; large ones print two-digit z^12 text.
+_print_exponents = st.one_of(st.integers(0, 3), st.integers(0, 40))
 _print_polys = st.builds(
     BiPoly,
-    st.dictionaries(
-        st.tuples(st.integers(0, 3), st.integers(0, 3)), _print_scalars, max_size=6
-    ),
+    st.dictionaries(st.tuples(_print_exponents, _print_exponents), _print_scalars, max_size=6),
 )
 # Points p/d with a Gaussian integer p and d > 1.
 _fractional_points = st.builds(
@@ -638,3 +641,66 @@ def test_one_term_power_examples():
     for bad in (-1, 1.0, Fraction(2)):
         with pytest.raises(ValueError):
             Z**bad
+
+
+# --- squares and left-to-right powers ---------------------------------------
+
+
+@given(bipoly_any, st.integers(-3, 3), st.integers(-3, 3))
+@example(BiPoly.zero(), 1, 0)
+@example(Z * 2 - ZBAR * GR_I + 1, 2, -1)
+def test_square_into_matches_mul_into_of_a_list_with_itself(f, cr, ci):
+    items = list(f.numerators.items())
+    square: dict = {}
+    _square_into(square, items, cr, ci)
+    product: dict = {}
+    _mul_into(product, items, list(items), cr, ci)
+    den = f.denominator**2
+    assert _collect(square, den) == _collect(product, den)
+
+
+@given(bipoly_any)
+def test_square_is_the_general_product(f):
+    square = mul(f, f)
+    assert square == _reference_mul(f, f)
+    assert square == f * f == f**2
+    _assert_strict_normal_form(square)
+
+
+# Two or three terms, so that ** takes the binary powering.
+_multi_term_bases = st.builds(
+    BiPoly,
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), nonzero_scalars, min_size=2, max_size=3),
+)
+
+
+@given(_multi_term_bases, st.integers(0, 9))
+@example(Z + ZBAR + 1, 13)
+@example(Z * 3 - ZBAR * GaussianRational(1, -2) + 3, 16)
+def test_power_matches_repeated_products(f, n):
+    power = f**n
+    expected = BiPoly.one()
+    for _ in range(n):
+        expected = _reference_mul(expected, f)
+    assert power == expected
+    _assert_strict_normal_form(power)
+
+
+def test_trinomial_power_makes_the_left_to_right_products(monkeypatch):
+    # (1+z+zbar)^13 from the left: squares of 3, 10 and 28 terms (6 + 55 +
+    # 406 term products) and two products by the base (6*3 + 91*3), 758 in
+    # all.  Right-to-left powering made 1,260.
+    counted = []
+
+    def counting_mul_into(out, a_items, b_items, cr=1, ci=0):
+        counted.append(len(a_items) * len(b_items))
+        return _mul_into(out, a_items, b_items, cr, ci)
+
+    monkeypatch.setattr(bipoly, "_mul_into", counting_mul_into)
+    power = parse("(1+z+zbar)^13")
+    monkeypatch.undo()
+    assert 0 < sum(counted) <= 758
+    expected = BiPoly.one()
+    for _ in range(13):
+        expected = _reference_mul(expected, Z + ZBAR + 1)
+    assert power == expected

@@ -12,11 +12,14 @@ import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 import modular_oracle as oracle
-from polyharm.bipoly import BiPoly, GaussianRational, compose, eval_exact
+from polyharm.bipoly import BiPoly, GaussianRational, compose, eval_exact, mul
 from polyharm.parser import parse
+from polyharm.theorems import a_m
+from polyharm.wirtinger import d_dz, d_dzbar
 from strategies import bipoly_any, bipoly_small, grammar_texts, long_grammar_sums, scalars
 
 points = st.integers(0, 2**64).map(oracle.random_point)
@@ -28,6 +31,22 @@ def value(f, point):
 
 def pair_mul(u, v):
     return oracle.mul(u[0], v[0]), oracle.mul(u[1], v[1])
+
+
+def pair_add(*terms):
+    total = oracle.ZERO, oracle.ZERO
+    for u in terms:
+        total = oracle.add(total[0], u[0]), oracle.add(total[1], u[1])
+    return total
+
+
+def pair_scale(k: int, u):
+    r = oracle.rational(k % oracle.P, 1)
+    return oracle.mul(r, u[0]), oracle.mul(r, u[1])
+
+
+def pair_power(u, n: int):
+    return oracle.power(u[0], n), oracle.power(u[1], n)
 
 
 def random_bipoly(seed: int, terms: int, max_exp: int) -> BiPoly:
@@ -102,6 +121,66 @@ def test_pow_agrees_with_the_oracle(f, n, point):
     f_value = value(f, point)
     expected = oracle.power(f_value[0], n), oracle.power(f_value[1], n)
     assert value(f**n, point) == expected
+
+
+@settings(max_examples=2)
+@given(st.integers(0, 2**32), points)
+def test_left_to_right_powers_agree_with_the_oracle(seed, point):
+    # n = 7-16 on a dense base (every key of the 2 x 2 box) takes every bit
+    # pattern from 0b111 to 0b10000: squares of up to 81 terms and products
+    # by the base.  A tall base, whose 16th power has a denominator of
+    # thousands of bits, takes 0b1101 and 0b10000.
+    for base, exponents in ((random_bipoly(seed, 4, 1), range(7, 17)), (tall_bipoly(seed + 1, 3, 1), (13, 16))):
+        base_value = value(base, point)
+        for n in exponents:
+            assert value(base**n, point) == pair_power(base_value, n)
+
+
+@settings(max_examples=3)
+@given(st.integers(0, 2**32), points)
+def test_squares_agree_with_the_oracle(seed, point):
+    for f in (random_bipoly(seed, 300, 30), tall_bipoly(seed + 1, 12, 4)):
+        f_value = value(f, point)
+        assert value(mul(f, f), point) == pair_mul(f_value, f_value)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_powers_of_zero_agree_with_the_oracle(n):
+    power = BiPoly.zero() ** n
+    assert power == (BiPoly.one() if n == 0 else BiPoly.zero())
+    expected = oracle.ONE if n == 0 else oracle.ZERO
+    assert value(power, oracle.random_point(n)) == (expected, expected)
+
+
+def check_a_m(f, m, point):
+    # A + m*B + m^2*C from the derivatives' values, multiplied in GF(P^2).
+    fz, fzb = d_dz(f), d_dzbar(f)
+    fzz, fzbzb, fzzb = d_dz(fz), d_dzbar(fzb), d_dzbar(fz)
+    fzzbzb, fzzzb = d_dzbar(fzzb), d_dz(fzzb)
+    fz, fzb, fzz, fzbzb, fzzb, fzzbzb, fzzzb = (value(g, point) for g in (fz, fzb, fzz, fzbzb, fzzb, fzzbzb, fzzzb))
+    quad = pair_mul(fz, fzb)
+    a = pair_add(
+        pair_scale(2, pair_add(pair_mul(fzzb, fzzb), pair_mul(fz, fzzbzb), pair_mul(fzb, fzzzb))),
+        pair_mul(fzz, fzbzb),
+    )
+    b = pair_add(
+        pair_mul(pair_mul(fz, fz), fzbzb), pair_mul(pair_mul(fzb, fzb), fzz), pair_scale(4, pair_mul(quad, fzzb))
+    )
+    c = pair_mul(quad, quad)
+    assert value(a_m(f, m), point) == pair_add(a, pair_scale(m, b), pair_scale(m * m, c))
+
+
+@settings(max_examples=30)
+@given(bipoly_any, st.sampled_from([1, -1, 2, -2, 3, -3, 7]), points)
+def test_a_m_agrees_with_the_oracle(f, m, point):
+    check_a_m(f, m, point)
+
+
+@settings(max_examples=3)
+@given(st.integers(0, 2**32), points)
+def test_a_m_of_large_and_tall_operands_agrees_with_the_oracle(seed, point):
+    check_a_m(random_bipoly(seed, 60, 9), 3, point)
+    check_a_m(tall_bipoly(seed + 1, 8, 3), -2, point)
 
 
 @settings(max_examples=3)

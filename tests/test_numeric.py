@@ -312,3 +312,38 @@ def test_exp_identity_reports_match_per_point_formula(f, m, points, h):
         symbolic = 16.0 * m * m * phi(complex(point)) * eval_float(obstruction, point)
         expected = FdReport(complex(point), h, symbolic, fd, abs(symbolic - fd))
         assert _report_bits(report) == _report_bits(expected)
+
+
+def _stencil_arguments(point: complex, h: float) -> list[complex]:
+    """The arguments of exp(m*f) that exp_identity_check reads at one point, in order."""
+    args = []
+    for w in (point + h, point - h, point + 1j * h, point - 1j * h, point):
+        args += [w + h, w - h, w + 1j * h, w - 1j * h, w]
+    return args + [complex(point)]
+
+
+def _evaluations(args: list[complex]) -> int:
+    """Distinct arguments by their bits, plus a read of each argument with a zero part."""
+    shared = {(w.real.hex(), w.imag.hex()) for w in args if w.real and w.imag}
+    return len(shared) + sum(1 for w in args if not (w.real and w.imag))
+
+
+def test_exp_identity_evaluates_each_stencil_argument_once(monkeypatch):
+    calls = []
+    plain = numeric._exp
+    monkeypatch.setattr(numeric, "_exp", lambda w: calls.append(w) or plain(w))
+    f = Z**2 * ZBAR - ZBAR**2 * Fraction(1, 2)
+    # With dyadic points and step every argument is exact, so the 26 reads
+    # per point fall on 13 distinct arguments.
+    h = 2.0**-10
+    for point in (0.25 + 0.375j, -0.5 + 0.125j):
+        calls.clear()
+        exp_identity_check(f, 2, [point], h)
+        assert len(calls) == _evaluations(_stencil_arguments(point, h)) == 13
+    # Otherwise rounding can split the centre, as when (p + h) - h != p, and
+    # 0.0 == -0.0, so an argument with a zero part is read anew each time.
+    for point in sample_points(11, 7) + [complex(-0.0, 0.25), 0.5j, 2.0**-10]:
+        calls.clear()
+        exp_identity_check(f, 2, [point], 1e-3)
+        assert len(calls) == _evaluations(_stencil_arguments(point, 1e-3))
+    assert len(calls) > 13

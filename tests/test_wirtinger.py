@@ -1,4 +1,5 @@
 import time
+from fractions import Fraction
 from operator import itemgetter
 
 import pytest
@@ -22,7 +23,7 @@ from polyharm.wirtinger import (
     polyharmonic_order,
 )
 from newton_oracle import certified_points, certified_start, newton_vertices
-from strategies import bipoly_any, gr_mul
+from strategies import bipoly_any, bipolys, gr_mul
 
 Z = BiPoly.z()
 ZBAR = BiPoly.zbar()
@@ -332,3 +333,13 @@ def test_round_trip(f):
         assert classify(g).is_harmonic
     if len(form):
         assert not form[-1].is_zero
+
+
+@given(bipolys(max_exp=8, max_terms=6), st.integers(1, 6))
+@example(Z**5 * ZBAR**6 * 3 - ZBAR**2 * Z**4, 4)
+@example(Z**6 * ZBAR**6 * Fraction(1, 2) + Z**3 * ZBAR**5, 6)
+def test_laplacian_matches_iterated_single_laplacians(f, times):
+    expected = f
+    for _ in range(times):
+        expected = laplacian(expected, 1)
+    assert laplacian(f, times) == expected
