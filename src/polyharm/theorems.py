@@ -257,17 +257,17 @@ def _search(f: BiPoly, q: int, l: int, post: bool) -> WitnessResult:
 
     Compliant for an allowed form; otherwise a Violation with the first
     candidate whose composition with f has exact order > l.  Every
-    candidate is of class q by construction.  Each composition is only its
-    part at keys with min(i, j) >= l (compose's floor): that part holds
-    every key that can make the order exceed l, so a nonzero part has the
-    exact order of the whole composition, and a zero one reads 0 <= l.
+    candidate is of class q by construction.  Each candidate is composed in
+    full: a witness is built so that its composition's order is above l,
+    so little of it lies below l for compose's floor to drop, and the
+    floor's per-term tests cost more there than they save.
     """
     _require_params(q, l)
     rep = classify(f)
     if (_allowed_post if post else _allowed_pre)(rep, q, l):
         return WitnessResult(COMPLIANT, None, None, l, "")
     for candidate, tag in (_post_candidates if post else _pre_candidates)(f, rep, q, l):
-        order = polyharmonic_order(compose(f, candidate, floor=l) if post else compose(candidate, f, floor=l))
+        order = polyharmonic_order(compose(f, candidate) if post else compose(candidate, f))
         if order > l:
             return WitnessResult(VIOLATION, candidate, order, l, tag)
     side = "inner" if post else "outer"
@@ -409,22 +409,18 @@ def _check_bound(outer: BiPoly, inner: BiPoly, bound: int) -> None:
 def _check_violation(res: WitnessResult, f: BiPoly, q: int, l: int, post: bool) -> None:
     """Raise _CaseFailure unless res is a Violation whose order, recomposed, is still above l.
 
-    The composition is recomputed at floor l through the same pruned
-    compose that _search used, so this repeats _search's arithmetic rather
-    than checking it independently; the floor itself is checked against a
-    term-by-term composition and the GF(P^2) evaluator in the tests.  A
-    nonzero part at min(i, j) >= l has the exact order of the whole, so an
-    order above l is read exactly.  A zero part reads 0, and then the
-    failure names the order of the full composition.
+    The composition is recomputed in full, as _search made it, and the
+    failure names its exact order.  This repeats _search's composition
+    rather than checking it independently; a certificate read from f's
+    coefficients alone would make the recheck independent.
     """
     context = f"q={q} l={l} f={canonical_print(f)}"
     if res.verdict != VIOLATION:
         raise _CaseFailure(context, "verdict Violation", res.verdict)
     outer, inner = (f, res.witness) if post else (res.witness, f)
-    order = polyharmonic_order(compose(outer, inner, floor=l))
+    order = polyharmonic_order(compose(outer, inner))
     if order != res.composition_order or order <= l:
-        got = order if order > l else polyharmonic_order(compose(outer, inner))
-        raise _CaseFailure(context, f"recomputed composition order > {l}", str(got))
+        raise _CaseFailure(context, f"recomputed composition order > {l}", str(order))
     wrep = classify(res.witness)
     if q == 0 and not wrep.is_analytic:
         raise _CaseFailure(context, "analytic witness for q=0", canonical_print(res.witness))

@@ -154,8 +154,7 @@ def test_check_violation_error_triples():
     with pytest.raises(_CaseFailure) as failure:
         _check_violation(wrong, f, 1, 1, post=True)
     assert failure.value.args == (context, "recomputed composition order > 1", str(real.composition_order))
-    # z^2 after z has order 1 <= l: its part at min(i, j) >= 1 is zero, and
-    # the failure still names the order of the whole composition.
+    # z^2 after z has order 1 <= l, and the failure names that order.
     harmless = WitnessResult(VIOLATION, Z, 2, 1, real.family_tag)
     with pytest.raises(_CaseFailure) as failure:
         _check_violation(harmless, f, 1, 1, post=True)
@@ -272,9 +271,13 @@ def test_passing_cases_build_no_failure_text(monkeypatch):
 
     real_check = theorems._check_violation
 
-    def counted_check(*args, **kwargs):
-        checks.append(args)
-        return real_check(*args, **kwargs)
+    def counted_check(res, f, q, l, post):
+        checks.append(res)
+        # The suites compose witnesses in full; the floor still reads the
+        # same order on every one of them.
+        outer, inner = (f, res.witness) if post else (res.witness, f)
+        assert polyharmonic_order(compose(outer, inner, floor=l)) == res.composition_order
+        return real_check(res, f, q, l, post)
 
     monkeypatch.setattr(bipoly, "canonical_print", counted_print)
     monkeypatch.setattr(theorems, "canonical_print", counted_print)
@@ -326,22 +329,23 @@ def test_pre_composition_searches_hit_on_their_first_candidate(monkeypatch, name
     plain_compose, plain_find = theorems.compose, theorems.find_witness_pre
     searches = []
 
-    def counting_compose(outer, inner, floor):
-        composed.append(1)
+    def counting_compose(outer, inner, floor=0):
+        composed.append(floor)
         return plain_compose(outer, inner, floor)
 
     def recording_find(f, q, l):
         before = len(composed)
         res = plain_find(f, q, l)
-        searches.append((f, l, res, len(composed) - before))
+        searches.append((f, l, res, composed[before:]))
         return res
 
     monkeypatch.setattr(theorems, "compose", counting_compose)
     monkeypatch.setattr(theorems, "find_witness_pre", recording_find)
     assert run_suite(name, 12345, 2000).failures == 0
     powers = 0
-    for f, l, res, candidates in searches:
-        assert candidates == 1
+    for f, l, res, floors in searches:
+        # One candidate, composed in full.
+        assert floors == [0]
         if res.family_tag.startswith("w^m"):
             powers += 1
             m = max(i for i, j in res.witness.numerators if j == 0)
